@@ -11,14 +11,14 @@ from .errors import (CycleflowError, ConfigError, FormatError,
                      NumericalError, ValidationError)
 from .field import (VelocityFieldModel, encode_time, init_weights,
                     load_checkpoint, save_checkpoint, velocity)
-from .flow import (IntegratorConfig, Trajectory, deform_mesh, flow_at_frames,
-                   integrate, inverse_map)
+from .flow import (Trajectory, deform_mesh, flow_at_frames, integrate,
+                   inverse_map)
 from .mesh import TriangleMesh, icosphere, mesh_volume, read_obj, write_obj
 from .metrics import (EvalReport, evaluate_fit, hausdorff, hausdorff_brute,
                       periodicity_error, psnr)
 from .training import (AdamState, FitConfig, FitReport, SamplePoints,
-                       adam_step, cycle_loss, data_loss, fit, load_fit_config,
-                       sample_points, total_loss)
+                       adam_step, fit, load_fit_config, sample_points,
+                       total_loss)
 from .volume import (DomainNormalizer, GrowthPattern, Volume4D,
                      make_sphere_series, radius_at, read_v4d,
                      sample_trilinear, write_v4d)
@@ -29,14 +29,12 @@ __all__ = [
     "ValidationError",
     "VelocityFieldModel", "encode_time", "init_weights", "load_checkpoint",
     "save_checkpoint", "velocity",
-    "IntegratorConfig", "Trajectory", "deform_mesh", "flow_at_frames",
-    "integrate", "inverse_map",
+    "Trajectory", "deform_mesh", "flow_at_frames", "integrate", "inverse_map",
     "TriangleMesh", "icosphere", "mesh_volume", "read_obj", "write_obj",
     "EvalReport", "evaluate_fit", "hausdorff", "hausdorff_brute",
     "periodicity_error", "psnr",
-    "AdamState", "FitConfig", "FitReport", "SamplePoints", "adam_step",
-    "cycle_loss", "data_loss", "fit", "load_fit_config", "sample_points",
-    "total_loss",
+    "AdamState", "FitConfig", "FitReport", "SamplePoints", "adam_step", "fit",
+    "load_fit_config", "sample_points", "total_loss",
     "DomainNormalizer", "GrowthPattern", "Volume4D", "make_sphere_series",
     "radius_at", "read_v4d", "sample_trilinear", "write_v4d",
 ]

@@ -9,9 +9,12 @@ in the volume module and records onto the same tape.
 """
 from __future__ import annotations
 
+import contextvars
+
 import numpy as np
 
-_active_tape = None
+# per thread (and per task), so a tape records only its own thread's ops
+_active_tape = contextvars.ContextVar("active_tape", default=None)
 
 
 class Node:
@@ -46,7 +49,8 @@ def constant(value, dtype=None) -> Node:
 class Tape:
     """Ordered record of executed operations.
 
-    Single-owner: only one tape may record at a time (enforced on entry).
+    Single-owner: only one tape may record at a time in a thread (enforced
+    on entry); other threads never record onto it.
     Backward traversal walks the record in reverse execution order, which
     is a valid topological order by construction.
     """
@@ -55,15 +59,13 @@ class Tape:
         self._nodes = []
 
     def __enter__(self):
-        global _active_tape
-        if _active_tape is not None:
+        if _active_tape.get() is not None:
             raise RuntimeError("a tape is already recording; tapes are single-owner")
-        _active_tape = self
+        self._token = _active_tape.set(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        global _active_tape
-        _active_tape = None
+        _active_tape.reset(self._token)
         return False
 
     def __len__(self):
@@ -111,12 +113,12 @@ class Tape:
 
 
 def _record(node: Node) -> Node:
-    _active_tape._nodes.append(node)
+    _active_tape.get()._nodes.append(node)
     return node
 
 
 def _tracing() -> bool:
-    return _active_tape is not None
+    return _active_tape.get() is not None
 
 
 # ---------------------------------------------------------------------------
@@ -239,19 +241,6 @@ def sum_all(x: Node) -> Node:
 
     def backward(g):
         x.grad += g
-
-    return _record(Node(out, (x,), backward))
-
-
-def mean_all(x: Node) -> Node:
-    """Mean of all elements (scalar node)."""
-    out = np.asarray(x.value.mean())
-    if not _tracing():
-        return Node(out)
-    inv = 1.0 / x.value.size
-
-    def backward(g):
-        x.grad += g * inv
 
     return _record(Node(out, (x,), backward))
 

@@ -8,14 +8,14 @@ non-periodic ablation mode).
 """
 from __future__ import annotations
 
-import json
 import math
-import struct
 import warnings
 
 import numpy as np
 
 from . import autodiff as ad
+from .container import (check_header, is_count, is_number, list_of,
+                        read_container, write_container)
 from .errors import FormatError
 
 CHECKPOINT_MAGIC = b"NFCKPT01"
@@ -66,6 +66,8 @@ class VelocityFieldModel:
                 raise ValueError("model weights must be finite")
         if omega <= 0:
             raise ValueError("omega must be positive")
+        if period <= 0:
+            raise ValueError("period must be positive")
         self.weights = [ad.Node(np.asarray(w)) for w in weights]
         self.biases = [ad.Node(np.asarray(b)) for b in biases]
         self.omega = float(omega)
@@ -150,8 +152,9 @@ def velocity(model: VelocityFieldModel, points, t: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint container: magic, u32-LE header length, UTF-8 JSON header, then
-# per layer the weight matrix followed by the bias vector as f32 little-endian
+# checkpoint container (framing in container.py): the header holds the layer
+# sizes and time settings; the payload is, per layer, the weight matrix
+# followed by the bias vector
 
 
 def save_checkpoint(model: VelocityFieldModel, path):
@@ -163,50 +166,32 @@ def save_checkpoint(model: VelocityFieldModel, path):
         "endian": "little",
         "dtype": "f32le",
     }
-    blob = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for w, b in zip(model.weights, model.biases):
-            fh.write(np.ascontiguousarray(w.value, dtype="<f4").tobytes())
-            fh.write(np.ascontiguousarray(b.value, dtype="<f4").tobytes())
+    arrays = [a.value for pair in zip(model.weights, model.biases) for a in pair]
+    write_container(path, CHECKPOINT_MAGIC, header, arrays)
 
 
 def load_checkpoint(path) -> VelocityFieldModel:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:8] != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: bad checkpoint magic at offset 0")
-    if len(data) < 12:
-        raise FormatError(f"{path}: truncated header")
-    (hlen,) = struct.unpack("<I", data[8:12])
-    if len(data) < 12 + hlen:
-        raise FormatError(f"{path}: truncated header payload")
-    try:
-        header = json.loads(data[12:12 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: unreadable header: {exc}") from exc
-    if header.get("dtype") != "f32le" or header.get("endian") != "little":
-        raise FormatError(f"{path}: unsupported weight encoding")
+    header, data, offset = read_container(path, CHECKPOINT_MAGIC)
+    check_header(path, header, {
+        "layer_sizes": list_of(is_count), "omega": is_number, "period": is_number,
+        "time_encoding": lambda v: type(v) is bool, "dtype": lambda v: v == "f32le",
+        "endian": lambda v: v == "little"})
     sizes = header["layer_sizes"]
-    offset = 12 + hlen
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        wbytes = fan_in * fan_out * 4
-        if offset + wbytes + fan_out * 4 > len(data):
+        if offset + (fan_in + 1) * fan_out * 4 > len(data):
             raise FormatError(f"{path}: truncated weight payload at offset {offset}")
-        w = np.frombuffer(data[offset:offset + wbytes], dtype="<f4").reshape(fan_in, fan_out)
-        offset += wbytes
-        b = np.frombuffer(data[offset:offset + fan_out * 4], dtype="<f4")
+        w = np.frombuffer(data, dtype="<f4", count=fan_in * fan_out, offset=offset)
+        offset += fan_in * fan_out * 4
+        b = np.frombuffer(data, dtype="<f4", count=fan_out, offset=offset)
         offset += fan_out * 4
-        weights.append(w.copy())
+        weights.append(w.reshape(fan_in, fan_out).copy())
         biases.append(b.copy())
     if offset != len(data):
         raise FormatError(f"{path}: {len(data) - offset} trailing bytes after weights")
-    return VelocityFieldModel(
-        weights, biases,
-        omega=header["omega"],
-        period=header["period"],
-        time_encoding=header["time_encoding"],
-    )
+    try:
+        return VelocityFieldModel(weights, biases, omega=header["omega"],
+                                  period=header["period"],
+                                  time_encoding=header["time_encoding"])
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

@@ -18,27 +18,6 @@ from .errors import NumericalError
 from .mesh import TriangleMesh
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Euler settings: S steps over the requested span, forward or backward."""
-
-    steps: int
-    direction: str = "forward"
-    method: str = "euler"
-
-    def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if self.direction not in ("forward", "backward"):
-            raise ValueError(f"unknown direction {self.direction!r}")
-        if self.method != "euler":
-            raise ValueError(f"unsupported method {self.method!r}")
-
-    def boundaries(self, t_start: float, t_end: float) -> np.ndarray:
-        span = np.linspace(t_start, t_end, self.steps + 1)
-        return span[::-1].copy() if self.direction == "backward" else span
-
-
 @dataclass
 class Trajectory:
     """Per-point positions at every Euler step boundary.

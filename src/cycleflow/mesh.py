@@ -1,6 +1,7 @@
 """Triangle meshes in world millimeters: container, OBJ I/O, signed volume."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,33 +119,41 @@ def write_obj(mesh: TriangleMesh, path):
 def read_obj(path) -> TriangleMesh:
     """Parse the v/f subset of OBJ; triangular faces only."""
     verts, faces = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            kind = tokens[0]
-            if kind == "v":
-                if len(tokens) < 4:
-                    raise FormatError(f"{path}:{lineno}: vertex needs 3 coordinates")
-                try:
-                    verts.append([float(t) for t in tokens[1:4]])
-                except ValueError as exc:
-                    raise FormatError(f"{path}:{lineno}: bad vertex coordinate") from exc
-            elif kind == "f":
-                if len(tokens) != 4:
-                    raise FormatError(
-                        f"{path}:{lineno}: only triangular faces are supported"
-                    )
-                try:
-                    idx = [int(t.split("/")[0]) for t in tokens[1:4]]
-                except ValueError as exc:
-                    raise FormatError(f"{path}:{lineno}: bad face index") from exc
-                if any(i <= 0 for i in idx):
-                    raise FormatError(f"{path}:{lineno}: face index must be positive")
-                faces.append(([i - 1 for i in idx], lineno))
-            # other record kinds (vn, vt, o, ...) are outside the subset: skipped
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        kind = tokens[0]
+        if kind == "v":
+            if len(tokens) < 4:
+                raise FormatError(f"{path}:{lineno}: vertex needs 3 coordinates")
+            try:
+                verts.append([float(t) for t in tokens[1:4]])
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: bad vertex coordinate") from exc
+            if not all(map(math.isfinite, verts[-1])):
+                raise FormatError(f"{path}:{lineno}: non-finite vertex coordinate")
+        elif kind == "f":
+            if len(tokens) != 4:
+                raise FormatError(
+                    f"{path}:{lineno}: only triangular faces are supported"
+                )
+            try:
+                idx = [int(t.split("/")[0]) for t in tokens[1:4]]
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: bad face index") from exc
+            if any(i <= 0 for i in idx):
+                raise FormatError(f"{path}:{lineno}: face index must be positive")
+            if len(set(idx)) < 3:
+                raise FormatError(f"{path}:{lineno}: degenerate face")
+            faces.append(([i - 1 for i in idx], lineno))
+        # other record kinds (vn, vt, o, ...) are outside the subset: skipped
     if not verts or not faces:
         raise FormatError(f"{path}: no geometry")
     for idx, lineno in faces:

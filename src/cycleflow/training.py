@@ -13,15 +13,15 @@ from __future__ import annotations
 import csv
 import json
 import math
-import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, NumericalError, ValidationError
 from .field import VelocityFieldModel, default_layer_sizes, init_weights
-from .flow import euler_path, flow_at_frames_nodes
+from .flow import flow_at_frames_nodes
 from .volume import Volume4D, gather_trilinear
 
 SAMPLING_STRATEGIES = ("uniform", "foreground", "band")
@@ -83,7 +83,6 @@ class FitReport:
     data_loss: list
     cycle_loss: list
     total_loss: list
-    wall_time_s: float
     config: FitConfig
     cycle_weight_ignored: bool = False
     checkpoint_path: str | None = None
@@ -154,56 +153,26 @@ def sample_points(volume: Volume4D, n: int, strategy: str = "uniform",
     return SamplePoints(np.concatenate([fg, uni], axis=0))
 
 
-def _seed_node(points, dtype) -> ad.Node:
-    pos = points.positions if isinstance(points, SamplePoints) else np.asarray(points)
-    return ad.constant(np.asarray(pos, dtype=dtype))
-
-
-def _data_term(volume: Volume4D, frame_nodes) -> ad.Node:
-    ref = gather_trilinear(volume.frames[-1], frame_nodes[-1])
-    total = None
-    for i in range(volume.n_frames - 1):
-        vals = gather_trilinear(volume.frames[i], frame_nodes[i])
-        term = ad.mse(vals, ref)
-        total = term if total is None else ad.add(total, term)
-    return total
-
-
-def _cycle_term(seeds: ad.Node, end: ad.Node) -> ad.Node:
-    d = ad.sub(seeds, end)
-    return ad.scale(ad.sum_all(ad.mul(d, d)), 1.0 / seeds.value.shape[0])
-
-
-def data_loss(model: VelocityFieldModel, volume: Volume4D, points,
-              steps_per_frame: int = 1) -> ad.Node:
-    """Multi-frame intensity-constancy loss along forward trajectories."""
-    seeds = _seed_node(points, model.dtype)
-    nodes = flow_at_frames_nodes(model, seeds, volume.frame_times, steps_per_frame)
-    return _data_term(volume, nodes)
-
-
-def cycle_loss(model: VelocityFieldModel, points, steps: int) -> ad.Node:
-    """Mean squared distance between seeds and their full-period endpoints."""
-    seeds = _seed_node(points, model.dtype)
-    times = np.linspace(0.0, model.period, steps + 1)
-    path = euler_path(model, seeds, times)
-    return _cycle_term(seeds, path[-1])
-
-
 def total_loss(model: VelocityFieldModel, volume: Volume4D, points,
                cycle_weight: float = 1.0, cycle_enabled: bool = True,
                steps_per_frame: int = 1):
-    """Fused objective sharing one Euler pass between both terms.
+    """The objective; one Euler pass feeds both terms.
 
     Returns (total, data, cycle) nodes; cycle is None when disabled.  With
     weight 0 the total equals the data term exactly.
     """
-    seeds = _seed_node(points, model.dtype)
+    pos = points.positions if isinstance(points, SamplePoints) else points
+    seeds = ad.constant(np.asarray(pos, dtype=model.dtype))
     nodes = flow_at_frames_nodes(model, seeds, volume.frame_times, steps_per_frame)
-    data = _data_term(volume, nodes)
+    ref = gather_trilinear(volume.frames[-1], nodes[-1])
+    data = None
+    for i in range(volume.n_frames - 1):
+        term = ad.mse(gather_trilinear(volume.frames[i], nodes[i]), ref)
+        data = term if data is None else ad.add(data, term)
     if not cycle_enabled:
         return data, data, None
-    cyc = _cycle_term(seeds, nodes[-1])
+    d = ad.sub(seeds, nodes[-1])
+    cyc = ad.scale(ad.sum_all(ad.mul(d, d)), 1.0 / seeds.value.shape[0])
     return ad.add(data, ad.scale(cyc, cycle_weight)), data, cyc
 
 
@@ -253,7 +222,6 @@ def fit(volume: Volume4D, config: FitConfig):
     params = model.parameters
     state = AdamState.for_params([p.value for p in params])
     data_hist, cycle_hist, total_hist = [], [], []
-    start = time.perf_counter()
     for epoch in range(config.epochs):
         pts = sample_points(volume, config.points_per_epoch, config.sampling,
                             seed=(config.seed, epoch))
@@ -275,7 +243,6 @@ def fit(volume: Volume4D, config: FitConfig):
         data_loss=data_hist,
         cycle_loss=cycle_hist,
         total_loss=total_hist,
-        wall_time_s=time.perf_counter() - start,
         config=config,
         cycle_weight_ignored=(not config.cycle_enabled and config.cycle_weight > 0),
     )
@@ -285,21 +252,9 @@ def fit(volume: Volume4D, config: FitConfig):
 # ---------------------------------------------------------------------------
 # config file + report serialization
 
-_CONFIG_TYPES = {
-    "cycle_weight": float,
-    "epochs": int,
-    "points_per_epoch": int,
-    "learning_rate": float,
-    "seed": int,
-    "omega": float,
-    "steps_per_frame": int,
-    "time_encoding": bool,
-    "cycle_enabled": bool,
-    "sampling": str,
-    "hidden_layers": int,
-    "hidden_width": int,
-    "precision": str,
-}
+# config key -> type, one entry per FitConfig field
+_HINTS = get_type_hints(FitConfig)
+_CONFIG_TYPES = {f.name: _HINTS[f.name] for f in fields(FitConfig)}
 
 _TRUE = {"true", "yes", "on", "1"}
 _FALSE = {"false", "no", "off", "0"}
@@ -369,7 +324,6 @@ def write_fit_summary(report: FitReport, path):
         "final_data_loss": report.data_loss[-1],
         "final_cycle_loss": report.cycle_loss[-1],
         "final_total_loss": report.total_loss[-1],
-        "wall_time_s": report.wall_time_s,
         "cycle_weight_ignored": report.cycle_weight_ignored,
         "checkpoint": report.checkpoint_path,
     }

@@ -9,14 +9,14 @@ cycle spans [0, 1].
 """
 from __future__ import annotations
 
-import json
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
+from .container import (check_header, is_count, is_number, list_of,
+                        read_container, write_container)
 from .errors import FormatError, ValidationError
 from .mesh import TriangleMesh, icosphere
 
@@ -47,6 +47,8 @@ class Volume4D:
             raise ValidationError("need at least 2 frames")
         if min(d, h, w) < 2:
             raise ValidationError("each grid axis needs at least 2 voxels")
+        if not np.isfinite(self.frames).all():
+            raise ValidationError("frames must be finite (no NaN or inf voxels)")
         if len(self.spacing) != 3 or any(s <= 0 for s in self.spacing):
             raise ValidationError(f"spacing must be 3 positive values, got {self.spacing}")
         if len(self.origin) != 3:
@@ -162,14 +164,6 @@ def sample_trilinear(frame, points) -> np.ndarray:
         raise ValueError("non-finite sample point")
     values, _ = _trilinear_kernel(frame, pts, want_grad=False)
     return values
-
-
-def sample_trilinear_with_grad(frame, points):
-    """Like sample_trilinear, also returning d(value)/d(point) as (B,3)."""
-    pts = np.atleast_2d(np.asarray(points))
-    if not np.isfinite(pts).all():
-        raise ValueError("non-finite sample point")
-    return _trilinear_kernel(frame, pts, want_grad=True)
 
 
 def gather_trilinear(frame, points: ad.Node) -> ad.Node:
@@ -291,8 +285,8 @@ def make_sphere_series(pattern: GrowthPattern, grid_shape, spacing,
 
 
 # ---------------------------------------------------------------------------
-# V4D container: magic, u32-LE header length, UTF-8 JSON header, then the
-# frames as little-endian float32 in x-fastest order
+# V4D container (framing in container.py): the header holds the grid shape,
+# spacing, origin and frame times; the payload is the frames in x-fastest order
 
 
 def write_v4d(volume: Volume4D, path):
@@ -303,42 +297,23 @@ def write_v4d(volume: Volume4D, path):
         "frame_times": [float(t) for t in volume.frame_times],
         "dtype": "f32le",
     }
-    blob = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(V4D_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(np.ascontiguousarray(volume.frames, dtype="<f4").tobytes())
+    write_container(path, V4D_MAGIC, header, [volume.frames])
 
 
 def read_v4d(path) -> Volume4D:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:8] != V4D_MAGIC:
-        raise FormatError(f"{path}: bad magic at offset 0")
-    if len(data) < 12:
-        raise FormatError(f"{path}: truncated header length at offset 8")
-    (hlen,) = struct.unpack("<I", data[8:12])
-    if len(data) < 12 + hlen:
-        raise FormatError(f"{path}: truncated header at offset 12")
-    try:
-        header = json.loads(data[12:12 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: unreadable header: {exc}") from exc
-    for key in ("shape", "spacing_mm", "origin_mm", "frame_times", "dtype"):
-        if key not in header:
-            raise FormatError(f"{path}: header missing {key!r}")
-    if header["dtype"] != "f32le":
-        raise FormatError(f"{path}: unsupported dtype {header['dtype']!r}")
-    d, h, w = (int(v) for v in header["shape"])
+    header, data, offset = read_container(path, V4D_MAGIC)
+    numbers = list_of(is_number)
+    check_header(path, header, {
+        "shape": list_of(is_count, 3), "spacing_mm": numbers, "origin_mm": numbers,
+        "frame_times": numbers, "dtype": lambda v: v == "f32le"})
+    d, h, w = header["shape"]
     n = len(header["frame_times"])
-    payload = data[12 + hlen:]
     expected = n * d * h * w * 4
-    if len(payload) != expected:
+    if len(data) - offset != expected:
         raise FormatError(
-            f"{path}: payload is {len(payload)} bytes at offset {12 + hlen}, "
+            f"{path}: payload is {len(data) - offset} bytes at offset {offset}, "
             f"expected {expected}"
         )
-    frames = np.frombuffer(payload, dtype="<f4").reshape(n, d, h, w).copy()
+    frames = np.frombuffer(data, dtype="<f4", offset=offset).reshape(n, d, h, w).copy()
     return Volume4D(frames, header["spacing_mm"], header["origin_mm"],
                     header["frame_times"])

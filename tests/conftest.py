@@ -1,9 +1,11 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cycleflow.autodiff as ad
+from cycleflow.container import read_container, write_container
 from cycleflow.mesh import TriangleMesh
 
 # One line per acceptance criterion, filled in by tests/test_acceptance.py
@@ -94,6 +96,42 @@ class RadialPulseField:
     def __call__(self, x, t):
         drho = 2.0 * math.pi * self.amp * math.cos(2.0 * math.pi * t)
         return ad.scale(x, drho / self.rho(t))
+
+
+def rewrite_container(src, dst, header=None, payload=None):
+    """Copy a .v4d or .ckpt file, passing its header dict and its float32
+    payload through the given edit functions."""
+    magic = Path(src).read_bytes()[:8]
+    head, data, offset = read_container(src, magic)
+    values = np.frombuffer(data, dtype="<f4", offset=offset)
+    write_container(dst, magic, header(head) if header else head,
+                    [payload(values) if payload else values])
+    return dst
+
+
+# Malformed inputs, each of which a reader must reject with FormatError or
+# ValidationError (and the CLI with exit code 3).  Container cases are
+# rewrite_container edits of a valid file; OBJ cases are whole files.
+BAD_CHECKPOINTS = {
+    "header-not-object": dict(header=lambda h: 3),
+    "missing-omega": dict(header=lambda h: {k: v for k, v in h.items() if k != "omega"}),
+    "ill-typed-layer-sizes": dict(header=lambda h: {**h, "layer_sizes": [5, "x", 3]}),
+    "zero-period": dict(header=lambda h: {**h, "period": 0.0}),
+    "non-finite-weights": dict(payload=lambda p: np.full_like(p, np.nan)),
+}
+BAD_VOLUMES = {
+    "shape-not-ints": dict(header=lambda h: {**h, "shape": ["a", 2, 2]}),
+    "shape-of-two-axes": dict(header=lambda h: {**h, "shape": [2, 2]}),
+    "nan-voxel": dict(payload=lambda p: np.r_[np.nan, p[1:]]),
+    "inf-voxel": dict(payload=lambda p: np.r_[np.inf, p[1:]]),
+}
+_TRIANGLE = b"v 0 0 0\nv 1 0 0\nv 0 1 0\n"
+BAD_MESHES = {
+    "not-utf8": _TRIANGLE + b"# \xff\xfe\nf 1 2 3\n",
+    "nan-coordinate": b"v 0 0 0\nv nan 0 0\nv 0 1 0\nf 1 2 3\n",
+    "inf-coordinate": b"v 0 0 0\nv 1 0 0\nv 0 inf 0\nf 1 2 3\n",
+    "degenerate-face": _TRIANGLE + b"f 1 2 2\n",
+}
 
 
 @pytest.fixture

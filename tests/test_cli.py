@@ -7,7 +7,9 @@ import pytest
 
 from cycleflow.cli import main
 from cycleflow.mesh import read_obj
-from cycleflow.volume import Volume4D, read_v4d, write_v4d
+from cycleflow.volume import read_v4d
+
+from conftest import rewrite_container
 
 GEN_ARGS = ["gen", "--grid", "12", "--frames", "3", "--spacing", "1.0",
             "--radius", "3.0", "--pattern", "periodic", "--amplitude", "0.5"]
@@ -142,13 +144,31 @@ def test_fit_error_exit_codes(tmp_path):
     assert main(["fit", str(broken), "--out-dir", out]) == 3
 
 
-def test_fit_non_finite_volume_is_numerical_error(tmp_path):
-    frames = np.full((2, 8, 8, 8), np.nan, dtype=np.float32)
-    vol = Volume4D(frames, (1.0,) * 3, (0.0,) * 3, [0.0, 1.0])
-    vpath = tmp_path / "nan.v4d"
-    write_v4d(vol, vpath)
+def test_fit_non_finite_volume_is_data_error(tmp_path):
+    gen = run_gen(tmp_path)
+    vpath = rewrite_container(gen / "volume.v4d", tmp_path / "nan.v4d",
+                              payload=lambda p: np.full_like(p, np.nan))
     assert main(["fit", str(vpath)] + FIT_ARGS
-                + ["--out-dir", str(tmp_path / "x")]) == 4
+                + ["--out-dir", str(tmp_path / "x")]) == 3
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fit_divergence_is_numerical_error(tmp_path):
+    # one Adam step of size 1e300 overflows the float32 weights
+    gen = run_gen(tmp_path)
+    assert main(["fit", str(gen / "volume.v4d")] + FIT_ARGS
+                + ["--learning-rate", "1e300", "--out-dir", str(tmp_path / "x")]) == 4
+
+
+def test_fit_summary_and_hashes_repeat_in_one_out_dir(tmp_path):
+    gen = run_gen(tmp_path)
+    runs = []
+    for _ in range(2):
+        out = run_fit(tmp_path, gen)
+        manifest = json.loads((out / "manifest.json").read_text())
+        runs.append(((out / "fit_summary.json").read_bytes(), manifest["outputs"]))
+    assert runs[0] == runs[1]
+    assert "wall_time_s" not in json.loads(runs[0][0])
 
 
 # ----------------------------------------------------------------- deform

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from cycleflow.errors import FormatError
 from cycleflow.field import (VelocityFieldModel, default_layer_sizes,
                              encode_time, init_weights, load_checkpoint,
                              save_checkpoint, velocity)
-from conftest import fd_grad, rel_err
+from conftest import BAD_CHECKPOINTS, fd_grad, rel_err, rewrite_container
 
 
 def tiny_model(seed=0, time_encoding=True, dtype=np.float64, width=8, layers=2):
@@ -149,6 +150,21 @@ def test_warns_outside_slack_domain():
         model(np.array([[2.0, 0.0, 0.0]]), 0.0)
 
 
+def test_other_threads_do_not_record_on_an_active_tape():
+    model = tiny_model(seed=5)
+    pts = np.zeros((4, 3))
+    results = []
+    worker = threading.Thread(
+        target=lambda: results.append(velocity(model, pts, 0.25)))
+    with ad.Tape() as tape:
+        model(pts, 0.25)
+        recorded = len(tape)
+        worker.start()
+        worker.join()
+        assert len(tape) == recorded
+    assert np.array_equal(results[0], velocity(model, pts, 0.25))
+
+
 def test_model_validates_construction():
     with pytest.raises(ValueError, match="input width"):
         VelocityFieldModel([np.zeros((3, 8)), np.zeros((8, 3))],
@@ -170,11 +186,11 @@ def test_mean_speed_gradient_matches_fd():
 
     def loss_value():
         out = model(pts, 0.4)
-        return float(ad.mean_all(ad.mul(out, out)).value)
+        return float(ad.mse(out, ad.constant(np.zeros_like(out.value))).value)
 
     with ad.Tape() as tape:
         out = model(pts, 0.4)
-        tape.backward(ad.mean_all(ad.mul(out, out)))
+        tape.backward(ad.mse(out, ad.constant(np.zeros_like(out.value))))
 
     for p in model.parameters:
         num = fd_grad(loss_value, p.value, eps=1e-6)
@@ -223,3 +239,13 @@ def test_checkpoint_trailing_bytes(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00\x00")
     with pytest.raises(FormatError, match="trailing"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CHECKPOINTS))
+def test_checkpoint_malformed_header_or_weights(tmp_path, case):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(tiny_model(seed=21, dtype=np.float32), path)
+    rewrite_container(path, path, **BAD_CHECKPOINTS[case])
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+

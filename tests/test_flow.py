@@ -11,7 +11,6 @@ import cycleflow.autodiff as ad
 from cycleflow import field
 from cycleflow.errors import NumericalError
 from cycleflow.flow import (
-    IntegratorConfig,
     Trajectory,
     deform_mesh,
     euler_path,
@@ -65,23 +64,7 @@ class NanAfterField:
         return ad.constant(np.full_like(x.value, fill))
 
 
-# ------------------------------------------------------------ config/traj
-
-def test_integrator_config_validation():
-    with pytest.raises(ValueError):
-        IntegratorConfig(steps=0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(steps=4, direction="sideways")
-    with pytest.raises(ValueError):
-        IntegratorConfig(steps=4, method="rk4")
-
-
-def test_integrator_config_boundaries():
-    fwd = IntegratorConfig(steps=4).boundaries(0.0, 1.0)
-    assert np.array_equal(fwd, [0.0, 0.25, 0.5, 0.75, 1.0])
-    bwd = IntegratorConfig(steps=4, direction="backward").boundaries(0.0, 1.0)
-    assert np.array_equal(bwd, [1.0, 0.75, 0.5, 0.25, 0.0])
-
+# ------------------------------------------------------------ trajectory
 
 def test_trajectory_validation():
     pts = np.zeros((2, 3, 3))

@@ -14,7 +14,7 @@ from cycleflow.mesh import (
     write_obj,
 )
 
-from conftest import make_cube_mesh
+from conftest import BAD_MESHES, make_cube_mesh
 
 
 # ---------------------------------------------------------------- container
@@ -189,4 +189,12 @@ def test_obj_rejects_empty_file(tmp_path):
     path = tmp_path / "empty.obj"
     path.write_text("# nothing here\n")
     with pytest.raises(FormatError, match="no geometry"):
+        read_obj(path)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MESHES))
+def test_obj_rejects_malformed_file(tmp_path, case):
+    path = tmp_path / "bad.obj"
+    path.write_bytes(BAD_MESHES[case])
+    with pytest.raises(FormatError):
         read_obj(path)

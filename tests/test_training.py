@@ -13,8 +13,6 @@ from cycleflow.training import (
     FitConfig,
     SamplePoints,
     adam_step,
-    cycle_loss,
-    data_loss,
     fit,
     load_fit_config,
     sample_points,
@@ -22,7 +20,8 @@ from cycleflow.training import (
     write_fit_summary,
     write_loss_csv,
 )
-from cycleflow.volume import Volume4D
+from cycleflow.flow import flow_at_frames
+from cycleflow.volume import Volume4D, sample_trilinear
 
 from conftest import fd_grad, rel_err
 
@@ -175,20 +174,23 @@ def test_data_loss_on_flat_frames_is_exact():
     # read exact, so the loss is sum_i (c_i - c_last)^2 in exact arithmetic.
     vol = flat_volume([0.25, 0.5, 1.0])
     pts = sample_points(vol, 8, "uniform", seed=0)
-    loss = data_loss(ConstantField([0.0, 0.0, 0.0]), vol, pts)
-    assert float(loss.value) == (0.25 - 1.0) ** 2 + (0.5 - 1.0) ** 2
+    _, data, _ = total_loss(ConstantField([0.0, 0.0, 0.0]), vol, pts)
+    assert float(data.value) == (0.25 - 1.0) ** 2 + (0.5 - 1.0) ** 2
 
 
 def test_cycle_loss_of_constant_field_is_speed_squared():
+    # five frames give four Euler steps of 1/4 over the full period
+    vol = flat_volume([0.5] * 5)
     pts = SamplePoints(np.zeros((5, 3)))
-    loss = cycle_loss(ConstantField([0.5, 0.0, -0.25]), pts, steps=4)
-    assert float(loss.value) == 0.5 ** 2 + 0.25 ** 2
+    _, _, cyc = total_loss(ConstantField([0.5, 0.0, -0.25]), vol, pts)
+    assert float(cyc.value) == 0.5 ** 2 + 0.25 ** 2
 
 
 def test_cycle_loss_of_still_field_is_zero():
+    vol = flat_volume([0.25, 0.5, 1.0])
     pts = SamplePoints(np.random.default_rng(0).uniform(-0.5, 0.5, (6, 3)))
-    loss = cycle_loss(ConstantField([0.0, 0.0, 0.0]), pts, steps=8)
-    assert float(loss.value) == 0.0
+    _, _, cyc = total_loss(ConstantField([0.0, 0.0, 0.0]), vol, pts)
+    assert float(cyc.value) == 0.0
 
 
 def test_total_loss_zero_weight_equals_data_exactly():
@@ -210,17 +212,19 @@ def test_total_loss_disabled_cycle_returns_data_node():
 
 
 def test_total_loss_matches_separate_terms():
-    # The fused pass shares trajectories with the standalone helpers; with
-    # one step per frame both integrate over identical boundaries.
+    # Both terms recomputed from plain trajectories and plain sampling.
     vol = tiny_volume(seed=5, n_frames=4)
     pts = sample_points(vol, 10, "uniform", seed=9)
     model = ConstantField([0.125, -0.0625, 0.25])
     total, data, cyc = total_loss(model, vol, pts, cycle_weight=2.5)
-    d = data_loss(model, vol, pts)
-    c = cycle_loss(model, pts, steps=vol.n_frames - 1)
-    assert float(data.value) == float(d.value)
-    assert float(cyc.value) == float(c.value)
-    assert float(total.value) == float(d.value) + 2.5 * float(c.value)
+    traj = flow_at_frames(model, pts.positions, vol.frame_times)
+    ref = sample_trilinear(vol.frames[-1], traj[:, -1])
+    d = sum(np.mean((sample_trilinear(vol.frames[i], traj[:, i]) - ref) ** 2)
+            for i in range(vol.n_frames - 1))
+    c = np.mean(np.sum((pts.positions - traj[:, -1]) ** 2, axis=1))
+    assert float(data.value) == pytest.approx(d, rel=1e-12)
+    assert float(cyc.value) == pytest.approx(c, rel=1e-12)
+    assert float(total.value) == float(data.value) + 2.5 * float(cyc.value)
 
 
 def test_total_loss_gradient_matches_fd():
@@ -296,7 +300,6 @@ def test_fit_history_shapes_and_identity():
     for d, c, t in zip(rep.data_loss, rep.cycle_loss, rep.total_loss):
         assert math.isfinite(t)
         assert t == d + 0.5 * c
-    assert rep.wall_time_s > 0.0
 
 
 def test_fit_decreases_loss_on_easy_problem():

@@ -6,9 +6,8 @@ from cycleflow.errors import FormatError, ValidationError
 from cycleflow.mesh import mesh_volume
 from cycleflow.volume import (DomainNormalizer, GrowthPattern, Volume4D,
                               gather_trilinear, make_sphere_series, radius_at,
-                              read_v4d, sample_trilinear,
-                              sample_trilinear_with_grad, write_v4d)
-from conftest import rel_err
+                              read_v4d, sample_trilinear, write_v4d)
+from conftest import BAD_VOLUMES, rel_err, rewrite_container
 
 
 def make_volume(n=3, d=4, h=5, w=6, seed=0):
@@ -35,6 +34,10 @@ def test_volume_validation():
         Volume4D(frames[:1], (1, 1, 1), (0, 0, 0), [0.0])
     with pytest.raises(ValidationError):
         Volume4D(np.zeros((3, 4, 4)), (1, 1, 1), (0, 0, 0), good_times)
+    for bad in (np.nan, -np.inf):
+        frames[1, 2, 0, 3] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            Volume4D(frames, (1, 1, 1), (0, 0, 0), good_times)
 
 
 def test_world_bounds():
@@ -77,6 +80,15 @@ def test_exact_on_affine_fields():
     assert np.abs(got - want).max() < 1e-6
 
 
+def value_and_grad(frame, points):
+    """Intensities and d(value)/d(point), read from the gather's backward."""
+    node = ad.constant(np.array(points, dtype=np.float64))
+    with ad.Tape() as tape:
+        vals = gather_trilinear(frame, node)
+        tape.backward(ad.sum_all(vals))
+    return vals.value, node.grad
+
+
 def test_value_within_corner_range():
     vol = make_volume(seed=3)
     rng = np.random.default_rng(9)
@@ -89,16 +101,16 @@ def test_value_within_corner_range():
 def test_out_of_bounds_clamps_with_zero_gradient():
     vol = make_volume(seed=4)
     edge_val = sample_trilinear(vol.frames[0], np.array([[1.0, 0.0, 0.0]]))[0]
-    far_val, grads = sample_trilinear_with_grad(
+    far_val, grads = value_and_grad(
         vol.frames[0], np.array([[1.5, 0.0, 0.0]]))
     assert far_val[0] == pytest.approx(float(edge_val), abs=1e-12)
     # no sensitivity along the clamped axis; in-range axes still vary
     assert grads[0, 0] == 0.0
-    _, edge_grads = sample_trilinear_with_grad(
+    _, edge_grads = value_and_grad(
         vol.frames[0], np.array([[1.0, 0.0, 0.0]]))
     assert np.allclose(grads[0, 1:], edge_grads[0, 1:], rtol=1e-12)
     # fully outside every axis: constant corner value, all-zero gradient
-    corner_val, corner_grads = sample_trilinear_with_grad(
+    corner_val, corner_grads = value_and_grad(
         vol.frames[0], np.array([[1.5, -1.5, 1.5]]))
     assert np.array_equal(corner_grads[0], np.zeros(3))
     assert corner_val[0] == pytest.approx(float(vol.frames[0][-1, 0, -1]), abs=1e-12)
@@ -109,7 +121,7 @@ def test_spatial_gradient_matches_fd():
     rng = np.random.default_rng(10)
     # stay off cell boundaries so the finite difference sees one smooth cell
     pts = rng.uniform(-0.9, 0.9, size=(30, 3))
-    _, grads = sample_trilinear_with_grad(vol.frames[0], pts)
+    _, grads = value_and_grad(vol.frames[0], pts)
     eps = 1e-4
     for axis in range(3):
         shift = np.zeros(3)
@@ -126,11 +138,12 @@ def test_gather_trilinear_backward():
     vol = make_volume(seed=6)
     pts = np.array([[0.13, -0.21, 0.4], [0.5, 0.1, -0.3]])
     node = ad.constant(pts.copy())
+    # a non-uniform upstream gradient scales each point's spatial gradient
     with ad.Tape() as tape:
         vals = gather_trilinear(vol.frames[0], node)
-        tape.backward(ad.sum_all(vals))
-    _, grads = sample_trilinear_with_grad(vol.frames[0], pts)
-    assert np.allclose(node.grad, grads, rtol=1e-12, atol=1e-14)
+        tape.backward(ad.mse(vals, ad.constant(np.zeros(2))))
+    _, grads = value_and_grad(vol.frames[0], pts)
+    assert np.allclose(node.grad, vals.value[:, None] * grads, rtol=1e-12, atol=1e-14)
 
 
 def test_sampling_rejects_nonfinite():
@@ -272,4 +285,14 @@ def test_v4d_header_invariants_checked(tmp_path):
     assert bad != bytes(data)
     path.write_bytes(bad)
     with pytest.raises(ValidationError, match="increasing"):
+        read_v4d(path)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VOLUMES))
+def test_v4d_malformed_header_or_voxels(tmp_path, case):
+    path = tmp_path / "v.v4d"
+    write_v4d(make_volume(), path)
+    rewrite_container(path, path, **BAD_VOLUMES[case])
+    error = ValidationError if case.endswith("voxel") else FormatError
+    with pytest.raises(error):
         read_v4d(path)
