@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -25,7 +26,8 @@ from .flow import deform_mesh, integrate, write_trajectory_csv
 from .mesh import read_obj, write_obj
 from .metrics import evaluate_fit, write_eval_csv, write_eval_summary
 from .svgplot import line_plot
-from .training import fit, load_fit_config, write_fit_summary, write_loss_csv
+from .training import (LOSS_COLUMNS, fit, load_fit_config, write_fit_summary,
+                       write_loss_csv)
 from .volume import (DomainNormalizer, GrowthPattern, Volume4D,
                      make_sphere_series, read_v4d, write_v4d)
 
@@ -165,6 +167,8 @@ def _parse_times(spec: str, wrap: bool):
             t = float(tok)
         except ValueError as exc:
             raise ConfigError(f"--times: not a number: {tok!r}") from exc
+        if not math.isfinite(t):
+            raise ConfigError(f"--times: {tok!r} is not a finite time")
         if wrap:
             t = math.fmod(t, 1.0)
             if t < 0.0:
@@ -247,11 +251,29 @@ def _load_gt_meshes(mesh_dir, n_frames):
     return meshes
 
 
+def _read_loss_history(path):
+    """The columns of a fit's loss.csv; FormatError for any other file."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an empty file only warns
+        try:
+            hist = np.genfromtxt(path, delimiter=",", names=True)
+        except (ValueError, UserWarning) as exc:
+            raise FormatError(f"{path}: unreadable loss history: {exc}") from exc
+    if hist.dtype.names is None or not set(LOSS_COLUMNS) <= set(hist.dtype.names):
+        raise FormatError(f"{path}: loss history needs the columns "
+                          f"{','.join(LOSS_COLUMNS)}")
+    cols = {name: np.atleast_1d(hist[name]) for name in LOSS_COLUMNS}
+    if hist.size < 2 or not all(np.isfinite(c).all() for c in cols.values()):
+        raise FormatError(f"{path}: loss history needs 2 or more rows of numbers")
+    return cols
+
+
 def cmd_eval(args) -> int:
     started = time.perf_counter()
     model = load_checkpoint(args.checkpoint)
     volume = read_v4d(args.volume)
     meshes = _load_gt_meshes(args.meshes, volume.n_frames)
+    losses = _read_loss_history(args.loss_csv) if args.loss_csv else None
     out = _out_dir(args)
     report = evaluate_fit(model, volume, meshes,
                           steps_per_frame=args.steps_per_frame,
@@ -274,13 +296,12 @@ def cmd_eval(args) -> int:
               xlabel="t", ylabel="volume (mm^3)")
     outputs.append(svg_path)
 
-    if args.loss_csv:
-        hist = np.genfromtxt(args.loss_csv, delimiter=",", names=True)
+    if losses is not None:
         loss_svg = os.path.join(out, "loss_history.svg")
         line_plot(
-            [("total", hist["epoch"], hist["total_loss"]),
-             ("data", hist["epoch"], hist["data_loss"]),
-             ("cycle", hist["epoch"], hist["cycle_loss"])],
+            [("total", losses["epoch"], losses["total_loss"]),
+             ("data", losses["epoch"], losses["data_loss"]),
+             ("cycle", losses["epoch"], losses["cycle_loss"])],
             loss_svg, title="Loss history", xlabel="epoch", ylabel="loss")
         outputs.append(loss_svg)
 

@@ -1,8 +1,9 @@
 """Binary framing shared by ``.v4d`` volumes and ``.ckpt`` checkpoints.
 
 Layout: 8-byte magic, u32-LE header length, a compact UTF-8 JSON object
-header, then the payload as little-endian float32.  Each format checks its
-own header keys and payload size on top of this framing.
+header, then the payload as little-endian float32 (float64 for a float64
+checkpoint).  Each format checks its own header keys and payload size on top
+of this framing.
 """
 from __future__ import annotations
 
@@ -15,15 +16,15 @@ import numpy as np
 from .errors import FormatError
 
 
-def write_container(path, magic: bytes, header, arrays):
-    """Write the framing, then each array as little-endian float32."""
+def write_container(path, magic: bytes, header, arrays, dtype="<f4"):
+    """Write the framing, then each array as ``dtype`` (little-endian)."""
     blob = json.dumps(header, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(magic)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
         for a in arrays:
-            fh.write(np.ascontiguousarray(a, dtype="<f4"))
+            fh.write(np.ascontiguousarray(a, dtype=dtype))
 
 
 def read_container(path, magic: bytes):

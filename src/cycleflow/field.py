@@ -19,6 +19,8 @@ from .container import (check_header, is_count, is_number, list_of,
 from .errors import FormatError
 
 CHECKPOINT_MAGIC = b"NFCKPT01"
+# header "dtype" -> payload dtype; a model is saved in its own precision
+CHECKPOINT_DTYPES = {"f32le": "<f4", "f64le": "<f8"}
 
 # positions may drift past the nominal [-1,1] cube during integration; the
 # MLP is defined everywhere, so evaluation proceeds with a logged warning
@@ -158,33 +160,36 @@ def velocity(model: VelocityFieldModel, points, t: float) -> np.ndarray:
 
 
 def save_checkpoint(model: VelocityFieldModel, path):
+    code = "f64le" if model.dtype == np.float64 else "f32le"
     header = {
         "layer_sizes": model.layer_sizes,
         "omega": model.omega,
         "period": model.period,
         "time_encoding": model.time_encoding,
         "endian": "little",
-        "dtype": "f32le",
+        "dtype": code,
     }
     arrays = [a.value for pair in zip(model.weights, model.biases) for a in pair]
-    write_container(path, CHECKPOINT_MAGIC, header, arrays)
+    write_container(path, CHECKPOINT_MAGIC, header, arrays, CHECKPOINT_DTYPES[code])
 
 
 def load_checkpoint(path) -> VelocityFieldModel:
     header, data, offset = read_container(path, CHECKPOINT_MAGIC)
     check_header(path, header, {
         "layer_sizes": list_of(is_count), "omega": is_number, "period": is_number,
-        "time_encoding": lambda v: type(v) is bool, "dtype": lambda v: v == "f32le",
+        "time_encoding": lambda v: type(v) is bool,
+        "dtype": lambda v: type(v) is str and v in CHECKPOINT_DTYPES,
         "endian": lambda v: v == "little"})
     sizes = header["layer_sizes"]
+    dtype = np.dtype(CHECKPOINT_DTYPES[header["dtype"]])
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        if offset + (fan_in + 1) * fan_out * 4 > len(data):
+        if offset + (fan_in + 1) * fan_out * dtype.itemsize > len(data):
             raise FormatError(f"{path}: truncated weight payload at offset {offset}")
-        w = np.frombuffer(data, dtype="<f4", count=fan_in * fan_out, offset=offset)
-        offset += fan_in * fan_out * 4
-        b = np.frombuffer(data, dtype="<f4", count=fan_out, offset=offset)
-        offset += fan_out * 4
+        w = np.frombuffer(data, dtype=dtype, count=fan_in * fan_out, offset=offset)
+        offset += fan_in * fan_out * dtype.itemsize
+        b = np.frombuffer(data, dtype=dtype, count=fan_out, offset=offset)
+        offset += fan_out * dtype.itemsize
         weights.append(w.reshape(fan_in, fan_out).copy())
         biases.append(b.copy())
     if offset != len(data):

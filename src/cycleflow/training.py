@@ -26,6 +26,7 @@ from .volume import Volume4D, gather_trilinear
 
 SAMPLING_STRATEGIES = ("uniform", "foreground", "band")
 PRECISIONS = ("f32", "f64")
+LOSS_COLUMNS = ("epoch", "data_loss", "cycle_loss", "total_loss")
 
 
 @dataclass(frozen=True)
@@ -310,7 +311,7 @@ def write_loss_csv(report: FitReport, path):
     """Per-epoch losses; float fields use repr so reruns are byte-identical."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "data_loss", "cycle_loss", "total_loss"])
+        writer.writerow(LOSS_COLUMNS)
         for e in range(report.epochs):
             writer.writerow([e, repr(report.data_loss[e]),
                              repr(report.cycle_loss[e]),

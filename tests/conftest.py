@@ -118,6 +118,9 @@ BAD_CHECKPOINTS = {
     "ill-typed-layer-sizes": dict(header=lambda h: {**h, "layer_sizes": [5, "x", 3]}),
     "zero-period": dict(header=lambda h: {**h, "period": 0.0}),
     "non-finite-weights": dict(payload=lambda p: np.full_like(p, np.nan)),
+    "unknown-dtype": dict(header=lambda h: {**h, "dtype": "f16le"}),
+    "dtype-not-a-string": dict(header=lambda h: {**h, "dtype": ["f32le"]}),
+    "f64-dtype-over-f32-payload": dict(header=lambda h: {**h, "dtype": "f64le"}),
 }
 BAD_VOLUMES = {
     "shape-not-ints": dict(header=lambda h: {**h, "shape": ["a", 2, 2]}),

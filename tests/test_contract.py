@@ -64,6 +64,38 @@ def test_cli_rejects_malformed_input_with_an_exit_code(good, tmp_path, kind, cas
     assert capsys.readouterr().err.startswith("error: ")
 
 
+_LOSS_HEADER = b"epoch,data_loss,cycle_loss,total_loss\n"
+BAD_LOSS_CSVS = {
+    "wrong-columns": b"a,b\n1,2\n3,4\n",
+    "empty": b"",
+    "header-only": _LOSS_HEADER,
+    "one-row": _LOSS_HEADER + b"0,1,2,3\n",
+    "ragged": _LOSS_HEADER + b"0,1,2,3\n1,2\n",
+    "not-a-number": _LOSS_HEADER + b"0,x,2,3\n1,2,3,4\n",
+    "not-utf8": b"\xff\xfe,a\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LOSS_CSVS))
+def test_eval_rejects_a_malformed_loss_csv(good, tmp_path, case, capsys):
+    loss_csv = tmp_path / "loss.csv"
+    loss_csv.write_bytes(BAD_LOSS_CSVS[case])
+    argv = _command("eval", good, tmp_path / "out") + ["--loss-csv", str(loss_csv)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("wrap", [[], ["--wrap"]], ids=["plain", "wrap"])
+@pytest.mark.parametrize("time", ["inf", "-inf", "nan"])
+def test_deform_rejects_a_non_finite_time(good, tmp_path, time, wrap, capsys):
+    # "--times=-inf", or argparse would read "-inf" as an option
+    argv = [str(a) for a in ("deform", good["ckpt"], good["meshes"] / "mesh_000.obj",
+                             f"--times={time}", "--volume", good["v4d"],
+                             "--out-dir", tmp_path)]
+    assert main(argv + wrap) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # ---------------------------------------------------------------- fuzzing
 
 

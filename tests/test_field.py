@@ -215,6 +215,18 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert loaded.time_encoding == model.time_encoding
 
 
+def test_checkpoint_round_trip_keeps_f64(tmp_path):
+    model = tiny_model(seed=21, dtype=np.float64)
+    path = tmp_path / "a.ckpt"
+    save_checkpoint(model, path)
+    loaded = load_checkpoint(path)
+    assert loaded.dtype == np.float64
+    for wa, wb in zip(model.parameters, loaded.parameters):
+        assert np.array_equal(wa.value, wb.value)
+    save_checkpoint(loaded, tmp_path / "b.ckpt")
+    assert (tmp_path / "b.ckpt").read_bytes() == path.read_bytes()
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"XXXXXXXX" + b"\x00" * 16)

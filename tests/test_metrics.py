@@ -100,6 +100,87 @@ def test_accelerated_matches_brute_on_random_pairs(rng):
         assert hausdorff(a, b) == pytest.approx(hausdorff_brute(a, b), abs=1e-12)
 
 
+def _smoothly_perturbed(mesh, center, seed, amp=1.0):
+    """Copy of a sphere mesh with each vertex moved along its radius by a
+    smooth, seeded function of direction."""
+    rng = np.random.default_rng(seed)
+    n = mesh.vertices - center
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    k = rng.uniform(1.0, 4.0, (3, 3))
+    phase = rng.uniform(0.0, 2.0 * math.pi, 3)
+    bump = amp * np.sin(n @ k + phase).sum(axis=1) / 3.0
+    return TriangleMesh(mesh.vertices + bump[:, None] * n, mesh.faces.copy())
+
+
+def _plane_grid(n, side, z):
+    """n x n squares of the plane z, split into 2 n^2 triangles."""
+    g = np.linspace(0.0, side, n + 1)
+    gx, gy = np.meshgrid(g, g, indexing="ij")
+    verts = np.stack([gx.ravel(), gy.ravel(), np.full(gx.size, z)], axis=1)
+    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    q = (i * (n + 1) + j).ravel()
+    faces = np.concatenate([np.stack([q, q + n + 1, q + n + 2], axis=1),
+                            np.stack([q, q + n + 2, q + 1], axis=1)])
+    return TriangleMesh(verts, faces)
+
+
+def _acceptance_pair():
+    center = np.array([24.0, 24.0, 24.0])
+    a = icosphere(19.0, center=center, subdivisions=4)
+    assert a.vertices.shape[0] == 2562
+    return a, _smoothly_perturbed(a, center, seed=3)
+
+
+def _far_apart_pair():
+    # Seen from 1000 mm above a 10 mm plane of 288 triangles, every centroid
+    # lies within 0.07 mm of the nearest surface point, inside the 0.62 mm
+    # corner reach, so the ball of every vertex holds all triangles; 642
+    # vertices make several ball blocks, each of several pair blocks.
+    return (icosphere(5.0, center=(5.0, 5.0, 1000.0), subdivisions=3),
+            _plane_grid(12, 10.0, 0.0))
+
+
+def _one_triangle_pair():
+    # k = 1: the k-nearest query returns a single index per vertex
+    return (icosphere(1.0, center=(0.2, 0.1, 0.5), subdivisions=1),
+            TriangleMesh([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.5, 0.0]],
+                         [[0, 1, 2]]))
+
+
+def _zero_area_pair():
+    # a collinear needle and a triangle collapsed to one point stick out of
+    # the cube; both are the nearest triangle for part of the sphere
+    cube = make_cube_mesh()
+    extra = np.array([[1.5, 0.5, 0.5], [2.0, 0.5, 0.5], [2.5, 0.5, 0.5],
+                      [0.5, 0.5, 2.0], [0.5, 0.5, 2.0], [0.5, 0.5, 2.0]])
+    b = TriangleMesh(np.concatenate([cube.vertices, extra]),
+                     np.concatenate([cube.faces, [[8, 9, 10], [11, 12, 13]]]))
+    return icosphere(2.0, center=(0.5, 0.5, 0.5), subdivisions=2), b
+
+
+def _mixed_size_pair():
+    # the corner (0,0,0) of triangle a is 1 mm below the large triangle of
+    # b, but the ten small triangles of b, lying in the plane of a about
+    # 4 mm away, have the nearer centroids; only the ball query finds the
+    # large one, and the small ones, touching a, keep b-to-a at 1 mm
+    corners = np.array([[0.0, 0.0, 0.0], [200.0, 0.0, 0.0], [0.0, 200.0, 0.0]])
+    small = [[3.0 + 0.5 * i, 3.0, 0.0] + np.array(corner) for i in range(10)
+             for corner in ([0.0, 0.0, 0.0], [0.3, 0.0, 0.0], [0.0, 0.3, 0.0])]
+    b = TriangleMesh(np.concatenate([corners + [0.0, 0.0, 1.0], small]),
+                     np.arange(33).reshape(11, 3))
+    return TriangleMesh(corners, [[0, 1, 2]]), b
+
+
+@pytest.mark.parametrize("make_pair", [_acceptance_pair, _far_apart_pair,
+                                       _one_triangle_pair, _zero_area_pair,
+                                       _mixed_size_pair],
+                         ids=["acceptance-scale", "far-apart", "one-triangle",
+                              "zero-area-triangle", "mixed-size-triangles"])
+def test_accelerated_matches_brute_on_edge_cases(make_pair):
+    a, b = make_pair()
+    assert abs(hausdorff(a, b) - hausdorff_brute(a, b)) <= 1e-12
+
+
 def test_concentric_spheres_distance():
     inner = icosphere(10.0, subdivisions=3)
     outer = icosphere(12.0, subdivisions=3)
@@ -112,6 +193,11 @@ def test_hausdorff_rejects_empty_mesh(cube_mesh):
         hausdorff(empty, cube_mesh)
     with pytest.raises(ValidationError):
         hausdorff_brute(cube_mesh, empty)
+    # vertices without faces have no surface to measure against
+    no_faces = TriangleMesh(cube_mesh.vertices, np.zeros((0, 3), dtype=np.int64))
+    for route in (hausdorff, hausdorff_brute):
+        with pytest.raises(ValidationError):
+            route(cube_mesh, no_faces)
 
 
 # --------------------------------------------------------------------- psnr
