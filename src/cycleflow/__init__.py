@@ -16,9 +16,8 @@ from .flow import (Trajectory, deform_mesh, flow_at_frames, integrate,
 from .mesh import TriangleMesh, icosphere, mesh_volume, read_obj, write_obj
 from .metrics import (EvalReport, evaluate_fit, hausdorff, hausdorff_brute,
                       periodicity_error, psnr)
-from .training import (AdamState, FitConfig, FitReport, SamplePoints,
-                       adam_step, fit, load_fit_config, sample_points,
-                       total_loss)
+from .training import (AdamState, FitConfig, FitReport, adam_step, fit,
+                       load_fit_config, sample_points, total_loss)
 from .volume import (DomainNormalizer, GrowthPattern, Volume4D,
                      make_sphere_series, radius_at, read_v4d,
                      sample_trilinear, write_v4d)
@@ -33,7 +32,7 @@ __all__ = [
     "TriangleMesh", "icosphere", "mesh_volume", "read_obj", "write_obj",
     "EvalReport", "evaluate_fit", "hausdorff", "hausdorff_brute",
     "periodicity_error", "psnr",
-    "AdamState", "FitConfig", "FitReport", "SamplePoints", "adam_step", "fit",
+    "AdamState", "FitConfig", "FitReport", "adam_step", "fit",
     "load_fit_config", "sample_points", "total_loss",
     "DomainNormalizer", "GrowthPattern", "Volume4D", "make_sphere_series",
     "radius_at", "read_v4d", "sample_trilinear", "write_v4d",

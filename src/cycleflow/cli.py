@@ -205,6 +205,8 @@ def cmd_deform(args) -> int:
     started = time.perf_counter()
     if args.steps < 1:
         raise ConfigError("--steps must be at least 1")
+    if args.probes < 0:
+        raise ConfigError("--probes must not be negative")
     times = _parse_times(args.times, args.wrap)
     model = load_checkpoint(args.checkpoint)
     mesh = read_obj(args.mesh)
@@ -270,6 +272,8 @@ def _read_loss_history(path):
 
 def cmd_eval(args) -> int:
     started = time.perf_counter()
+    if args.steps_per_frame < 1:
+        raise ConfigError("--steps-per-frame must be at least 1")
     model = load_checkpoint(args.checkpoint)
     volume = read_v4d(args.volume)
     meshes = _load_gt_meshes(args.meshes, volume.n_frames)

@@ -94,8 +94,9 @@ class VelocityFieldModel:
         return params
 
     def __call__(self, points, t: float) -> ad.Node:
-        """Velocity at a batch of positions (B,3) at one time value."""
-        pts = points if isinstance(points, ad.Node) else ad.constant(points)
+        """Velocity at a batch of positions (B,3) at one time value, in the
+        model's dtype (plain-array points are converted to it)."""
+        pts = points if isinstance(points, ad.Node) else ad.constant(points, self.dtype)
         if pts.value.ndim != 2 or pts.value.shape[1] != 3:
             raise ValueError(f"points must have shape (B,3), got {pts.value.shape}")
         if not np.isfinite(pts.value).all():

@@ -5,6 +5,11 @@ converted at the boundary by a DomainNormalizer.  The integration loop is
 built from autodiff ops, so running it under an active tape makes the
 endpoint differentiable with respect to both the model weights and the
 seed positions.
+
+Every Euler step, taped or not, runs in the model's dtype: an f32
+checkpoint integrates in float32, an f64 one in float64.  The arrays
+returned to callers are float64, and their row 0 is the caller's seeds
+bit for bit.
 """
 from __future__ import annotations
 
@@ -24,7 +29,8 @@ class Trajectory:
 
     points has shape (B, S+1, 3) in normalized coordinates; times has
     shape (S+1,) and is strictly monotonic (decreasing for backward runs).
-    points[:, 0, :] is exactly the seed batch.
+    points is float64: points[:, 0, :] is exactly the seed batch, and the
+    later rows widen steps taken in the model's dtype.
     """
 
     points: np.ndarray
@@ -42,14 +48,6 @@ class Trajectory:
             raise ValueError("times must be strictly monotonic")
 
     @property
-    def n_points(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def n_steps(self) -> int:
-        return self.points.shape[1] - 1
-
-    @property
     def seeds(self) -> np.ndarray:
         return self.points[:, 0, :]
 
@@ -61,11 +59,12 @@ class Trajectory:
 def euler_path(model, seeds, times) -> list:
     """Core unrolled Euler recursion x_{k+1} = x_k + h_k * H(x_k, t_k).
 
-    seeds is an (B,3) autodiff Node or array; times is the full array of
-    step boundaries.  Returns the list of position Nodes at every
-    boundary, seeds first.  Recording happens only under an active tape.
+    seeds is an (B,3) autodiff Node or array (converted to the model's
+    dtype); times is the full array of step boundaries.  Returns the list
+    of position Nodes at every boundary, seeds first.  Recording happens
+    only under an active tape.
     """
-    x = seeds if isinstance(seeds, ad.Node) else ad.constant(seeds)
+    x = seeds if isinstance(seeds, ad.Node) else ad.constant(seeds, model.dtype)
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or times.size < 2:
         raise ValueError("need at least two time boundaries")
@@ -83,18 +82,25 @@ def euler_path(model, seeds, times) -> list:
     return path
 
 
+def _stack_rows(seeds, nodes) -> np.ndarray:
+    """(B, len(nodes), 3) float64: row 0 is the caller's seeds, the later
+    rows widen the model-dtype positions."""
+    rows = [np.asarray(seeds, dtype=np.float64)] + [n.value for n in nodes[1:]]
+    return np.stack(rows, axis=1)
+
+
 def integrate(model, seeds, t_start: float, t_end: float, steps: int) -> Trajectory:
     """Euler-integrate seed points from t_start to t_end in S uniform steps."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    seeds = np.asarray(seeds, dtype=np.float64)
+    seeds = np.asarray(seeds)
     if not np.isfinite(seeds).all():
         raise ValueError("non-finite seed positions")
     if t_end == t_start:
         raise ValueError("t_start and t_end must differ")
     times = np.linspace(t_start, t_end, steps + 1)
     path = euler_path(model, seeds, times)
-    return Trajectory(np.stack([p.value for p in path], axis=1), times)
+    return Trajectory(_stack_rows(seeds, path), times)
 
 
 def frame_step_times(frame_times, steps_per_frame: int) -> np.ndarray:
@@ -122,9 +128,8 @@ def flow_at_frames_nodes(model, seeds, frame_times, steps_per_frame: int = 1) ->
 
 def flow_at_frames(model, seeds, frame_times, steps_per_frame: int = 1) -> np.ndarray:
     """Positions of the seed batch at every frame time, as (B, N, 3)."""
-    seeds = np.asarray(seeds, dtype=np.float64)
     nodes = flow_at_frames_nodes(model, seeds, frame_times, steps_per_frame)
-    return np.stack([n.value for n in nodes], axis=1)
+    return _stack_rows(seeds, nodes)
 
 
 def inverse_map(model, targets, t: float, steps: int) -> np.ndarray:

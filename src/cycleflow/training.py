@@ -55,6 +55,8 @@ class FitConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.points_per_epoch < 1:
             raise ValueError("points_per_epoch must be >= 1")
         if self.learning_rate <= 0:
@@ -93,28 +95,10 @@ class FitReport:
         return len(self.total_loss)
 
 
-@dataclass(frozen=True)
-class SamplePoints:
-    """A batch of query positions inside the normalized cube."""
-
-    positions: np.ndarray  # (n, 3) in [-1, 1]
-
-    def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=np.float64)
-        if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] < 1:
-            raise ValueError(f"positions must be (n,3), got {pos.shape}")
-        if np.abs(pos).max() > 1.0:
-            raise ValueError("sample points must lie inside [-1,1]^3")
-        object.__setattr__(self, "positions", pos)
-
-    @property
-    def n(self) -> int:
-        return self.positions.shape[0]
-
-
 def sample_points(volume: Volume4D, n: int, strategy: str = "uniform",
-                  seed=0) -> SamplePoints:
-    """Draw n query points; deterministic for a given seed.
+                  seed=0) -> np.ndarray:
+    """Draw n query points in [-1,1]^3 as an (n, 3) float64 array;
+    deterministic for a given seed.
 
     ``uniform`` is i.i.d. over the cube.  ``foreground`` draws half the
     batch from voxels whose frame-0 intensity exceeds 0.1 (jittered within
@@ -131,7 +115,7 @@ def sample_points(volume: Volume4D, n: int, strategy: str = "uniform",
         raise ValueError(f"sampling must be one of {SAMPLING_STRATEGIES}")
     rng = np.random.default_rng(seed)
     if strategy == "uniform":
-        return SamplePoints(rng.uniform(-1.0, 1.0, size=(n, 3)))
+        return rng.uniform(-1.0, 1.0, size=(n, 3))
 
     if strategy == "band":
         mask = (volume.frames[0] > 0.05) & (volume.frames[0] < 0.95)
@@ -151,20 +135,19 @@ def sample_points(volume: Volume4D, n: int, strategy: str = "uniform",
     counts = np.array([w, h, d], dtype=np.float64)
     vox = rows[:, ::-1].astype(np.float64) + jitter  # to (ix, iy, iz) order
     fg = np.clip(2.0 * vox / (counts - 1.0) - 1.0, -1.0, 1.0)
-    return SamplePoints(np.concatenate([fg, uni], axis=0))
+    return np.concatenate([fg, uni], axis=0)
 
 
 def total_loss(model: VelocityFieldModel, volume: Volume4D, points,
                cycle_weight: float = 1.0, cycle_enabled: bool = True,
                steps_per_frame: int = 1):
-    """The objective; one Euler pass feeds both terms.
+    """The objective; one Euler pass over the (n, 3) seed array feeds both
+    terms.
 
     Returns (total, data, cycle) nodes; cycle is None when disabled.  With
     weight 0 the total equals the data term exactly.
     """
-    pos = points.positions if isinstance(points, SamplePoints) else points
-    seeds = ad.constant(np.asarray(pos, dtype=model.dtype))
-    nodes = flow_at_frames_nodes(model, seeds, volume.frame_times, steps_per_frame)
+    nodes = flow_at_frames_nodes(model, points, volume.frame_times, steps_per_frame)
     ref = gather_trilinear(volume.frames[-1], nodes[-1])
     data = None
     for i in range(volume.n_frames - 1):
@@ -172,8 +155,8 @@ def total_loss(model: VelocityFieldModel, volume: Volume4D, points,
         data = term if data is None else ad.add(data, term)
     if not cycle_enabled:
         return data, data, None
-    d = ad.sub(seeds, nodes[-1])
-    cyc = ad.scale(ad.sum_all(ad.mul(d, d)), 1.0 / seeds.value.shape[0])
+    d = ad.sub(nodes[0], nodes[-1])
+    cyc = ad.scale(ad.sum_all(ad.mul(d, d)), 1.0 / nodes[0].value.shape[0])
     return ad.add(data, ad.scale(cyc, cycle_weight)), data, cyc
 
 

@@ -96,6 +96,22 @@ def test_deform_rejects_a_non_finite_time(good, tmp_path, time, wrap, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+BAD_OPTION_VALUES = {
+    "fit-negative-seed": ("fit", ["--seed=-1"]),
+    "eval-zero-steps-per-frame": ("eval", ["--steps-per-frame=0"]),
+    "deform-negative-probes": ("deform", ["--probes=-3"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_OPTION_VALUES))
+def test_cli_rejects_an_out_of_range_option(good, tmp_path, case, capsys):
+    command, extra = BAD_OPTION_VALUES[case]
+    assert main(_command(command, good, tmp_path / "out") + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------- fuzzing
 
 

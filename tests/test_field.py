@@ -132,6 +132,16 @@ def test_spatial_continuity():
     assert np.abs(moved - base).max() < 1e-3
 
 
+def test_velocity_is_in_the_model_dtype():
+    pts = np.random.default_rng(6).uniform(-1, 1, size=(9, 3))
+    assert pts.dtype == np.float64
+    model32 = tiny_model(seed=2, dtype=np.float32)
+    v = velocity(model32, pts, 0.3)
+    assert v.dtype == np.float32
+    assert np.array_equal(v, velocity(model32, pts.astype(np.float32), 0.3))
+    assert velocity(tiny_model(seed=2), pts, 0.3).dtype == np.float64
+
+
 def test_rejects_wrong_input_width():
     model = tiny_model()
     with pytest.raises(ValueError):

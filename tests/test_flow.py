@@ -80,8 +80,6 @@ def test_trajectory_validation():
 def test_trajectory_properties():
     pts = np.arange(2 * 4 * 3, dtype=float).reshape(2, 4, 3)
     traj = Trajectory(pts, [0.0, 0.25, 0.5, 1.0])
-    assert traj.n_points == 2
-    assert traj.n_steps == 3
     assert np.array_equal(traj.seeds, pts[:, 0, :])
     assert np.array_equal(traj.endpoints, pts[:, -1, :])
 
@@ -195,6 +193,61 @@ def test_flow_at_frames_nodes_returns_tape_free_nodes():
                                  [0.0, 0.5, 1.0])
     assert len(nodes) == 3
     assert all(isinstance(n, ad.Node) for n in nodes)
+
+
+# ----------------------------------------------------------- working dtype
+
+def _small_model(dtype):
+    return field.init_weights(3, field.default_layer_sizes(2, 16), omega=6.0,
+                              dtype=dtype)
+
+
+def _assert_path_rows(got, seeds, path):
+    """got is (B, len(path), 3) float64: row 0 is seeds bit for bit, every
+    later row equals the matching node of a reference Euler path."""
+    assert got.dtype == np.float64
+    assert np.array_equal(got[:, 0, :], seeds)
+    for k in range(1, len(path)):
+        assert np.array_equal(got[:, k, :], path[k].value)
+
+
+def test_f32_model_steps_in_float32_and_returns_float64():
+    model = _small_model(np.float32)
+    seeds = np.random.default_rng(4).uniform(-0.9, 0.9, (6, 3))
+    assert seeds.dtype == np.float64
+    seeds32 = seeds.astype(np.float32)
+
+    times = np.linspace(0.0, 0.5, 5)
+    ref = euler_path(model, seeds32, times)
+    assert all(n.value.dtype == np.float32 for n in ref)
+    # the float64 seeds round to float32 before the first step
+    assert all(np.array_equal(a.value, b.value)
+               for a, b in zip(euler_path(model, seeds, times), ref))
+    _assert_path_rows(integrate(model, seeds, 0.0, 0.5, steps=4).points, seeds, ref)
+
+    frame_times = np.array([0.0, 0.25, 0.5, 0.75])
+    ref = euler_path(model, seeds32, frame_step_times(frame_times, 2))
+    _assert_path_rows(flow_at_frames(model, seeds, frame_times, 2),
+                      seeds, ref[::2])
+
+    back = euler_path(model, seeds32, np.linspace(0.5, 0.0, 5))
+    got = inverse_map(model, seeds, 0.5, steps=4)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, back[-1].value)
+
+
+def test_f64_model_stays_float64_end_to_end():
+    model = _small_model(np.float64)
+    seeds = np.random.default_rng(5).uniform(-0.9, 0.9, (6, 3))
+    times = np.linspace(0.0, 0.5, 5)
+    ref = euler_path(model, seeds, times)
+    assert all(n.value.dtype == np.float64 for n in ref)
+    _assert_path_rows(integrate(model, seeds, 0.0, 0.5, steps=4).points, seeds, ref)
+    frame_times = np.array([0.0, 0.25, 0.5])
+    _assert_path_rows(flow_at_frames(model, seeds, frame_times, 2), seeds,
+                      euler_path(model, seeds, frame_step_times(frame_times, 2))[::2])
+    back = euler_path(model, seeds, np.linspace(0.5, 0.0, 5))
+    assert np.array_equal(inverse_map(model, seeds, 0.5, steps=4), back[-1].value)
 
 
 # ------------------------------------------------------------ inverse map

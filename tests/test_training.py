@@ -11,7 +11,6 @@ from cycleflow.errors import ConfigError, NumericalError, ValidationError
 from cycleflow.training import (
     AdamState,
     FitConfig,
-    SamplePoints,
     adam_step,
     fit,
     load_fit_config,
@@ -76,6 +75,7 @@ def test_fit_config_defaults():
 def test_fit_config_validation():
     for bad in (
         dict(epochs=0),
+        dict(seed=-1),
         dict(points_per_epoch=0),
         dict(learning_rate=0.0),
         dict(cycle_weight=-1.0),
@@ -101,14 +101,14 @@ def test_sample_points_deterministic():
     a = sample_points(vol, 50, "uniform", seed=(3, 7))
     b = sample_points(vol, 50, "uniform", seed=(3, 7))
     c = sample_points(vol, 50, "uniform", seed=(3, 8))
-    assert np.array_equal(a.positions, b.positions)
-    assert not np.array_equal(a.positions, c.positions)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_sample_points_uniform_in_cube():
     pts = sample_points(tiny_volume(), 500, "uniform", seed=1)
-    assert pts.positions.shape == (500, 3)
-    assert pts.positions.min() >= -1.0 and pts.positions.max() <= 1.0
+    assert pts.shape == (500, 3)
+    assert pts.min() >= -1.0 and pts.max() <= 1.0
 
 
 def test_sample_points_foreground_targets_bright_voxels():
@@ -119,10 +119,10 @@ def test_sample_points_foreground_targets_bright_voxels():
     frames[:, :, :, 6:] = 1.0
     vol = Volume4D(frames, (1.0,) * 3, (0.0,) * 3, [0.0, 1.0])
     pts = sample_points(vol, 200, "foreground", seed=2)
-    fg = pts.positions[:100]
+    fg = pts[:100]
     # voxel ix >= 6 of 9 maps to x >= 2*6/8 - 1 = 0.5, minus half-voxel jitter
     assert fg[:, 0].min() > 0.5 - 2.0 / (n - 1)
-    assert np.abs(pts.positions).max() <= 1.0
+    assert np.abs(pts).max() <= 1.0
 
 
 def test_sample_points_foreground_needs_nonempty_mask():
@@ -140,11 +140,11 @@ def test_sample_points_band_targets_soft_boundary():
     frames[:, :, :, 5] = 0.5
     vol = Volume4D(frames, (1.0,) * 3, (0.0,) * 3, [0.0, 1.0])
     pts = sample_points(vol, 200, "band", seed=2)
-    band = pts.positions[:100]
+    band = pts[:100]
     # voxel ix == 5 of 9 maps to x = 0.25, jittered by half a voxel (0.125)
     assert band[:, 0].min() >= 0.25 - 0.126
     assert band[:, 0].max() <= 0.25 + 0.126
-    assert np.abs(pts.positions).max() <= 1.0
+    assert np.abs(pts).max() <= 1.0
 
 
 def test_sample_points_band_needs_intermediate_intensities():
@@ -158,13 +158,6 @@ def test_sample_points_rejects_bad_arguments():
         sample_points(tiny_volume(), 0, "uniform")
     with pytest.raises(ValueError):
         sample_points(tiny_volume(), 10, "everywhere")
-
-
-def test_sample_points_container_validates():
-    with pytest.raises(ValueError):
-        SamplePoints(np.zeros((0, 3)))
-    with pytest.raises(ValueError):
-        SamplePoints(np.array([[0.0, 0.0, 1.5]]))
 
 
 # ------------------------------------------------------------- loss terms
@@ -181,14 +174,14 @@ def test_data_loss_on_flat_frames_is_exact():
 def test_cycle_loss_of_constant_field_is_speed_squared():
     # five frames give four Euler steps of 1/4 over the full period
     vol = flat_volume([0.5] * 5)
-    pts = SamplePoints(np.zeros((5, 3)))
+    pts = np.zeros((5, 3))
     _, _, cyc = total_loss(ConstantField([0.5, 0.0, -0.25]), vol, pts)
     assert float(cyc.value) == 0.5 ** 2 + 0.25 ** 2
 
 
 def test_cycle_loss_of_still_field_is_zero():
     vol = flat_volume([0.25, 0.5, 1.0])
-    pts = SamplePoints(np.random.default_rng(0).uniform(-0.5, 0.5, (6, 3)))
+    pts = np.random.default_rng(0).uniform(-0.5, 0.5, (6, 3))
     _, _, cyc = total_loss(ConstantField([0.0, 0.0, 0.0]), vol, pts)
     assert float(cyc.value) == 0.0
 
@@ -217,11 +210,11 @@ def test_total_loss_matches_separate_terms():
     pts = sample_points(vol, 10, "uniform", seed=9)
     model = ConstantField([0.125, -0.0625, 0.25])
     total, data, cyc = total_loss(model, vol, pts, cycle_weight=2.5)
-    traj = flow_at_frames(model, pts.positions, vol.frame_times)
+    traj = flow_at_frames(model, pts, vol.frame_times)
     ref = sample_trilinear(vol.frames[-1], traj[:, -1])
     d = sum(np.mean((sample_trilinear(vol.frames[i], traj[:, i]) - ref) ** 2)
             for i in range(vol.n_frames - 1))
-    c = np.mean(np.sum((pts.positions - traj[:, -1]) ** 2, axis=1))
+    c = np.mean(np.sum((pts - traj[:, -1]) ** 2, axis=1))
     assert float(data.value) == pytest.approx(d, rel=1e-12)
     assert float(cyc.value) == pytest.approx(c, rel=1e-12)
     assert float(total.value) == float(data.value) + 2.5 * float(cyc.value)
