@@ -71,6 +71,10 @@ def _out_dir(args) -> str:
 
 def cmd_gen(args) -> int:
     started = time.perf_counter()
+    for flag in ("radius", "spacing", "rate", "amplitude", "smoothing"):
+        value = getattr(args, flag)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"--{flag} must be a finite number")
     if args.radius <= 0:
         raise ConfigError("--radius must be positive")
     if args.frames < 2:
@@ -176,7 +180,7 @@ def _parse_times(spec: str, wrap: bool):
         elif not 0.0 <= t <= 1.0:
             raise ConfigError(
                 f"--times: {t} outside [0,1]; pass --wrap for periodic wrapping")
-        times.append(t)
+        times.append(0.0 if t == 0.0 else t)  # no -0.0 in names or manifest
     if not times:
         raise ConfigError("--times: no values given")
     return times
@@ -213,9 +217,8 @@ def cmd_deform(args) -> int:
     normalizer = _bounds_from_args(args)
     out = _out_dir(args)
     outputs = []
-    for i, t in enumerate(times):
-        steps = max(1, round(args.steps * t))
-        deformed = deform_mesh(model, mesh, t, steps, normalizer)
+    deformed_meshes = deform_mesh(model, mesh, times, args.steps, normalizer)
+    for i, (t, deformed) in enumerate(zip(times, deformed_meshes)):
         mpath = os.path.join(out, f"deformed_{i:03d}_t{t:.6f}.obj")
         write_obj(deformed, mpath)
         outputs.append(mpath)
@@ -377,7 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--times", required=True,
                    help="comma-separated times in [0,1]")
     p.add_argument("--steps", type=int, default=24,
-                   help="Euler steps per unit time")
+                   help="Euler steps per unit time: one pass serves every "
+                        "time, and each gap between sorted times (from 0) "
+                        "takes max(1, round(steps*gap)) steps")
     p.add_argument("--wrap", action="store_true",
                    help="wrap out-of-range times periodically")
     p.add_argument("--volume", default=None,

@@ -14,6 +14,7 @@ bit for bit.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,30 +104,37 @@ def integrate(model, seeds, t_start: float, t_end: float, steps: int) -> Traject
     return Trajectory(_stack_rows(seeds, path), times)
 
 
-def frame_step_times(frame_times, steps_per_frame: int) -> np.ndarray:
-    """Step boundaries whose every steps_per_frame-th entry is exactly a
-    frame time, so frame samples are free of interpolation."""
+def frame_step_times(frame_times, steps_per_frame) -> np.ndarray:
+    """Step boundaries that pass exactly through every frame time, so frame
+    samples are free of interpolation.
+
+    steps_per_frame is one step count for every gap between consecutive
+    frame times, or one count per gap; each gap is cut into that many equal
+    steps.
+    """
     frame_times = np.asarray(frame_times, dtype=np.float64)
     if frame_times.ndim != 1 or frame_times.size < 2:
         raise ValueError("need at least two frame times")
     if not np.all(np.diff(frame_times) > 0):
         raise ValueError("frame times must be strictly increasing")
-    if steps_per_frame < 1:
+    counts = np.broadcast_to(steps_per_frame, (frame_times.size - 1,))
+    if not np.all(counts >= 1):
         raise ValueError("steps_per_frame must be >= 1")
     pieces = [frame_times[:1]]
-    for a, b in zip(frame_times[:-1], frame_times[1:]):
-        pieces.append(np.linspace(a, b, steps_per_frame + 1)[1:])
+    for a, b, n in zip(frame_times[:-1], frame_times[1:], counts):
+        pieces.append(np.linspace(a, b, int(n) + 1)[1:])
     return np.concatenate(pieces)
 
 
-def flow_at_frames_nodes(model, seeds, frame_times, steps_per_frame: int = 1) -> list:
+def flow_at_frames_nodes(model, seeds, frame_times, steps_per_frame=1) -> list:
     """Positions at each frame time as autodiff Nodes (length N list)."""
     times = frame_step_times(frame_times, steps_per_frame)
     path = euler_path(model, seeds, times)
-    return [path[i * steps_per_frame] for i in range(len(frame_times))]
+    # linspace ends exactly on its stop, so every frame time is a boundary
+    return [path[k] for k in np.searchsorted(times, frame_times)]
 
 
-def flow_at_frames(model, seeds, frame_times, steps_per_frame: int = 1) -> np.ndarray:
+def flow_at_frames(model, seeds, frame_times, steps_per_frame=1) -> np.ndarray:
     """Positions of the seed batch at every frame time, as (B, N, 3)."""
     nodes = flow_at_frames_nodes(model, seeds, frame_times, steps_per_frame)
     return _stack_rows(seeds, nodes)
@@ -139,22 +147,41 @@ def inverse_map(model, targets, t: float, steps: int) -> np.ndarray:
     return integrate(model, targets, t, 0.0, steps).endpoints
 
 
-def deform_mesh(model, mesh: TriangleMesh, t: float, steps: int,
-                normalizer) -> TriangleMesh:
-    """Advect mesh vertices (world mm) forward from time 0 to t.
+def deform_mesh(model, mesh: TriangleMesh, times, steps: int,
+                normalizer) -> list:
+    """Advect mesh vertices (world mm) forward from time 0 to each time in
+    times, with one Euler pass for all of them.
 
-    Face topology is untouched.  t=0 returns an identical copy without
-    integrating.
+    The pass runs through 0 and every distinct requested time; each gap
+    between consecutive ones takes max(1, round(steps * gap)) equal steps,
+    so a single time t takes max(1, round(steps * t)).  Returns one mesh per
+    requested time, in the given order and duplicates included.  Face
+    topology is untouched; t=0 returns an identical copy.
     """
-    if t == 0.0:
-        return mesh.copy()
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    times = [float(t) for t in times]
+    if not all(math.isfinite(t) and t >= 0.0 for t in times):
+        raise ValueError("times must be finite and non-negative")
+    knots = np.unique([0.0, *times])
+    if knots.size == 1:
+        return [mesh.copy() for _ in times]
     norm_verts = normalizer.to_normalized(mesh.vertices)
     if np.abs(norm_verts).max() > 1.0:
         import warnings
         warnings.warn("mesh vertices outside the volume's world bounds",
                       RuntimeWarning, stacklevel=2)
-    traj = integrate(model, norm_verts, 0.0, t, steps)
-    return TriangleMesh(normalizer.to_world(traj.endpoints), mesh.faces.copy())
+    counts = np.maximum(1, np.rint(steps * np.diff(knots))).astype(int)
+    track = flow_at_frames(model, norm_verts, knots, counts)
+    out = []
+    for t in times:
+        if t == 0.0:
+            out.append(mesh.copy())
+        else:
+            k = np.searchsorted(knots, t)
+            out.append(TriangleMesh(normalizer.to_world(track[:, k]),
+                                    mesh.faces.copy()))
+    return out
 
 
 def write_trajectory_csv(trajectory: Trajectory, path, normalizer=None):

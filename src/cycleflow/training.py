@@ -53,6 +53,9 @@ class FitConfig:
     precision: str = "f32"
 
     def __post_init__(self):
+        for name in ("cycle_weight", "learning_rate", "omega"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.seed < 0:

@@ -90,6 +90,8 @@ class DomainNormalizer:
         self.hi = np.asarray(hi, dtype=np.float64)
         if self.lo.shape != (3,) or self.hi.shape != (3,):
             raise ValueError("bounds must be 3-vectors")
+        if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all()):
+            raise ValueError("bounds must be finite")
         if not np.all(self.hi > self.lo):
             raise ValueError("upper bound must exceed lower bound on every axis")
         self.half = (self.hi - self.lo) / 2.0

@@ -1,6 +1,7 @@
 """End-to-end command-line runs: artifacts, manifests, and exit codes."""
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -212,6 +213,21 @@ def test_deform_time_wrapping(tmp_path):
     assert main(args + ["--times", "1.5"]) == 2          # out of range
     assert main(args + ["--times", "1.5", "--wrap"]) == 0
     assert (tmp_path / "def" / "deformed_000_t0.500000.obj").exists()
+
+
+@pytest.mark.parametrize("times", [["--times=-0"], ["--times=-1", "--wrap"]],
+                         ids=["minus-zero", "wrapped-minus-one"])
+def test_deform_writes_no_negative_zero_time(tmp_path, times):
+    gen = run_gen(tmp_path)
+    fit_dir = run_fit(tmp_path, gen)
+    out = tmp_path / "def"
+    assert main(["deform", str(fit_dir / "model.ckpt"), str(gen / "mesh_000.obj"),
+                 "--volume", str(gen / "volume.v4d"), "--out-dir", str(out)]
+                + times) == 0
+    names = sorted(p.name for p in out.glob("deformed_*.obj"))
+    assert names == ["deformed_000_t0.000000.obj"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [math.copysign(1.0, t) for t in manifest["config"]["times"]] == [1.0]
 
 
 def test_deform_usage_errors(tmp_path):

@@ -35,10 +35,12 @@ def good(tmp_path_factory):
 def _command(command, files, out):
     """Arguments of one subcommand that reads the given input files."""
     v4d, ckpt, meshes = files["v4d"], files["ckpt"], files["meshes"]
+    deform = ["deform", ckpt, meshes / "mesh_000.obj", "--times", "0.5"]
     args = {
+        "gen": GEN_ARGS,
         "fit": ["fit", v4d] + FIT_ARGS,
-        "deform": ["deform", ckpt, meshes / "mesh_000.obj", "--times", "0.5",
-                   "--volume", v4d],
+        "deform": deform + ["--volume", v4d],
+        "deform-bounds": deform + ["--bounds", "0,0,0,11,11,11"],
         "eval": ["eval", ckpt, v4d, "--meshes", meshes, "--no-psnr"],
     }[command]
     return [str(a) for a in args] + ["--out-dir", str(out)]
@@ -100,6 +102,16 @@ BAD_OPTION_VALUES = {
     "fit-negative-seed": ("fit", ["--seed=-1"]),
     "eval-zero-steps-per-frame": ("eval", ["--steps-per-frame=0"]),
     "deform-negative-probes": ("deform", ["--probes=-3"]),
+    "fit-nan-omega": ("fit", ["--omega=nan"]),
+    "fit-inf-omega": ("fit", ["--omega=inf"]),
+    "fit-nan-learning-rate": ("fit", ["--learning-rate=nan"]),
+    "fit-inf-cycle-weight": ("fit", ["--cycle-weight=inf"]),
+    "fit-nan-cycle-weight": ("fit", ["--cycle-weight=nan"]),
+    "gen-nan-radius": ("gen", ["--radius=nan"]),
+    "gen-nan-spacing": ("gen", ["--spacing=nan"]),
+    "gen-nan-smoothing": ("gen", ["--smoothing=nan"]),
+    "gen-nan-linear-rate": ("gen", ["--pattern=linear", "--rate=nan"]),
+    "deform-inf-bounds": ("deform-bounds", ["--bounds=0,0,0,inf,inf,inf"]),
 }
 
 
@@ -110,6 +122,16 @@ def test_cli_rejects_an_out_of_range_option(good, tmp_path, case, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("line", ["omega = nan", "learning_rate = inf",
+                                  "cycle_weight = nan"])
+def test_fit_rejects_a_non_finite_config_file_value(good, tmp_path, line, capsys):
+    config = tmp_path / "fit.cfg"
+    config.write_text(line + "\n")
+    argv = _command("fit", good, tmp_path / "out") + ["--config", str(config)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # ---------------------------------------------------------------- fuzzing

@@ -21,7 +21,7 @@ from cycleflow.flow import (
     inverse_map,
     write_trajectory_csv,
 )
-from cycleflow.mesh import TriangleMesh
+from cycleflow.mesh import TriangleMesh, icosphere
 from cycleflow.volume import DomainNormalizer
 
 from conftest import fd_grad, make_cube_mesh, rel_err
@@ -49,6 +49,17 @@ class LinearField:
 
     def __call__(self, x, t):
         return ad.scale(x, self.a)
+
+
+class CountingField:
+    """Wraps a field and counts its evaluations (one per Euler step)."""
+
+    def __init__(self, inner):
+        self.inner, self.dtype, self.calls = inner, inner.dtype, 0
+
+    def __call__(self, x, t):
+        self.calls += 1
+        return self.inner(x, t)
 
 
 class NanAfterField:
@@ -167,6 +178,12 @@ def test_frame_step_times_subdivides_each_segment():
     assert np.allclose(np.diff(times), 1.0 / 6.0)
 
 
+def test_frame_step_times_takes_one_count_per_gap():
+    frame_times = np.array([0.0, 0.25, 1.0])
+    times = frame_step_times(frame_times, [1, 3])
+    assert np.array_equal(times, [0.0, 0.25, 0.5, 0.75, 1.0])
+
+
 def test_frame_step_times_validation():
     with pytest.raises(ValueError):
         frame_step_times([0.0], 1)
@@ -174,6 +191,10 @@ def test_frame_step_times_validation():
         frame_step_times([0.0, 0.5, 0.5], 1)
     with pytest.raises(ValueError):
         frame_step_times([0.0, 1.0], 0)
+    with pytest.raises(ValueError):
+        frame_step_times([0.0, 0.5, 1.0], [2, 0])
+    with pytest.raises(ValueError):
+        frame_step_times([0.0, 0.5, 1.0], [2, 2, 2])
 
 
 def test_flow_at_frames_matches_manual_path():
@@ -186,6 +207,15 @@ def test_flow_at_frames_matches_manual_path():
     for i in range(5):
         assert np.array_equal(got[:, i, :], path[2 * i].value)
     assert np.array_equal(got[:, 0, :], seeds)
+
+
+def test_flow_at_frames_reads_uneven_gaps_off_one_path():
+    seeds = np.array([[0.25, 0.0, -0.125]])
+    model = LinearField(0.5)
+    frame_times = np.array([0.0, 0.125, 0.75])
+    got = flow_at_frames(model, seeds, frame_times, [1, 5])
+    path = euler_path(model, seeds, frame_step_times(frame_times, [1, 5]))
+    _assert_path_rows(got, seeds, [path[0], path[1], path[6]])
 
 
 def test_flow_at_frames_nodes_returns_tape_free_nodes():
@@ -272,41 +302,105 @@ def test_inverse_map_undoes_constant_flow():
 def test_deform_mesh_at_time_zero_is_identity_copy():
     mesh = make_cube_mesh(side=2.0, origin=(-1.0, -1.0, -1.0))
     norm = DomainNormalizer((-8.0, -8.0, -8.0), (8.0, 8.0, 8.0))
-    out = deform_mesh(ConstantField([1, 0, 0]), mesh, 0.0, 4, norm)
-    assert np.array_equal(out.vertices, mesh.vertices)
-    assert out.vertices is not mesh.vertices
+    model = CountingField(ConstantField([1, 0, 0]))
+    out = deform_mesh(model, mesh, [0.0, -0.0], 4, norm)
+    assert len(out) == 2 and model.calls == 0
+    for copy in out:
+        assert np.array_equal(copy.vertices, mesh.vertices)
+        assert copy.vertices is not mesh.vertices
 
 
 def test_deform_mesh_translates_by_world_displacement():
     mesh = make_cube_mesh(side=2.0, origin=(-1.0, -1.0, -1.0))
     norm = DomainNormalizer((-8.0, -8.0, -8.0), (8.0, 8.0, 8.0))
-    # 0.25 normalized units * 8 mm half-extent = 2 mm, exact in binary.
-    out = deform_mesh(ConstantField([0.25, 0.0, 0.0]), mesh, 1.0, 4, norm)
-    assert np.array_equal(out.vertices, mesh.vertices + [2.0, 0.0, 0.0])
-    assert np.array_equal(out.faces, mesh.faces)
+    # 0.25 normalized units * 8 mm half-extent = 2 mm per unit time, exact
+    # in binary at t = 0.5 and t = 1.
+    half, whole = deform_mesh(ConstantField([0.25, 0.0, 0.0]), mesh,
+                              [0.5, 1.0], 4, norm)
+    assert np.array_equal(half.vertices, mesh.vertices + [1.0, 0.0, 0.0])
+    assert np.array_equal(whole.vertices, mesh.vertices + [2.0, 0.0, 0.0])
+    assert np.array_equal(whole.faces, mesh.faces)
 
 
 def test_deform_mesh_radial_stub_matches_analytic_radius():
     # The pulsing field has a closed-form flow (pure radial scaling), so
     # vertex radii after integration have an exact oracle.
-    from cycleflow.mesh import icosphere
     from conftest import RadialPulseField
 
     model = RadialPulseField(amp=0.1)
     norm = DomainNormalizer((-8.0,) * 3, (8.0,) * 3)
     mesh = icosphere(5.0, subdivisions=2)
-    t = 0.25
-    out = deform_mesh(model, mesh, t, steps=128, normalizer=norm)
-    radii = np.linalg.norm(out.vertices, axis=1)
-    expected = 5.0 * model.scale_factor(t)
-    assert np.abs(radii - expected).max() / expected < 1e-3
+    times = [0.25, 0.1, 0.6, 1.0]
+    out = deform_mesh(model, mesh, times, steps=1024, normalizer=norm)
+    for t, deformed in zip(times, out):
+        radii = np.linalg.norm(deformed.vertices, axis=1)
+        expected = 5.0 * model.scale_factor(t)
+        assert np.abs(radii - expected).max() / expected < 1e-3
 
 
 def test_deform_mesh_warns_outside_bounds():
     mesh = make_cube_mesh(side=2.0, origin=(10.0, 0.0, 0.0))
     norm = DomainNormalizer((-8.0, -8.0, -8.0), (8.0, 8.0, 8.0))
-    with pytest.warns(RuntimeWarning, match="outside"):
-        deform_mesh(ConstantField([0, 0, 0]), mesh, 0.5, 2, norm)
+    with pytest.warns(RuntimeWarning, match="outside") as record:
+        deform_mesh(ConstantField([0, 0, 0]), mesh, [0.5, 0.25], 2, norm)
+    assert len(record) == 1
+
+
+def test_deform_mesh_rejects_bad_times_and_steps():
+    mesh = make_cube_mesh()
+    norm = DomainNormalizer((-8.0, -8.0, -8.0), (8.0, 8.0, 8.0))
+    for times in ([-0.5], [0.5, math.nan], [math.inf]):
+        with pytest.raises(ValueError, match="times"):
+            deform_mesh(ConstantField([0, 0, 0]), mesh, times, 4, norm)
+    with pytest.raises(ValueError, match="steps"):
+        deform_mesh(ConstantField([0, 0, 0]), mesh, [0.5], 0, norm)
+
+
+def test_deform_mesh_runs_one_pass_for_all_times():
+    # Per time from t = 0 these would cost 18 + 6 + 12 + 6 = 42 steps; one
+    # pass through 0.25, 0.5 and 0.75 costs 18.
+    mesh = make_cube_mesh()
+    norm = DomainNormalizer((-8.0, -8.0, -8.0), (8.0, 8.0, 8.0))
+    model = CountingField(LinearField(0.5))
+    out = deform_mesh(model, mesh, [0.75, 0.25, 0.5, 0.25, 0.0], 24, norm)
+    assert len(out) == 5
+    assert model.calls == 18
+
+
+def _deform_each_time(model, mesh, times, steps, norm):
+    """The per-time reference: integrate from 0 to every t on its own."""
+    out = []
+    for t in times:
+        if t == 0.0:
+            out.append(mesh.vertices)
+            continue
+        seeds = norm.to_normalized(mesh.vertices)
+        traj = integrate(model, seeds, 0.0, t, max(1, round(steps * t)))
+        out.append(norm.to_world(traj.endpoints))
+    return out
+
+
+@pytest.mark.parametrize("model,steps", [
+    (_small_model(np.float32), 24),
+    (LinearField(0.7), 16),  # a dyadic grid: every boundary is exact in f64
+], ids=["f32-model", "f64-linear"])
+def test_deform_mesh_equals_per_time_integrate_on_the_step_grid(model, steps):
+    mesh = icosphere(5.0, subdivisions=1)
+    norm = DomainNormalizer((-8.0,) * 3, (8.0,) * 3)
+    times = [k / steps for k in (18, 6, 12, 6, 0, steps, 1)]
+    got = deform_mesh(model, mesh, times, steps, norm)
+    ref = _deform_each_time(model, mesh, times, steps, norm)
+    for deformed, want in zip(got, ref):
+        assert np.array_equal(deformed.vertices, want)
+
+
+def test_deform_mesh_single_off_grid_time_equals_integrate():
+    mesh = icosphere(5.0, subdivisions=1)
+    norm = DomainNormalizer((-8.0,) * 3, (8.0,) * 3)
+    model = _small_model(np.float64)
+    (got,) = deform_mesh(model, mesh, [0.3], 24, norm)
+    (want,) = _deform_each_time(model, mesh, [0.3], 24, norm)
+    assert np.array_equal(got.vertices, want)
 
 
 # ------------------------------------------------------------- gradients

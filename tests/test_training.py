@@ -85,6 +85,12 @@ def test_fit_config_validation():
         dict(hidden_layers=0),
         dict(hidden_width=0),
         dict(precision="f16"),
+        dict(omega=math.nan),
+        dict(omega=math.inf),
+        dict(learning_rate=math.nan),
+        dict(learning_rate=math.inf),
+        dict(cycle_weight=math.nan),
+        dict(cycle_weight=math.inf),
     ):
         with pytest.raises(ValueError):
             FitConfig(**bad)

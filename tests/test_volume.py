@@ -178,6 +178,14 @@ def test_normalizer_rejects_degenerate_bounds():
         DomainNormalizer([0, 0, 0], [1, 0, 1])
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_normalizer_rejects_non_finite_bounds(bad):
+    with pytest.raises(ValueError, match="finite"):
+        DomainNormalizer([0, 0, 0], [bad, bad, bad])
+    with pytest.raises(ValueError, match="finite"):
+        DomainNormalizer([-bad, 0, 0], [1, 1, 1])
+
+
 # --- growth patterns and the sphere generator -----------------------------
 
 
