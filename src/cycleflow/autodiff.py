@@ -1,11 +1,12 @@
 """Minimal reverse-mode gradient engine over dense numpy arrays.
 
 The operation set is fixed and matches exactly what the motion-estimation
-loss graph needs: affine maps, sinusoidal activation, elementwise
-arithmetic, column concatenation, and reductions.  There is deliberately
-no broadcasting; every shape must conform exactly so each backward rule
-stays individually testable.  The differentiable trilinear gather lives
-in the volume module and records onto the same tape.
+loss graph needs besides its two fused nodes: elementwise arithmetic,
+scaling by a constant, and reductions.  The elementwise ops require
+conforming shapes (no broadcasting), so each backward rule stays
+individually testable.  The two fused nodes record onto the same tape
+through ``record``: the whole sine MLP (field module) and the
+differentiable trilinear gather (volume module).
 """
 from __future__ import annotations
 
@@ -21,8 +22,9 @@ class Node:
     """A value in the computation graph.
 
     Leaves carry parameters or constants.  Interior nodes keep references
-    to their parents and a closure that pushes the upstream gradient back
-    to them.  ``grad`` is materialized lazily by ``Tape.backward``.
+    to their parents and a closure that maps the upstream gradient to one
+    contribution per parent.  ``grad`` is filled by ``Tape.backward``, in
+    the node's own dtype; after a backward only leaves hold one.
     """
 
     __slots__ = ("value", "grad", "parents", "_backward")
@@ -44,6 +46,32 @@ class Node:
 def constant(value, dtype=None) -> Node:
     """Wrap an array as a leaf node (no copy when already an ndarray)."""
     return Node(np.asarray(value, dtype=dtype))
+
+
+def recording() -> bool:
+    """Whether a tape is recording in this thread."""
+    return _active_tape.get() is not None
+
+
+def record(value, parents, backward) -> Node:
+    """A node for value; appended to the active tape, if any, with its
+    parents and backward closure, and a plain unrecorded leaf otherwise."""
+    tape = _active_tape.get()
+    if tape is None:
+        return Node(value)
+    node = Node(value, parents, backward)
+    tape._nodes.append(node)
+    return node
+
+
+def _accumulate(node: Node, contribution):
+    # the first write takes a copy cast to the node's dtype; later writes
+    # add in the promoted dtype and round back, as an in-place += does
+    if node.grad is None:
+        node.grad = np.broadcast_to(contribution, node.value.shape).astype(
+            node.value.dtype)
+    else:
+        node.grad += contribution
 
 
 class Tape:
@@ -76,188 +104,84 @@ class Tape:
         self._nodes.clear()
 
     def backward(self, root: Node):
-        """Accumulate d(root)/d(node) into ``grad`` of every ancestor of root.
+        """Accumulate d(root)/d(leaf) into ``grad`` of every leaf on the tape.
 
-        Every node touched by the tape (including leaf parents) gets its
-        gradient zeroed first, so leaves not reachable from the root end up
-        holding exact zeros and repeated calls are reproducible.
+        Gradients are created on first write, so a recorded node that the
+        root does not depend on never receives one and is skipped; each
+        recorded node drops its gradient once it has passed it on.  Leaves
+        the root cannot reach end with exact zeros, and a repeated call
+        starts afresh, so it reproduces the first.
         """
         if root.value.size != 1:
             raise ValueError("backward root must be scalar-valued")
         recorded = {id(n) for n in self._nodes}
         if id(root) not in recorded:
             raise ValueError("root node is not on this tape")
-
-        seen = set()
+        leaves = {}
         for n in self._nodes:
-            for m in (n, *n.parents):
-                if id(m) not in seen:
-                    seen.add(id(m))
-                    m.grad = np.zeros_like(m.value)
-
-        # restrict propagation to ancestors of root so unrelated subgraphs
-        # recorded on the same tape cannot leak gradient into it
-        ancestors = set()
-        stack = [root]
-        while stack:
-            n = stack.pop()
-            if id(n) in ancestors:
-                continue
-            ancestors.add(id(n))
-            stack.extend(n.parents)
+            n.grad = None
+            for p in n.parents:
+                if id(p) not in recorded:
+                    leaves[id(p)] = p
+        for leaf in leaves.values():
+            leaf.grad = None
 
         root.grad = np.ones_like(root.value)
         for n in reversed(self._nodes):
-            if n._backward is not None and id(n) in ancestors:
-                n._backward(n.grad)
-
-
-def _record(node: Node) -> Node:
-    _active_tape.get()._nodes.append(node)
-    return node
-
-
-def _tracing() -> bool:
-    return _active_tape.get() is not None
+            if n.grad is None:
+                continue
+            for p, c in zip(n.parents, n._backward(n.grad)):
+                _accumulate(p, c)
+            n.grad = None
+        for leaf in leaves.values():
+            if leaf.grad is None:
+                leaf.grad = np.zeros_like(leaf.value)
 
 
 # ---------------------------------------------------------------------------
 # operations
 
 
-def affine(x: Node, w: Node, b: Node) -> Node:
-    """Row-wise affine map: value = x @ w + b."""
-    if x.value.ndim != 2 or w.value.ndim != 2 or b.value.ndim != 1:
-        raise ValueError("affine expects x (B,Fin), w (Fin,Fout), b (Fout,)")
-    if x.value.shape[1] != w.value.shape[0] or b.value.shape[0] != w.value.shape[1]:
-        raise ValueError(
-            f"affine shape mismatch: x {x.value.shape}, w {w.value.shape}, b {b.value.shape}"
-        )
-    out = x.value @ w.value + b.value
-    if not _tracing():
-        return Node(out)
-
-    def backward(g):
-        x.grad += g @ w.value.T
-        w.grad += x.value.T @ g
-        b.grad += g.sum(axis=0)
-
-    return _record(Node(out, (x, w, b), backward))
-
-
-def sin_activation(x: Node, omega: float) -> Node:
-    """Elementwise sin(omega * x)."""
-    if omega <= 0:
-        raise ValueError("omega must be positive")
-    out = np.sin(omega * x.value)
-    if not _tracing():
-        return Node(out)
-
-    def backward(g):
-        x.grad += g * (omega * np.cos(omega * x.value))
-
-    return _record(Node(out, (x,), backward))
+def _check_shapes(name, a: Node, b: Node):
+    if a.value.shape != b.value.shape:
+        raise ValueError(f"{name} shape mismatch: {a.value.shape} vs {b.value.shape}")
 
 
 def add(a: Node, b: Node) -> Node:
-    if a.value.shape != b.value.shape:
-        raise ValueError(f"add shape mismatch: {a.value.shape} vs {b.value.shape}")
-    out = a.value + b.value
-    if not _tracing():
-        return Node(out)
-
-    def backward(g):
-        a.grad += g
-        b.grad += g
-
-    return _record(Node(out, (a, b), backward))
+    _check_shapes("add", a, b)
+    return record(a.value + b.value, (a, b), lambda g: (g, g))
 
 
 def sub(a: Node, b: Node) -> Node:
-    if a.value.shape != b.value.shape:
-        raise ValueError(f"sub shape mismatch: {a.value.shape} vs {b.value.shape}")
-    out = a.value - b.value
-    if not _tracing():
-        return Node(out)
-
-    def backward(g):
-        a.grad += g
-        b.grad -= g
-
-    return _record(Node(out, (a, b), backward))
+    _check_shapes("sub", a, b)
+    return record(a.value - b.value, (a, b), lambda g: (g, -g))
 
 
 def mul(a: Node, b: Node) -> Node:
     """Elementwise product of same-shape arrays."""
-    if a.value.shape != b.value.shape:
-        raise ValueError(f"mul shape mismatch: {a.value.shape} vs {b.value.shape}")
-    out = a.value * b.value
-    if not _tracing():
-        return Node(out)
-
-    def backward(g):
-        a.grad += g * b.value
-        b.grad += g * a.value
-
-    return _record(Node(out, (a, b), backward))
+    _check_shapes("mul", a, b)
+    return record(a.value * b.value, (a, b),
+                  lambda g: (g * b.value, g * a.value))
 
 
 def scale(x: Node, c: float) -> Node:
     """Multiply by a plain (non-differentiated) scalar."""
     c = float(c)
-    out = x.value * c
-    if not _tracing():
-        return Node(out)
-
-    def backward(g):
-        x.grad += g * c
-
-    return _record(Node(out, (x,), backward))
-
-
-def concat_cols(a: Node, b: Node) -> Node:
-    """Concatenate two 2-D blocks along the column axis."""
-    if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[0] != b.value.shape[0]:
-        raise ValueError(
-            f"concat_cols expects matching row counts: {a.value.shape} vs {b.value.shape}"
-        )
-    out = np.concatenate([a.value, b.value], axis=1)
-    if not _tracing():
-        return Node(out)
-    ca = a.value.shape[1]
-
-    def backward(g):
-        a.grad += g[:, :ca]
-        b.grad += g[:, ca:]
-
-    return _record(Node(out, (a, b), backward))
+    return record(x.value * c, (x,), lambda g: (g * c,))
 
 
 def sum_all(x: Node) -> Node:
     """Sum of all elements (scalar node)."""
-    out = np.asarray(x.value.sum())
-    if not _tracing():
-        return Node(out)
-
-    def backward(g):
-        x.grad += g
-
-    return _record(Node(out, (x,), backward))
+    return record(np.asarray(x.value.sum()), (x,), lambda g: (g,))
 
 
 def mse(a: Node, b: Node) -> Node:
     """Mean of squared elementwise differences (scalar node)."""
-    if a.value.shape != b.value.shape:
-        raise ValueError(f"mse shape mismatch: {a.value.shape} vs {b.value.shape}")
+    _check_shapes("mse", a, b)
     diff = a.value - b.value
-    out = np.asarray(np.mean(diff * diff))
-    if not _tracing():
-        return Node(out)
-    inv = 2.0 / diff.size
 
     def backward(g):
-        c = g * inv * diff
-        a.grad += c
-        b.grad -= c
+        c = g * (2.0 / diff.size) * diff
+        return c, -c
 
-    return _record(Node(out, (a, b), backward))
+    return record(np.asarray(np.mean(diff * diff)), (a, b), backward)

@@ -47,8 +47,9 @@ class VelocityFieldModel:
     """MLP with sine activations on every hidden layer and a linear output.
 
     Weights and biases are held as autodiff leaf nodes so the optimizer can
-    update them in place; a model evaluated outside a recording tape is a
-    pure function and safe for concurrent use.
+    update them in place.  A call under a recording tape is one tape node
+    that computes its own backward (see ``__call__``); a model evaluated
+    outside a recording tape is a pure function and safe for concurrent use.
     """
 
     def __init__(self, weights, biases, omega, period=1.0, time_encoding=True):
@@ -95,7 +96,13 @@ class VelocityFieldModel:
 
     def __call__(self, points, t: float) -> ad.Node:
         """Velocity at a batch of positions (B,3) at one time value, in the
-        model's dtype (plain-array points are converted to it)."""
+        model's dtype (plain-array points are converted to it).
+
+        Under a tape the whole network records as one node whose parents
+        are the points and the parameters.  Per hidden layer it keeps the
+        layer input and the sine's slope omega*cos(omega*z), taken from the
+        same omega*z as the activation; its backward walks the layers once.
+        """
         pts = points if isinstance(points, ad.Node) else ad.constant(points, self.dtype)
         if pts.value.ndim != 2 or pts.value.shape[1] != 3:
             raise ValueError(f"points must have shape (B,3), got {pts.value.shape}")
@@ -115,10 +122,27 @@ class VelocityFieldModel:
             tcols[:, 1] = s
         else:
             tcols = np.full((n, 1), t, dtype=dt)
-        h = ad.concat_cols(pts, ad.constant(tcols))
+        taped = ad.recording()
+        h = np.concatenate([pts.value, tcols], axis=1)
+        saved = []  # (layer input, slope of its sine) per hidden layer
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = ad.sin_activation(ad.affine(h, w, b), self.omega)
-        return ad.affine(h, self.weights[-1], self.biases[-1])
+            phase = self.omega * (h @ w.value + b.value)
+            if taped:
+                saved.append((h, self.omega * np.cos(phase)))
+            h = np.sin(phase, out=phase)  # the slope has already read phase
+        w_out = self.weights[-1].value
+        out = h @ w_out + self.biases[-1].value
+
+        def backward(g):
+            grads = [g.sum(axis=0), h.T @ g]  # parameter grads, last first
+            g = g @ w_out.T
+            for (x, slope), w in zip(reversed(saved), reversed(self.weights[:-1])):
+                g = g * slope
+                grads += [g.sum(axis=0), x.T @ g]
+                g = g @ w.value.T
+            return [g[:, :3], *reversed(grads)]
+
+        return ad.record(out, (pts, *self.parameters), backward)
 
 
 def init_weights(seed: int, layer_sizes, omega: float, period: float = 1.0,

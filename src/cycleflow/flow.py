@@ -1,10 +1,11 @@
 """Explicit Euler integration of the learned velocity ODE.
 
 Positions live in normalized [-1,1]^3 coordinates throughout; meshes are
-converted at the boundary by a DomainNormalizer.  The integration loop is
-built from autodiff ops, so running it under an active tape makes the
-endpoint differentiable with respect to both the model weights and the
-seed positions.
+converted at the boundary by a DomainNormalizer.  Under an active tape each
+Euler step records three nodes (the field call, its scaling by the step
+size, and the add), so the backward pass is the discrete adjoint of the
+unrolled integrator: the endpoint is differentiable with respect to both
+the model weights and the seed positions.
 
 Every Euler step, taped or not, runs in the model's dtype: an f32
 checkpoint integrates in float32, an f64 one in float64.  The arrays

@@ -94,8 +94,11 @@ class DomainNormalizer:
             raise ValueError("bounds must be finite")
         if not np.all(self.hi > self.lo):
             raise ValueError("upper bound must exceed lower bound on every axis")
-        self.half = (self.hi - self.lo) / 2.0
-        self.center = (self.hi + self.lo) / 2.0
+        with np.errstate(over="ignore"):
+            self.half = (self.hi - self.lo) / 2.0
+            self.center = (self.hi + self.lo) / 2.0
+        if not (np.isfinite(self.half).all() and np.isfinite(self.center).all()):
+            raise ValueError("bounds extent overflows the float range")
 
     @classmethod
     def from_volume(cls, volume: Volume4D) -> "DomainNormalizer":
@@ -173,15 +176,9 @@ def gather_trilinear(frame, points: ad.Node) -> ad.Node:
     the sample points (the frame itself is data, never differentiated)."""
     if not np.isfinite(points.value).all():
         raise ValueError("non-finite sample point")
-    if not ad._tracing():
-        values, _ = _trilinear_kernel(frame, points.value, want_grad=False)
-        return ad.Node(values)
-    values, grads = _trilinear_kernel(frame, points.value, want_grad=True)
-
-    def backward(g):
-        points.grad += g[:, None] * grads
-
-    return ad._record(ad.Node(values, (points,), backward))
+    values, grads = _trilinear_kernel(frame, points.value,
+                                      want_grad=ad.recording())
+    return ad.record(values, (points,), lambda g: (g[:, None] * grads,))
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +258,12 @@ def make_sphere_series(pattern: GrowthPattern, grid_shape, spacing,
         oy + (h - 1) * sy / 2.0,
         oz + (d - 1) * sz / 2.0,
     ])
-    zz = oz + sz * np.arange(d, dtype=np.float64)[:, None, None]
-    yy = oy + sy * np.arange(h, dtype=np.float64)[None, :, None]
-    xx = ox + sx * np.arange(w, dtype=np.float64)[None, None, :]
-    dist = np.sqrt((xx - center[0]) ** 2 + (yy - center[1]) ** 2 + (zz - center[2]) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        zz = oz + sz * np.arange(d, dtype=np.float64)[:, None, None]
+        yy = oy + sy * np.arange(h, dtype=np.float64)[None, :, None]
+        xx = ox + sx * np.arange(w, dtype=np.float64)[None, None, :]
+        dist = np.sqrt((xx - center[0]) ** 2 + (yy - center[1]) ** 2
+                       + (zz - center[2]) ** 2)
 
     times = np.linspace(0.0, 1.0, n_frames)
     radii = [radius_at(pattern, float(t)) for t in times]
@@ -274,6 +273,8 @@ def make_sphere_series(pattern: GrowthPattern, grid_shape, spacing,
             f"sphere (max radius {max(radii):.3f} mm + ramp) exceeds grid bounds "
             f"(half extent {half_extent:.3f} mm)"
         )
+    if not np.isfinite(dist).all():
+        raise ValidationError(f"voxel distances overflow at spacing {spacing} mm")
 
     frames = np.empty((n_frames, d, h, w), dtype=np.float32)
     meshes = []
@@ -281,6 +282,9 @@ def make_sphere_series(pattern: GrowthPattern, grid_shape, spacing,
         occupancy = np.clip((r + smoothing_mm / 2.0 - dist) / smoothing_mm, 0.0, 1.0)
         frames[i] = occupancy.astype(np.float32)
         meshes.append(icosphere(r, center=center, subdivisions=subdivisions))
+    if not (frames[0] > 0.0).any():
+        raise ValidationError("no voxel centre lies inside the frame-0 sphere "
+                              "or its ramp")
 
     vol = Volume4D(frames, spacing, (ox, oy, oz), times)
     return vol, meshes

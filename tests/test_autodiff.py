@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 import cycleflow.autodiff as ad
+from cycleflow.field import default_layer_sizes, init_weights
+from cycleflow.volume import _trilinear_kernel, gather_trilinear
 from conftest import fd_grad, rel_err
+
+
+def tiny_model(seed):
+    return init_weights(seed, default_layer_sizes(2, 6), omega=6.0,
+                        dtype=np.float64)
 
 
 def run_backward(build):
@@ -32,35 +39,6 @@ def check_op_grad(make_leaves, op, trials=20, seed=0, tol=1e-6):
 # --- value semantics ------------------------------------------------------
 
 
-def test_affine_identity():
-    x = ad.constant(np.array([[1.0, 0.0]]))
-    w = ad.constant(np.eye(2))
-    b = ad.constant(np.zeros(2))
-    assert np.array_equal(ad.affine(x, w, b).value, [[1.0, 0.0]])
-
-
-def test_affine_scalar():
-    out = ad.affine(ad.constant([[2.0]]), ad.constant([[3.0]]), ad.constant([1.0]))
-    assert out.value[0, 0] == 7.0
-
-
-def test_affine_shape_mismatch():
-    with pytest.raises(ValueError):
-        ad.affine(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 3))),
-                  ad.constant(np.ones(3)))
-
-
-def test_sin_activation_values():
-    assert ad.sin_activation(ad.constant(np.zeros((1, 1))), 30.0).value[0, 0] == 0.0
-    out = ad.sin_activation(ad.constant([[np.pi / 12]]), 6.0)
-    assert out.value[0, 0] == pytest.approx(1.0, abs=1e-15)
-
-
-def test_sin_activation_needs_positive_omega():
-    with pytest.raises(ValueError):
-        ad.sin_activation(ad.constant([[0.0]]), 0.0)
-
-
 def test_mse_values():
     a = ad.constant([1.0, 1.0])
     assert ad.mse(a, a).value == 0.0
@@ -69,35 +47,12 @@ def test_mse_values():
         ad.mse(a, ad.constant([0.0]))
 
 
-def test_scale_and_concat_values():
+def test_scale_values():
     x = ad.constant(np.arange(6.0).reshape(2, 3))
     assert np.array_equal(ad.scale(x, 2.0).value, 2.0 * x.value)
-    y = ad.constant(np.ones((2, 2)))
-    assert ad.concat_cols(x, y).value.shape == (2, 5)
-    with pytest.raises(ValueError):
-        ad.concat_cols(x, ad.constant(np.ones((3, 2))))
 
 
 # --- gradient oracles -----------------------------------------------------
-
-
-def test_affine_grad_matches_fd():
-    check_op_grad(
-        lambda rng: [rng.normal(size=(4, 3)), rng.normal(size=(3, 2)),
-                     rng.normal(size=2)],
-        ad.affine)
-
-
-def test_sin_activation_grad_matches_fd():
-    check_op_grad(lambda rng: [rng.normal(size=(5, 4))],
-                  lambda x: ad.sin_activation(x, 6.0))
-
-
-def test_sin_grad_value_at_known_point():
-    x = ad.constant(np.array([[0.3]]))
-    with ad.Tape() as tape:
-        tape.backward(ad.sum_all(ad.sin_activation(x, 6.0)))
-    assert x.grad[0, 0] == pytest.approx(6.0 * np.cos(1.8), rel=1e-12)
 
 
 def test_elementwise_grads_match_fd():
@@ -107,8 +62,6 @@ def test_elementwise_grads_match_fd():
     check_op_grad(two, ad.mul)
     check_op_grad(lambda rng: [rng.normal(size=(3, 4))],
                   lambda x: ad.scale(x, -1.7))
-    check_op_grad(lambda rng: [rng.normal(size=(3, 2)), rng.normal(size=(3, 3))],
-                  ad.concat_cols)
 
 
 def test_mse_grad_matches_fd():
@@ -163,14 +116,15 @@ def test_unreachable_leaf_gets_exact_zero():
 
 def test_backward_is_linear():
     rng = np.random.default_rng(3)
-    xv = rng.normal(size=(4, 2))
+    xv = rng.uniform(-0.5, 0.5, size=(4, 3))
+    model = tiny_model(seed=3)
     a, b = 2.5, -1.25
 
     def grad_of(scale_f, scale_g):
         x = ad.constant(xv.copy())
         with ad.Tape() as tape:
             f = ad.sum_all(ad.mul(x, x))
-            g = ad.mse(ad.sin_activation(x, 2.0), ad.constant(np.zeros((4, 2))))
+            g = ad.mse(model(x, 0.3), ad.constant(np.zeros((4, 3))))
             root = ad.add(ad.scale(f, scale_f), ad.scale(g, scale_g))
             tape.backward(root)
         return x.grad
@@ -182,19 +136,20 @@ def test_backward_is_linear():
 
 def test_replay_is_bit_identical():
     rng = np.random.default_rng(7)
-    xv = rng.normal(size=(5, 3))
+    xv = rng.uniform(-0.5, 0.5, size=(5, 3))
+    model = tiny_model(seed=7)
 
     def run():
         x = ad.constant(xv.copy())
         with ad.Tape() as tape:
-            root = ad.mse(ad.sin_activation(x, 6.0), ad.constant(np.zeros((5, 3))))
+            root = ad.mse(model(x, 0.6), ad.constant(np.zeros((5, 3))))
             tape.backward(root)
-        return root.value.copy(), x.grad.copy()
+        return [root.value.copy(), x.grad.copy()] + [
+            p.grad.copy() for p in model.parameters]
 
-    v1, g1 = run()
-    v2, g2 = run()
-    assert np.array_equal(v1, v2)
-    assert np.array_equal(g1, g2)
+    first, second = run(), run()
+    for a, b in zip(first, second):
+        assert np.array_equal(a, b)
 
 
 def test_tape_is_single_owner():
@@ -229,3 +184,37 @@ def test_repeated_backward_is_reproducible():
         g1 = x.grad.copy()
         tape.backward(root)
     assert np.array_equal(g1, x.grad)
+
+
+def test_backward_skips_nodes_without_gradient_and_keeps_only_leaf_grads():
+    x = ad.constant(np.arange(3.0))
+    calls = []
+
+    def never(g):
+        calls.append(g)
+        return (g,)
+
+    with ad.Tape() as tape:
+        sq = ad.mul(x, x)
+        root = ad.sum_all(sq)
+        side = ad.record(np.ones(3), (x,), never)  # the root does not use it
+        tape.backward(root)
+    assert calls == []
+    assert sq.grad is None and root.grad is None and side.grad is None
+    assert np.array_equal(x.grad, 2.0 * np.arange(3.0))
+
+
+def test_f32_leaf_rounds_float64_contributions_into_f32_grad():
+    frame = np.random.default_rng(1).uniform(0, 1, (4, 5, 6)).astype(np.float32)
+    pts = np.random.default_rng(2).uniform(-0.9, 0.9, (7, 3)).astype(np.float32)
+    x = ad.constant(pts)
+    with ad.Tape() as tape:
+        first = ad.sum_all(gather_trilinear(frame, x))
+        second = ad.sum_all(gather_trilinear(frame[::-1], x))
+        tape.backward(ad.add(first, second))
+    _, g1 = _trilinear_kernel(frame, pts, want_grad=True)
+    _, g2 = _trilinear_kernel(frame[::-1], pts, want_grad=True)
+    assert g1.dtype == np.float64 and x.grad.dtype == np.float32
+    # the later-recorded gather writes first (cast), the earlier one is
+    # added in float64 and rounded back, as an in-place += would
+    assert np.array_equal(x.grad, (g2.astype(np.float32) + g1).astype(np.float32))

@@ -112,6 +112,8 @@ BAD_OPTION_VALUES = {
     "gen-nan-smoothing": ("gen", ["--smoothing=nan"]),
     "gen-nan-linear-rate": ("gen", ["--pattern=linear", "--rate=nan"]),
     "deform-inf-bounds": ("deform-bounds", ["--bounds=0,0,0,inf,inf,inf"]),
+    "deform-overflowing-bounds": (
+        "deform-bounds", ["--bounds=-1e308,-1e308,-1e308,1e308,1e308,1e308"]),
 }
 
 
@@ -122,6 +124,19 @@ def test_cli_rejects_an_out_of_range_option(good, tmp_path, case, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra", [["--spacing=1e300"],
+                                   ["--radius=1e-300", "--smoothing=1e-300",
+                                    "--amplitude=0"]],
+                         ids=["overflowing-spacing", "sub-voxel-sphere"])
+def test_gen_refuses_a_blank_phantom(good, tmp_path, extra, capsys):
+    out = tmp_path / "out"
+    assert main(_command("gen", good, out) + extra) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("line", ["omega = nan", "learning_rate = inf",

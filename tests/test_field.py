@@ -132,6 +132,19 @@ def test_spatial_continuity():
     assert np.abs(moved - base).max() < 1e-3
 
 
+def test_velocity_matches_a_layer_by_layer_reference():
+    model = tiny_model(seed=8, layers=3)
+    pts = np.random.default_rng(8).uniform(-1, 1, size=(6, 3))
+    c, s = encode_time(0.35, 1.0)
+    h = np.concatenate([pts, np.tile([c, s], (6, 1))], axis=1)
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        h = np.sin(6.0 * (h @ w.value + b.value))
+    want = h @ model.weights[-1].value + model.biases[-1].value
+    assert np.array_equal(velocity(model, pts, 0.35), want)
+    with ad.Tape():
+        assert np.array_equal(model(pts, 0.35).value, want)
+
+
 def test_velocity_is_in_the_model_dtype():
     pts = np.random.default_rng(6).uniform(-1, 1, size=(9, 3))
     assert pts.dtype == np.float64
@@ -168,10 +181,10 @@ def test_other_threads_do_not_record_on_an_active_tape():
         target=lambda: results.append(velocity(model, pts, 0.25)))
     with ad.Tape() as tape:
         model(pts, 0.25)
-        recorded = len(tape)
+        assert len(tape) == 1  # the whole network is one node
         worker.start()
         worker.join()
-        assert len(tape) == recorded
+        assert len(tape) == 1
     assert np.array_equal(results[0], velocity(model, pts, 0.25))
 
 
@@ -198,13 +211,15 @@ def test_mean_speed_gradient_matches_fd():
         out = model(pts, 0.4)
         return float(ad.mse(out, ad.constant(np.zeros_like(out.value))).value)
 
+    points = ad.constant(pts)
     with ad.Tape() as tape:
-        out = model(pts, 0.4)
+        out = model(points, 0.4)
         tape.backward(ad.mse(out, ad.constant(np.zeros_like(out.value))))
 
     for p in model.parameters:
         num = fd_grad(loss_value, p.value, eps=1e-6)
         assert rel_err(p.grad, num) < 1e-5
+    assert rel_err(points.grad, fd_grad(loss_value, pts, eps=1e-6)) < 1e-5
 
 
 # --- checkpoint container -------------------------------------------------
