@@ -6,7 +6,8 @@ scaling by a constant, and reductions.  The elementwise ops require
 conforming shapes (no broadcasting), so each backward rule stays
 individually testable.  The two fused nodes record onto the same tape
 through ``record``: the whole sine MLP (field module) and the
-differentiable trilinear gather (volume module).
+differentiable trilinear gather (volume module).  The tape, not the
+nodes, holds the graph's edges, and ``Tape.backward`` spends them.
 """
 from __future__ import annotations
 
@@ -19,21 +20,15 @@ _active_tape = contextvars.ContextVar("active_tape", default=None)
 
 
 class Node:
-    """A value in the computation graph.
+    """A value in the computation graph and its gradient; the edges live on
+    the tape that recorded it.  ``grad`` is filled by ``Tape.backward``, in
+    the node's own dtype; after a backward only leaves hold one."""
 
-    Leaves carry parameters or constants.  Interior nodes keep references
-    to their parents and a closure that maps the upstream gradient to one
-    contribution per parent.  ``grad`` is filled by ``Tape.backward``, in
-    the node's own dtype; after a backward only leaves hold one.
-    """
+    __slots__ = ("value", "grad")
 
-    __slots__ = ("value", "grad", "parents", "_backward")
-
-    def __init__(self, value, parents=(), backward=None):
+    def __init__(self, value):
         self.value = np.asarray(value)
         self.grad = None
-        self.parents = parents
-        self._backward = backward
 
     @property
     def shape(self):
@@ -54,13 +49,12 @@ def recording() -> bool:
 
 
 def record(value, parents, backward) -> Node:
-    """A node for value; appended to the active tape, if any, with its
-    parents and backward closure, and a plain unrecorded leaf otherwise."""
+    """A node for value, which the active tape, if any, records with its
+    parents and the closure mapping its gradient to one per parent."""
+    node = Node(value)
     tape = _active_tape.get()
-    if tape is None:
-        return Node(value)
-    node = Node(value, parents, backward)
-    tape._nodes.append(node)
+    if tape is not None:
+        tape._records.append((node, parents, backward))
     return node
 
 
@@ -75,16 +69,16 @@ def _accumulate(node: Node, contribution):
 
 
 class Tape:
-    """Ordered record of executed operations.
+    """The graph: one (node, parents, backward) record per executed op.
 
     Single-owner: only one tape may record at a time in a thread (enforced
     on entry); other threads never record onto it.
-    Backward traversal walks the record in reverse execution order, which
+    Backward traversal walks the records in reverse execution order, which
     is a valid topological order by construction.
     """
 
     def __init__(self):
-        self._nodes = []
+        self._records = []
 
     def __enter__(self):
         if _active_tape.get() is not None:
@@ -97,42 +91,35 @@ class Tape:
         return False
 
     def __len__(self):
-        return len(self._nodes)
-
-    def clear(self):
-        """Drop all recorded nodes so their buffers can be reclaimed."""
-        self._nodes.clear()
+        return len(self._records)
 
     def backward(self, root: Node):
         """Accumulate d(root)/d(leaf) into ``grad`` of every leaf on the tape.
 
-        Gradients are created on first write, so a recorded node that the
-        root does not depend on never receives one and is skipped; each
-        recorded node drops its gradient once it has passed it on.  Leaves
-        the root cannot reach end with exact zeros, and a repeated call
-        starts afresh, so it reproduces the first.
+        The sweep pops each record as it reaches it, so the arrays a record
+        saved are freed once its gradient has passed, and the tape is empty
+        on return.  Gradients are created on first write: a recorded node
+        the root does not depend on never gets one and is skipped, and each
+        drops its gradient once passed on.  Unreached leaves get exact zeros.
         """
         if root.value.size != 1:
             raise ValueError("backward root must be scalar-valued")
-        recorded = {id(n) for n in self._nodes}
+        recorded = {id(node) for node, _, _ in self._records}
         if id(root) not in recorded:
             raise ValueError("root node is not on this tape")
-        leaves = {}
-        for n in self._nodes:
-            n.grad = None
-            for p in n.parents:
-                if id(p) not in recorded:
-                    leaves[id(p)] = p
+        leaves = {id(p): p for _, parents, _ in self._records
+                  for p in parents if id(p) not in recorded}
         for leaf in leaves.values():
             leaf.grad = None
 
         root.grad = np.ones_like(root.value)
-        for n in reversed(self._nodes):
-            if n.grad is None:
+        while self._records:
+            node, parents, backward = self._records.pop()
+            if node.grad is None:
                 continue
-            for p, c in zip(n.parents, n._backward(n.grad)):
+            for p, c in zip(parents, backward(node.grad)):
                 _accumulate(p, c)
-            n.grad = None
+            node.grad = None
         for leaf in leaves.values():
             if leaf.grad is None:
                 leaf.grad = np.zeros_like(leaf.value)

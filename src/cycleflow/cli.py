@@ -90,10 +90,10 @@ def cmd_gen(args) -> int:
                                 amplitude_mm=args.amplitude)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    out = _out_dir(args)
     vol, meshes = make_sphere_series(
         pattern, args.grid, args.spacing, args.frames,
         smoothing_mm=args.smoothing)
+    out = _out_dir(args)
     outputs = []
     vpath = os.path.join(out, "volume.v4d")
     write_v4d(vol, vpath)

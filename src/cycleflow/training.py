@@ -76,6 +76,12 @@ class FitConfig:
             raise ValueError("hidden_layers and hidden_width must be >= 1")
         if self.precision not in PRECISIONS:
             raise ValueError(f"precision must be one of {PRECISIONS}")
+        # later layers draw weights from a finite range ±sqrt(6/width)/omega
+        bound = math.sqrt(6.0 / self.hidden_width) / self.omega
+        with np.errstate(over="ignore"):
+            if not (math.isfinite(2.0 * bound) and np.isfinite(self.dtype(bound))):
+                raise ValueError(f"omega {self.omega} is too small: the weight "
+                                 f"init bound {bound} overflows {self.precision}")
 
     @property
     def dtype(self):
@@ -222,7 +228,6 @@ def fit(volume: Volume4D, config: FitConfig):
             tape.backward(total)
         adam_step([p.value for p in params], [p.grad for p in params],
                   state, config.learning_rate)
-        tape.clear()
         data_hist.append(float(data.value))
         cycle_hist.append(float(cyc.value) if cyc is not None else 0.0)
         total_hist.append(tv)

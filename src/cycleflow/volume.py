@@ -203,11 +203,14 @@ class GrowthPattern:
             raise ValueError("base radius must be positive")
         if self.period <= 0:
             raise ValueError("period must be positive")
-        # radius must stay positive over the whole cycle
-        if self.kind == "linear" and 1.0 + min(0.0, self.rate) <= 0:
-            raise ValueError("linear rate drives the radius non-positive")
-        if self.kind == "periodic" and abs(self.amplitude_mm) >= self.base_radius_mm:
+        # radius must stay finite and positive over the whole cycle; linear
+        # and exponential radii run monotonically from r0, so t=1 decides
+        if self.kind != "periodic":
+            radius_at(self, 1.0)
+        elif abs(self.amplitude_mm) >= self.base_radius_mm:
             raise ValueError("periodic amplitude must stay below the base radius")
+        elif not math.isfinite(self.base_radius_mm + abs(self.amplitude_mm)):
+            raise ValueError("periodic peak radius overflows")
 
 
 def radius_at(pattern: GrowthPattern, t: float) -> float:
@@ -218,15 +221,18 @@ def radius_at(pattern: GrowthPattern, t: float) -> float:
     if pattern.kind == "linear":
         r = r0 * (1.0 + pattern.rate * t)
     elif pattern.kind == "exponential":
-        r = r0 * math.exp(pattern.rate * t)
+        try:
+            r = r0 * math.exp(pattern.rate * t)
+        except OverflowError:
+            r = math.inf
     else:
         # wrap first so t=period reproduces t=0 bit-identically; the cycle
         # starts at the minimum radius (cyclic acquisitions are conventionally
         # phase-aligned to an extremum), so r0 is the cycle-mean radius
         frac = math.fmod(t, pattern.period)
         r = r0 - pattern.amplitude_mm * math.cos(2.0 * math.pi * frac / pattern.period)
-    if r <= 0:
-        raise ValueError(f"non-positive radius {r} at t={t}")
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"non-positive or non-finite radius {r} at t={t}")
     return r
 
 

@@ -161,29 +161,21 @@ def test_tape_is_single_owner():
 
 def test_no_recording_outside_tape():
     x = ad.constant(np.ones((2, 2)))
-    y = ad.add(x, x)
-    assert y.parents == ()
+    ad.add(x, x)
     with ad.Tape() as tape:
         ad.add(x, x)
         assert len(tape) == 1
 
 
-def test_tape_clear_drops_nodes():
-    with ad.Tape() as tape:
-        ad.sum_all(ad.constant(np.ones(3)))
-        assert len(tape) == 1
-    tape.clear()
-    assert len(tape) == 0
-
-
-def test_repeated_backward_is_reproducible():
+def test_backward_spends_the_tape():
     x = ad.constant(np.arange(4.0))
     with ad.Tape() as tape:
         root = ad.sum_all(ad.mul(x, x))
         tape.backward(root)
-        g1 = x.grad.copy()
-        tape.backward(root)
-    assert np.array_equal(g1, x.grad)
+        assert len(tape) == 0
+        with pytest.raises(ValueError, match="not on this tape"):
+            tape.backward(root)
+    assert np.array_equal(x.grad, 2.0 * np.arange(4.0))
 
 
 def test_backward_skips_nodes_without_gradient_and_keeps_only_leaf_grads():

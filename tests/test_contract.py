@@ -1,5 +1,8 @@
 """Input contract: every malformed file ends in a documented exit code (CLI)
 or a FormatError / ValidationError (readers), never in a traceback."""
+import contextlib
+import io
+import itertools
 import shutil
 
 import numpy as np
@@ -111,6 +114,12 @@ BAD_OPTION_VALUES = {
     "gen-nan-spacing": ("gen", ["--spacing=nan"]),
     "gen-nan-smoothing": ("gen", ["--smoothing=nan"]),
     "gen-nan-linear-rate": ("gen", ["--pattern=linear", "--rate=nan"]),
+    "gen-overflowing-exponential-rate": ("gen", ["--pattern=exponential", "--rate=800"]),
+    "gen-underflowing-exponential-rate": ("gen", ["--pattern=exponential",
+                                                  "--rate=-800"]),
+    "fit-omega-overflowing-f32-init": ("fit", ["--omega=1e-40"]),
+    "fit-omega-overflowing-init": ("fit", ["--omega=5e-324"]),
+    "fit-omega-overflowing-f64-init": ("fit", ["--omega=5e-309", "--precision=f64"]),
     "deform-inf-bounds": ("deform-bounds", ["--bounds=0,0,0,inf,inf,inf"]),
     "deform-overflowing-bounds": (
         "deform-bounds", ["--bounds=-1e308,-1e308,-1e308,1e308,1e308,1e308"]),
@@ -136,11 +145,11 @@ def test_gen_refuses_a_blank_phantom(good, tmp_path, extra, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("line", ["omega = nan", "learning_rate = inf",
-                                  "cycle_weight = nan"])
+                                  "cycle_weight = nan", "omega = 1e-40"])
 def test_fit_rejects_a_non_finite_config_file_value(good, tmp_path, line, capsys):
     config = tmp_path / "fit.cfg"
     config.write_text(line + "\n")
@@ -183,3 +192,38 @@ def test_single_byte_mutations_are_read_or_rejected(tmp_path_factory, reader):
             pass
 
     mutate_and_read()
+
+
+# each gen float option takes a value from its working range (two times in
+# three, so that some draws pass) or a wild finite one
+_GEN_FLOATS = {"radius": (0.5, 2.0), "spacing": (0.5, 2.0), "rate": (-0.5, 0.5),
+               "amplitude": (0.0, 0.4), "smoothing": (0.5, 2.0)}
+_WILD = st.one_of(st.sampled_from([1e308, -1e308, 1e-300, 5e-324, -0.0]),
+                  st.floats(allow_nan=False, allow_infinity=False))
+
+
+def test_gen_writes_readable_files_or_refuses_cleanly(tmp_path_factory):
+    root = tmp_path_factory.mktemp("gen")
+    runs = itertools.count()
+
+    @settings(max_examples=50, derandomize=True, database=None, deadline=None)
+    @given(st.sampled_from(["linear", "exponential", "periodic"]),
+           st.fixed_dictionaries({k: st.one_of(st.floats(*r), st.floats(*r), _WILD)
+                                  for k, r in _GEN_FLOATS.items()}))
+    def gen(pattern, values):
+        out = root / str(next(runs))
+        argv = ["gen", "--grid", "8", "--frames", "3", "--pattern", pattern,
+                "--out-dir", str(out)] + [f"--{k}={v!r}" for k, v in values.items()]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+        if code == 0:
+            assert read_v4d(out / "volume.v4d").n_frames == 3
+            assert len([read_obj(p) for p in out.glob("*.obj")]) == 3
+        else:
+            assert code in (2, 3), err.getvalue()
+            assert err.getvalue().startswith("error: ")
+            assert "Traceback" not in err.getvalue()
+            assert not out.exists()
+
+    gen()

@@ -1,6 +1,7 @@
 """Objective terms, Adam, the fit loop, config files, and loss reports."""
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,6 +92,9 @@ def test_fit_config_validation():
         dict(learning_rate=math.inf),
         dict(cycle_weight=math.nan),
         dict(cycle_weight=math.inf),
+        dict(omega=1e-40),                      # init bound overflows f32
+        dict(omega=5e-324),                     # init bound is inf
+        dict(omega=1e-309, precision="f64"),    # init range overflows f64
     ):
         with pytest.raises(ValueError):
             FitConfig(**bad)
@@ -323,6 +327,23 @@ def test_fit_raises_on_non_finite_loss():
     vol.frames[:] = np.nan
     with pytest.raises(NumericalError, match="non-finite loss at epoch 0"):
         fit(vol, tiny_config())
+
+
+def _fit_peak_bytes(epochs):
+    vol = tiny_volume(n_frames=9, n=16)
+    cfg = tiny_config(epochs=epochs, points_per_epoch=500, hidden_width=64)
+    tracemalloc.start()
+    try:
+        fit(vol, cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fit_holds_one_epochs_graph_at_a_time():
+    # the losses kept per epoch must not pin that epoch's graph (saved
+    # layer inputs and slopes of every field call) through the next one
+    assert _fit_peak_bytes(3) <= 1.2 * _fit_peak_bytes(1)
 
 
 # ----------------------------------------------------------- config files
