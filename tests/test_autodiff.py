@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -167,15 +169,36 @@ def test_no_recording_outside_tape():
         assert len(tape) == 1
 
 
-def test_backward_spends_the_tape():
-    x = ad.constant(np.arange(4.0))
+def test_tape_clear_drops_nodes():
+    # backward drops every record, and with it what the record saved
+    saved = np.ones(3)
+    freed = weakref.ref(saved)
+    x = ad.constant(np.arange(3.0))
     with ad.Tape() as tape:
-        root = ad.sum_all(ad.mul(x, x))
+        root = ad.sum_all(ad.record(x.value * saved, (x,),
+                                    lambda g, s=saved: (g * s,)))
+        del saved
+        assert len(tape) == 2
         tape.backward(root)
         assert len(tape) == 0
-        with pytest.raises(ValueError, match="not on this tape"):
+    assert freed() is None
+    assert np.array_equal(x.grad, np.ones(3))
+
+
+def test_repeated_backward_is_reproducible():
+    # a spent tape refuses a second backward; recording again reproduces it
+    def grad_on_a_fresh_tape():
+        x = ad.constant(np.arange(4.0))
+        with ad.Tape() as tape:
+            root = ad.sum_all(ad.mul(x, x))
             tape.backward(root)
-    assert np.array_equal(x.grad, 2.0 * np.arange(4.0))
+            with pytest.raises(ValueError, match="not on this tape"):
+                tape.backward(root)
+        return x.grad
+
+    g1 = grad_on_a_fresh_tape()
+    assert np.array_equal(g1, 2.0 * np.arange(4.0))
+    assert np.array_equal(g1, grad_on_a_fresh_tape())
 
 
 def test_backward_skips_nodes_without_gradient_and_keeps_only_leaf_grads():
