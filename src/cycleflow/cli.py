@@ -2,8 +2,13 @@
 
 Every command writes its outputs plus a run manifest (config snapshot,
 input/output SHA-256 hashes, tool version, wall time) into the output
-directory, so runs are auditable and reproducible.  Exit codes: 0 success,
-2 usage/config error, 3 data/format error, 4 numerical failure.
+directory, so runs are auditable and reproducible.
+
+Option values are checked by the library functions they enter; only the
+CLI's own options (--times, the --bounds string, --probes, --volume and
+--meshes) are checked here.  Exit codes: 0 success, else the exit_code of
+the CycleflowError raised (2 usage/config, 3 data/format, 4 numerical
+failure), or 3 for an unreadable file.
 """
 from __future__ import annotations
 
@@ -15,21 +20,21 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, FormatError, NumericalError, ValidationError
+from .errors import ConfigError, CycleflowError, FormatError
 from .field import load_checkpoint, save_checkpoint
 from .flow import deform_mesh, integrate, write_trajectory_csv
 from .mesh import read_obj, write_obj
 from .metrics import evaluate_fit, write_eval_csv, write_eval_summary
 from .svgplot import line_plot
-from .training import (LOSS_COLUMNS, fit, load_fit_config, write_fit_summary,
-                       write_loss_csv)
-from .volume import (DomainNormalizer, GrowthPattern, Volume4D,
-                     make_sphere_series, read_v4d, write_v4d)
+from .training import (LOSS_COLUMNS, FitConfig, fit, load_fit_config,
+                       write_fit_summary, write_loss_csv)
+from .volume import (DomainNormalizer, GrowthPattern, make_sphere_series,
+                     read_v4d, write_v4d)
 
 OUT_DIR_ENV = "CYCLEFLOW_OUT"
 
@@ -71,25 +76,8 @@ def _out_dir(args) -> str:
 
 def cmd_gen(args) -> int:
     started = time.perf_counter()
-    for flag in ("radius", "spacing", "rate", "amplitude", "smoothing"):
-        value = getattr(args, flag)
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"--{flag} must be a finite number")
-    if args.radius <= 0:
-        raise ConfigError("--radius must be positive")
-    if args.frames < 2:
-        raise ConfigError("--frames must be at least 2")
-    if args.grid < 2:
-        raise ConfigError("--grid must be at least 2")
-    if args.spacing <= 0:
-        raise ConfigError("--spacing must be positive")
-    if args.smoothing is not None and args.smoothing <= 0:
-        raise ConfigError("--smoothing must be positive")
-    try:
-        pattern = GrowthPattern(args.pattern, args.radius, rate=args.rate,
-                                amplitude_mm=args.amplitude)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    pattern = GrowthPattern(args.pattern, args.radius, rate=args.rate,
+                            amplitude_mm=args.amplitude)
     vol, meshes = make_sphere_series(
         pattern, args.grid, args.spacing, args.frames,
         smoothing_mm=args.smoothing)
@@ -118,22 +106,7 @@ def cmd_gen(args) -> int:
 
 def cmd_fit(args) -> int:
     started = time.perf_counter()
-    overrides = {
-        "cycle_weight": args.cycle_weight,
-        "epochs": args.epochs,
-        "points_per_epoch": args.points,
-        "learning_rate": args.learning_rate,
-        "seed": args.seed,
-        "omega": args.omega,
-        "steps_per_frame": args.steps_per_frame,
-        "sampling": args.sampling,
-        "hidden_layers": args.hidden_layers,
-        "hidden_width": args.hidden_width,
-        "precision": args.precision,
-        "time_encoding": None if args.time_encoding is None
-        else args.time_encoding == "on",
-        "cycle_enabled": None if args.cycle is None else args.cycle == "on",
-    }
+    overrides = {f.name: getattr(args, f.name) for f in fields(FitConfig)}
     config = load_fit_config(args.config, overrides)
     volume = read_v4d(args.volume)
     out = _out_dir(args)
@@ -198,34 +171,30 @@ def _bounds_from_args(args) -> DomainNormalizer:
             vals = [float(p) for p in parts]
         except ValueError as exc:
             raise ConfigError(f"--bounds: {exc}") from exc
-        try:
-            return DomainNormalizer(vals[:3], vals[3:])
-        except ValueError as exc:
-            raise ConfigError(f"--bounds: {exc}") from exc
+        return DomainNormalizer(vals[:3], vals[3:])
     raise ConfigError("deform needs --volume or --bounds to fix the world domain")
 
 
 def cmd_deform(args) -> int:
     started = time.perf_counter()
-    if args.steps < 1:
-        raise ConfigError("--steps must be at least 1")
     if args.probes < 0:
         raise ConfigError("--probes must not be negative")
     times = _parse_times(args.times, args.wrap)
     model = load_checkpoint(args.checkpoint)
     mesh = read_obj(args.mesh)
     normalizer = _bounds_from_args(args)
+    deformed_meshes = deform_mesh(model, mesh, times, args.steps, normalizer)
+    if args.probes > 0:
+        seeds = normalizer.to_normalized(
+            mesh.vertices[:: max(1, mesh.vertices.shape[0] // args.probes)])
+        traj = integrate(model, seeds, 0.0, 1.0, args.steps)
     out = _out_dir(args)
     outputs = []
-    deformed_meshes = deform_mesh(model, mesh, times, args.steps, normalizer)
     for i, (t, deformed) in enumerate(zip(times, deformed_meshes)):
         mpath = os.path.join(out, f"deformed_{i:03d}_t{t:.6f}.obj")
         write_obj(deformed, mpath)
         outputs.append(mpath)
     if args.probes > 0:
-        seeds = normalizer.to_normalized(
-            mesh.vertices[:: max(1, mesh.vertices.shape[0] // args.probes)])
-        traj = integrate(model, seeds, 0.0, 1.0, args.steps)
         tpath = os.path.join(out, "trajectories.csv")
         write_trajectory_csv(traj, tpath, normalizer)
         outputs.append(tpath)
@@ -242,18 +211,11 @@ def cmd_deform(args) -> int:
 
 
 def _load_gt_meshes(mesh_dir, n_frames):
-    meshes = [None] * n_frames
+    """One mesh or None per frame; evaluate_fit refuses a missing mesh_000."""
     if mesh_dir is None:
         raise ConfigError("eval needs --meshes pointing at mesh_NNN.obj files")
-    found = 0
-    for i in range(n_frames):
-        path = os.path.join(mesh_dir, f"mesh_{i:03d}.obj")
-        if os.path.exists(path):
-            meshes[i] = read_obj(path)
-            found += 1
-    if found == 0:
-        raise ValidationError(f"no mesh_NNN.obj files found in {mesh_dir}")
-    return meshes
+    paths = [os.path.join(mesh_dir, f"mesh_{i:03d}.obj") for i in range(n_frames)]
+    return [read_obj(p) if os.path.exists(p) else None for p in paths]
 
 
 def _read_loss_history(path):
@@ -275,16 +237,14 @@ def _read_loss_history(path):
 
 def cmd_eval(args) -> int:
     started = time.perf_counter()
-    if args.steps_per_frame < 1:
-        raise ConfigError("--steps-per-frame must be at least 1")
     model = load_checkpoint(args.checkpoint)
     volume = read_v4d(args.volume)
     meshes = _load_gt_meshes(args.meshes, volume.n_frames)
     losses = _read_loss_history(args.loss_csv) if args.loss_csv else None
-    out = _out_dir(args)
     report = evaluate_fit(model, volume, meshes,
                           steps_per_frame=args.steps_per_frame,
                           with_psnr=not args.no_psnr)
+    out = _out_dir(args)
     outputs = []
     csv_path = os.path.join(out, "eval.csv")
     write_eval_csv(report, csv_path)
@@ -357,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="key = value config file")
     p.add_argument("--cycle-weight", type=float, default=None)
     p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--points", type=int, default=None,
-                   help="sample points per epoch")
+    p.add_argument("--points", type=int, default=None, dest="points_per_epoch",
+                   metavar="POINTS", help="sample points per epoch")
     p.add_argument("--learning-rate", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--omega", type=float, default=None)
@@ -370,6 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--precision", choices=("f32", "f64"), default=None)
     p.add_argument("--time-encoding", choices=("on", "off"), default=None)
     p.add_argument("--cycle", choices=("on", "off"), default=None,
+                   dest="cycle_enabled",
                    help="enable/disable the cycle-return penalty")
     p.add_argument("--out-dir", default=out_default)
     p.set_defaults(func=cmd_fit)
@@ -417,18 +378,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except CycleflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FormatError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

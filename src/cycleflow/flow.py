@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError, ValidationError
 from .mesh import TriangleMesh
 
 
@@ -64,9 +64,14 @@ def euler_path(model, seeds, times) -> list:
     seeds is an (B,3) autodiff Node or array (converted to the model's
     dtype); times is the full array of step boundaries.  Returns the list
     of position Nodes at every boundary, seeds first.  Recording happens
-    only under an active tape.
+    only under an active tape.  Seeds that are not finite in the model's
+    dtype (a float32 model overflows past ~3.4e38) are a ValidationError.
     """
-    x = seeds if isinstance(seeds, ad.Node) else ad.constant(seeds, model.dtype)
+    with np.errstate(over="ignore"):
+        x = seeds if isinstance(seeds, ad.Node) else ad.constant(seeds, model.dtype)
+    if not np.isfinite(x.value).all():
+        raise ValidationError(f"seed positions overflow {x.value.dtype}: they lie "
+                              "far outside the normalized domain")
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or times.size < 2:
         raise ValueError("need at least two time boundaries")
@@ -92,14 +97,11 @@ def _stack_rows(seeds, nodes) -> np.ndarray:
 
 
 def integrate(model, seeds, t_start: float, t_end: float, steps: int) -> Trajectory:
-    """Euler-integrate seed points from t_start to t_end in S uniform steps."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    """Euler-integrate seed points from t_start to t_end in S uniform steps
+    (euler_path refuses S < 1 and t_start == t_end)."""
     seeds = np.asarray(seeds)
     if not np.isfinite(seeds).all():
         raise ValueError("non-finite seed positions")
-    if t_end == t_start:
-        raise ValueError("t_start and t_end must differ")
     times = np.linspace(t_start, t_end, steps + 1)
     path = euler_path(model, seeds, times)
     return Trajectory(_stack_rows(seeds, path), times)
@@ -120,7 +122,7 @@ def frame_step_times(frame_times, steps_per_frame) -> np.ndarray:
         raise ValueError("frame times must be strictly increasing")
     counts = np.broadcast_to(steps_per_frame, (frame_times.size - 1,))
     if not np.all(counts >= 1):
-        raise ValueError("steps_per_frame must be >= 1")
+        raise ConfigError("steps_per_frame must be >= 1")
     pieces = [frame_times[:1]]
     for a, b, n in zip(frame_times[:-1], frame_times[1:], counts):
         pieces.append(np.linspace(a, b, int(n) + 1)[1:])
@@ -160,7 +162,7 @@ def deform_mesh(model, mesh: TriangleMesh, times, steps: int,
     topology is untouched; t=0 returns an identical copy.
     """
     if steps < 1:
-        raise ValueError("steps must be >= 1")
+        raise ConfigError("steps must be >= 1")
     times = [float(t) for t in times]
     if not all(math.isfinite(t) and t >= 0.0 for t in times):
         raise ValueError("times must be finite and non-negative")

@@ -53,35 +53,32 @@ class FitConfig:
     precision: str = "f32"
 
     def __post_init__(self):
-        for name in ("cycle_weight", "learning_rate", "omega"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number")
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise ConfigError("epochs must be >= 1")
         if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+            raise ConfigError("seed must be non-negative")
         if self.points_per_epoch < 1:
-            raise ValueError("points_per_epoch must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.cycle_weight < 0:
-            raise ValueError("cycle_weight must be non-negative")
-        if self.omega <= 0:
-            raise ValueError("omega must be positive")
+            raise ConfigError("points_per_epoch must be >= 1")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError("learning_rate must be positive and finite")
+        if not 0.0 <= self.cycle_weight < math.inf:
+            raise ConfigError("cycle_weight must be non-negative and finite")
+        if not 0.0 < self.omega < math.inf:
+            raise ConfigError("omega must be positive and finite")
         if self.steps_per_frame < 1:
-            raise ValueError("steps_per_frame must be >= 1")
+            raise ConfigError("steps_per_frame must be >= 1")
         if self.sampling not in SAMPLING_STRATEGIES:
-            raise ValueError(f"sampling must be one of {SAMPLING_STRATEGIES}")
+            raise ConfigError(f"sampling must be one of {SAMPLING_STRATEGIES}")
         if self.hidden_layers < 1 or self.hidden_width < 1:
-            raise ValueError("hidden_layers and hidden_width must be >= 1")
+            raise ConfigError("hidden_layers and hidden_width must be >= 1")
         if self.precision not in PRECISIONS:
-            raise ValueError(f"precision must be one of {PRECISIONS}")
+            raise ConfigError(f"precision must be one of {PRECISIONS}")
         # later layers draw weights from a finite range ±sqrt(6/width)/omega
         bound = math.sqrt(6.0 / self.hidden_width) / self.omega
         with np.errstate(over="ignore"):
             if not (math.isfinite(2.0 * bound) and np.isfinite(self.dtype(bound))):
-                raise ValueError(f"omega {self.omega} is too small: the weight "
-                                 f"init bound {bound} overflows {self.precision}")
+                raise ConfigError(f"omega {self.omega} is too small: the weight "
+                                  f"init bound {bound} overflows {self.precision}")
 
     @property
     def dtype(self):
@@ -271,7 +268,9 @@ def load_fit_config(path=None, overrides=None) -> FitConfig:
     """Build a FitConfig from a flat ``key = value`` file plus overrides.
 
     Keys are exactly the FitConfig field names; '#' starts a comment.
-    Override values (e.g. from command-line flags) win over file values.
+    Override values (e.g. from command-line flags) win over file values;
+    a string override is converted as a file value is, so ``"off"`` means
+    False in both.
     """
     values = {}
     if path is not None:
@@ -291,11 +290,8 @@ def load_fit_config(path=None, overrides=None) -> FitConfig:
             continue
         if key not in _CONFIG_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
-        values[key] = val
-    try:
-        return FitConfig(**values)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        values[key] = _convert(key, val) if isinstance(val, str) else val
+    return FitConfig(**values)
 
 
 def write_loss_csv(report: FitReport, path):

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .container import (check_header, is_count, is_number, list_of,
                         read_container, write_container)
-from .errors import FormatError, ValidationError
+from .errors import ConfigError, FormatError, ValidationError
 from .mesh import TriangleMesh, icosphere
 
 V4D_MAGIC = b"V4DVOL01"
@@ -59,6 +59,10 @@ class Volume4D:
             raise ValidationError("frame_times must be strictly increasing")
         if self.frame_times[0] != 0.0 or self.frame_times[-1] != 1.0:
             raise ValidationError("frame_times must start at 0 and end at 1")
+        try:
+            DomainNormalizer.from_volume(self)
+        except ConfigError as exc:  # the same bounds, read from a file
+            raise ValidationError(f"grid world bounds: {exc}") from None
 
     @property
     def n_frames(self) -> int:
@@ -78,7 +82,8 @@ class Volume4D:
         d, h, w = self.grid_shape
         counts = np.array([w, h, d], dtype=np.float64)  # world-axis order
         lo = np.asarray(self.origin, dtype=np.float64)
-        hi = lo + (counts - 1) * np.asarray(self.spacing, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            hi = lo + (counts - 1) * np.asarray(self.spacing, dtype=np.float64)
         return lo, hi
 
 
@@ -89,23 +94,25 @@ class DomainNormalizer:
         self.lo = np.asarray(lo, dtype=np.float64)
         self.hi = np.asarray(hi, dtype=np.float64)
         if self.lo.shape != (3,) or self.hi.shape != (3,):
-            raise ValueError("bounds must be 3-vectors")
-        if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all()):
-            raise ValueError("bounds must be finite")
-        if not np.all(self.hi > self.lo):
-            raise ValueError("upper bound must exceed lower bound on every axis")
-        with np.errstate(over="ignore"):
+            raise ConfigError("bounds must be 3-vectors")
+        with np.errstate(over="ignore", invalid="ignore"):
             self.half = (self.hi - self.lo) / 2.0
             self.center = (self.hi + self.lo) / 2.0
         if not (np.isfinite(self.half).all() and np.isfinite(self.center).all()):
-            raise ValueError("bounds extent overflows the float range")
+            raise ConfigError("bounds, their extent and centre must be finite")
+        if not np.all(self.half > 0):
+            raise ConfigError("bounds need a half extent (hi - lo) / 2 above 0 on every axis")
 
     @classmethod
     def from_volume(cls, volume: Volume4D) -> "DomainNormalizer":
         return cls(*volume.world_bounds())
 
     def to_normalized(self, world) -> np.ndarray:
-        return (np.asarray(world, dtype=np.float64) - self.center) / self.half
+        with np.errstate(over="ignore"):
+            norm = (np.asarray(world, dtype=np.float64) - self.center) / self.half
+        if not np.isfinite(norm).all():
+            raise ValidationError("points lie too far outside the bounds to normalize")
+        return norm
 
     def to_world(self, norm) -> np.ndarray:
         return np.asarray(norm, dtype=np.float64) * self.half + self.center
@@ -198,25 +205,28 @@ class GrowthPattern:
 
     def __post_init__(self):
         if self.kind not in ("linear", "exponential", "periodic"):
-            raise ValueError(f"unknown growth kind {self.kind!r}")
+            raise ConfigError(f"unknown growth kind {self.kind!r}")
+        for name in ("base_radius_mm", "rate", "amplitude_mm", "period"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be a finite number")
         if self.base_radius_mm <= 0:
-            raise ValueError("base radius must be positive")
+            raise ConfigError("base radius must be positive")
         if self.period <= 0:
-            raise ValueError("period must be positive")
+            raise ConfigError("period must be positive")
         # radius must stay finite and positive over the whole cycle; linear
         # and exponential radii run monotonically from r0, so t=1 decides
         if self.kind != "periodic":
             radius_at(self, 1.0)
         elif abs(self.amplitude_mm) >= self.base_radius_mm:
-            raise ValueError("periodic amplitude must stay below the base radius")
+            raise ConfigError("periodic amplitude must stay below the base radius")
         elif not math.isfinite(self.base_radius_mm + abs(self.amplitude_mm)):
-            raise ValueError("periodic peak radius overflows")
+            raise ConfigError("periodic peak radius overflows")
 
 
 def radius_at(pattern: GrowthPattern, t: float) -> float:
     """Sphere radius in mm at normalized time t in [0, 1]."""
     if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0,1], got {t}")
+        raise ConfigError(f"t must lie in [0,1], got {t}")
     r0 = pattern.base_radius_mm
     if pattern.kind == "linear":
         r = r0 * (1.0 + pattern.rate * t)
@@ -232,7 +242,7 @@ def radius_at(pattern: GrowthPattern, t: float) -> float:
         frac = math.fmod(t, pattern.period)
         r = r0 - pattern.amplitude_mm * math.cos(2.0 * math.pi * frac / pattern.period)
     if not 0.0 < r < math.inf:
-        raise ValueError(f"non-positive or non-finite radius {r} at t={t}")
+        raise ConfigError(f"non-positive or non-finite radius {r} at t={t}")
     return r
 
 
@@ -246,17 +256,19 @@ def make_sphere_series(pattern: GrowthPattern, grid_shape, spacing,
     interpolation gradient almost everywhere).  Returns (Volume4D, meshes).
     """
     if n_frames < 2:
-        raise ValidationError("need at least 2 frames")
+        raise ConfigError("need at least 2 frames")
     if isinstance(grid_shape, int):
         grid_shape = (grid_shape, grid_shape, grid_shape)
     d, h, w = (int(v) for v in grid_shape)
+    if min(d, h, w) < 2:
+        raise ConfigError("each grid axis needs at least 2 voxels")
     spacing = tuple(float(s) for s in (spacing if hasattr(spacing, "__len__")
                                        else (spacing, spacing, spacing)))
     sx, sy, sz = spacing
     if smoothing_mm is None:
         smoothing_mm = 2.0 * min(spacing)
-    if smoothing_mm <= 0:
-        raise ValueError("smoothing width must be positive")
+    if not all(0.0 < v < math.inf for v in (*spacing, smoothing_mm)):
+        raise ConfigError("spacing and smoothing width must be positive and finite")
 
     ox, oy, oz = (float(v) for v in origin)
     center = np.array([
@@ -276,8 +288,8 @@ def make_sphere_series(pattern: GrowthPattern, grid_shape, spacing,
     half_extent = min((w - 1) * sx, (h - 1) * sy, (d - 1) * sz) / 2.0
     if max(radii) + smoothing_mm / 2.0 > half_extent:
         raise ValidationError(
-            f"sphere (max radius {max(radii):.3f} mm + ramp) exceeds grid bounds "
-            f"(half extent {half_extent:.3f} mm)"
+            f"sphere (max radius {max(radii):.6g} mm + ramp) exceeds grid bounds "
+            f"(half extent {half_extent:.6g} mm)"
         )
     if not np.isfinite(dist).all():
         raise ValidationError(f"voxel distances overflow at spacing {spacing} mm")
@@ -285,7 +297,10 @@ def make_sphere_series(pattern: GrowthPattern, grid_shape, spacing,
     frames = np.empty((n_frames, d, h, w), dtype=np.float32)
     meshes = []
     for i, r in enumerate(radii):
-        occupancy = np.clip((r + smoothing_mm / 2.0 - dist) / smoothing_mm, 0.0, 1.0)
+        # a subnormal width overflows the ramp to +-inf; the clip maps that
+        # to the 0/1 limit of a vanishing ramp
+        with np.errstate(over="ignore"):
+            occupancy = np.clip((r + smoothing_mm / 2.0 - dist) / smoothing_mm, 0.0, 1.0)
         frames[i] = occupancy.astype(np.float32)
         meshes.append(icosphere(r, center=center, subdivisions=subdivisions))
     if not (frames[0] > 0.0).any():

@@ -1,8 +1,12 @@
-"""Input contract: every malformed file ends in a documented exit code (CLI)
-or a FormatError / ValidationError (readers), never in a traceback."""
+"""Input contract: every malformed file or option value ends in a documented
+exit code (CLI) or a FormatError / ValidationError (readers), never in a
+traceback, and a run that succeeds writes only readable, finite numbers."""
 import contextlib
+import csv
 import io
 import itertools
+import json
+import math
 import shutil
 
 import numpy as np
@@ -12,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from cycleflow.cli import main
 from cycleflow.errors import FormatError, ValidationError
 from cycleflow.field import init_weights, load_checkpoint, save_checkpoint
-from cycleflow.mesh import read_obj, write_obj
+from cycleflow.mesh import icosphere, read_obj, write_obj
 from cycleflow.volume import Volume4D, read_v4d, write_v4d
 
 from conftest import (BAD_CHECKPOINTS, BAD_MESHES, BAD_VOLUMES, make_cube_mesh,
@@ -123,6 +127,14 @@ BAD_OPTION_VALUES = {
     "deform-inf-bounds": ("deform-bounds", ["--bounds=0,0,0,inf,inf,inf"]),
     "deform-overflowing-bounds": (
         "deform-bounds", ["--bounds=-1e308,-1e308,-1e308,1e308,1e308,1e308"]),
+    "gen-one-frame": ("gen", ["--frames=1"]),
+    "gen-one-voxel-grid": ("gen", ["--grid=1"]),
+    "gen-zero-spacing": ("gen", ["--spacing=0"]),
+    "gen-negative-smoothing": ("gen", ["--smoothing=-2"]),
+    "gen-negative-radius": ("gen", ["--radius=-1"]),
+    "gen-nan-periodic-amplitude": ("gen", ["--pattern=periodic", "--amplitude=nan"]),
+    "deform-zero-steps": ("deform", ["--steps=0"]),
+    "deform-underflowing-bounds": ("deform-bounds", ["--bounds=0,0,0,5e-324,5e-324,5e-324"]),
 }
 
 
@@ -133,6 +145,7 @@ def test_cli_rejects_an_out_of_range_option(good, tmp_path, case, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("extra", [["--spacing=1e300"],
@@ -142,6 +155,73 @@ def test_cli_rejects_an_out_of_range_option(good, tmp_path, case, capsys):
 def test_gen_refuses_a_blank_phantom(good, tmp_path, extra, capsys):
     out = tmp_path / "out"
     assert main(_command("gen", good, out) + extra) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spacing", ["1e308", "5e-324"])
+def test_a_volume_whose_world_bounds_overflow_is_a_data_error(good, tmp_path,
+                                                              spacing, capsys):
+    bad = rewrite_container(good["v4d"], tmp_path / "bad.v4d",
+                            header=lambda h: {**h, "spacing_mm": [float(spacing), 1, 1]})
+    for command in ("deform", "eval"):
+        out = tmp_path / command
+        assert main(_command(command, {**good, "v4d": bad}, out)) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
+def test_gen_with_a_subnormal_smoothing_writes_a_hard_mask(tmp_path):
+    # the ramp (r + w/2 - dist) / w overflows for w = 5e-324; the clip takes
+    # it to the 0/1 limit of a vanishing ramp, with no warning
+    out = tmp_path / "out"
+    assert main(["gen", "--grid", "8", "--frames", "3", "--radius", "1.5",
+                 "--amplitude", "0.4", "--smoothing", "5e-324",
+                 "--out-dir", str(out)]) == 0
+    frames = read_v4d(out / "volume.v4d").frames
+    assert np.isin(frames, [0.0, 1.0]).all()
+
+
+def test_gen_reports_a_huge_radius_in_a_short_line(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["gen", "--radius", "1e308", "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.splitlines()[0]) < 200
+    assert not out.exists()
+
+
+def _far_mesh_dir(good, tmp_path):
+    meshes = tmp_path / "meshes"
+    shutil.copytree(good["meshes"], meshes)
+    obj = meshes / "mesh_000.obj"
+    lines = obj.read_text().splitlines(keepends=True)
+    obj.write_text("v 1e300 0 0\n" + "".join(lines[1:]))
+    return meshes
+
+
+# a normalized seed past ~3.4e38 is inf in a float32 model, and one past
+# ~1.8e308 is inf in float64 already
+FAR_SEEDS = {
+    "deform-tiny-bounds": ["--bounds=0,0,0,1e-300,1e-300,1e-300"],
+    "deform-probes-at-time-zero": ["--times=0", "--probes=1",
+                                   "--bounds=0,0,0,10,10,1e-300"],
+    "deform-subnormal-bounds": ["--bounds=0,0,0,10,10,5e-323"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAR_SEEDS) + ["eval-far-vertex"])
+def test_seeds_overflowing_the_model_dtype_are_a_data_error(good, tmp_path, case,
+                                                            capsys):
+    out = tmp_path / "out"
+    if case in FAR_SEEDS:
+        argv = _command("deform-bounds", good, out) + FAR_SEEDS[case]
+    else:
+        argv = _command("eval", {**good, "meshes": _far_mesh_dir(good, tmp_path)},
+                        out)
+    assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
@@ -227,3 +307,111 @@ def test_gen_writes_readable_files_or_refuses_cleanly(tmp_path_factory):
             assert not out.exists()
 
     gen()
+
+
+def _csv_numbers(path, allow_nan=()):
+    """Every cell of a CSV file as a float; NaN only in the named columns."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows
+    for row in rows:
+        for key, cell in row.items():
+            value = float(cell)
+            assert math.isfinite(value) or (key in allow_nan and math.isnan(value)), \
+                (path.name, key, cell)
+
+
+def _json_numbers(value):
+    if isinstance(value, dict):
+        for v in value.values():
+            yield from _json_numbers(v)
+    elif isinstance(value, list):
+        for v in value:
+            yield from _json_numbers(v)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield value
+
+
+def _check_outputs(out, allow_nan=()):
+    """Every file a successful run left is readable and holds finite numbers."""
+    for path in out.iterdir():
+        if path.suffix == ".obj":
+            read_obj(path)
+        elif path.suffix == ".csv":
+            _csv_numbers(path, allow_nan)
+        elif path.suffix == ".json":
+            data = json.loads(path.read_text())
+            assert all(math.isfinite(v) for v in _json_numbers(data)), path.name
+            assert not any(v in ("nan", "inf", "-inf") for v in data.values()), path.name
+        else:
+            assert path.suffix == ".svg", path.name
+            text = path.read_text()
+            assert "nan" not in text and "inf" not in text, path.name
+
+
+def _run(argv, out, allow_nan=()):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv] + ["--out-dir", str(out)])
+    if code == 0:
+        _check_outputs(out, allow_nan)
+    else:
+        assert code in (2, 3, 4), err.getvalue()
+        assert err.getvalue().startswith("error: ")
+        assert "Traceback" not in err.getvalue()
+        assert not out.exists()
+
+
+def _mostly(lo, hi):
+    """A float from [lo, hi] seven times in eight, else a wild finite one."""
+    return st.integers(0, 7).flatmap(lambda k: st.floats(lo, hi) if k else _WILD)
+
+
+# the fixture's meshes lie inside 2..9 mm on every axis: bounds drawn from
+# these ranges hold them, wild ones mostly do not
+_LO, _HI = _mostly(-2.0, 1.0), _mostly(10.0, 14.0)
+
+
+def test_deform_writes_readable_files_or_refuses_cleanly(good, tmp_path_factory):
+    root = tmp_path_factory.mktemp("deform")
+    runs = itertools.count()
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(st.lists(_mostly(0.0, 1.0), min_size=1, max_size=3), st.booleans(),
+           st.lists(_LO, min_size=3, max_size=3), st.lists(_HI, min_size=3, max_size=3),
+           st.integers(1, 8), st.integers(0, 5))
+    def deform(times, wrap, lo, hi, steps, probes):
+        argv = ["deform", good["ckpt"], good["meshes"] / "mesh_000.obj",
+                "--times=" + ",".join(map(repr, times)),
+                "--bounds=" + ",".join(map(repr, lo + hi)),
+                "--steps", steps, "--probes", probes] + (["--wrap"] if wrap else [])
+        _run(argv, root / str(next(runs)))
+
+    deform()
+
+
+def test_eval_writes_readable_files_or_refuses_cleanly(good, tmp_path_factory):
+    root = tmp_path_factory.mktemp("eval")
+    runs = itertools.count()
+    # 162-vertex spheres: a scale that collapses mesh_000 to a point leaves the
+    # Hausdorff search nothing to prune, which costs V*F pairs per frame
+    sphere = icosphere(3.0, center=(5.5, 5.5, 5.5), subdivisions=2)
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 3), _mostly(0.5, 2.0), _mostly(-2.0, 2.0))
+    def evaluate(steps_per_frame, scale, shift):
+        run = next(runs)
+        meshes = root / f"meshes{run}"
+        meshes.mkdir()
+        for i in (1, 2):
+            write_obj(sphere, meshes / f"mesh_{i:03d}.obj")
+        with np.errstate(over="ignore", invalid="ignore"):
+            vertices = (sphere.vertices - 5.5) * scale + 5.5 + shift
+        with open(meshes / "mesh_000.obj", "w") as fh:
+            fh.writelines(f"v {x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in vertices)
+            fh.writelines(f"f {a} {b} {c}\n" for a, b, c in sphere.faces + 1)
+        argv = ["eval", good["ckpt"], good["v4d"], "--meshes", meshes,
+                "--no-psnr", "--steps-per-frame", steps_per_frame]
+        _run(argv, root / str(run), allow_nan=("psnr_db",))
+
+    evaluate()
