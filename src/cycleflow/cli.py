@@ -109,10 +109,10 @@ def cmd_fit(args) -> int:
     overrides = {f.name: getattr(args, f.name) for f in fields(FitConfig)}
     config = load_fit_config(args.config, overrides)
     volume = read_v4d(args.volume)
-    out = _out_dir(args)
     for key, val in sorted(asdict(config).items()):
         print(f"{key} = {val}")
     model, report = fit(volume, config)
+    out = _out_dir(args)
     if report.cycle_weight_ignored:
         print("note: cycle_weight is ignored because cycle_enabled is off")
     ckpt = os.path.join(out, "model.ckpt")

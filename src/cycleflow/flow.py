@@ -11,6 +11,14 @@ Every Euler step, taped or not, runs in the model's dtype: an f32
 checkpoint integrates in float32, an f64 one in float64.  The arrays
 returned to callers are float64, and their row 0 is the caller's seeds
 bit for bit.
+
+inverse_map, which backward-maps whole voxel grids for the PSNR warp,
+integrates its rows in near-equal blocks of _BLOCK to 2*_BLOCK - 1 rows and
+keeps only each block's endpoint, so its working set stays cache-sized.
+The blocks are bit-equal to one whole-batch pass: a row's matmul result
+does not depend on its batch once the batch is this long, while shorter
+batches (a ragged tail of fixed-size blocks, for one) can take other BLAS
+kernels and round differently.
 """
 from __future__ import annotations
 
@@ -23,6 +31,8 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError, NumericalError, ValidationError
 from .mesh import TriangleMesh
+
+_BLOCK = 4096  # least rows per inverse_map block: every block has 4096-8191
 
 
 @dataclass
@@ -144,10 +154,26 @@ def flow_at_frames(model, seeds, frame_times, steps_per_frame=1) -> np.ndarray:
 
 
 def inverse_map(model, targets, t: float, steps: int) -> np.ndarray:
-    """Approximate preimages under the flow: integrate backward from t to 0."""
+    """Approximate preimages under the flow: integrate backward from t to 0
+    in S uniform steps; returns the (B, 3) float64 endpoints.
+
+    The rows run through euler_path in max(1, B // _BLOCK) near-equal blocks
+    of _BLOCK to 2*_BLOCK - 1 rows (a shorter batch stays whole), each
+    keeping only its endpoints; no block is short enough for BLAS to switch
+    kernels, so the result is bit-equal to one unblocked pass.
+    """
+    targets = np.asarray(targets)
     if t == 0.0:
-        return np.asarray(targets, dtype=np.float64).copy()
-    return integrate(model, targets, t, 0.0, steps).endpoints
+        return targets.astype(np.float64)
+    if not np.isfinite(targets).all():
+        raise ValueError("non-finite seed positions")
+    times = np.linspace(t, 0.0, steps + 1)
+    out = np.empty(targets.shape)
+    stop = 0
+    for block in np.array_split(targets, max(1, len(targets) // _BLOCK)):
+        start, stop = stop, stop + len(block)
+        out[start:stop] = euler_path(model, block, times)[-1].value
+    return out
 
 
 def deform_mesh(model, mesh: TriangleMesh, times, steps: int,

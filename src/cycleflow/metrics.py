@@ -27,6 +27,9 @@ from .volume import DomainNormalizer, Volume4D, sample_trilinear
 _CHUNK = 32  # vertices per brute-force block: keeps the (B,T,3) temporaries in cache
 _BALL_BLOCK = 128  # vertices per ball query: at most 128*T candidates at once
 _PAIRS = 16384  # (vertex, triangle) pairs per kernel call
+# Hausdorff's barycentric projection multiplies squared edge lengths, fourth
+# powers of the coordinates: below 1e75 mm they stay finite in float64
+_MAX_MM = 1e75
 
 
 def _dot(x, y):
@@ -219,6 +222,13 @@ def _warped_first_frame(model, volume: Volume4D, frame_index: int,
     return vals.reshape(d, h, w).astype(np.float32)
 
 
+def _bounded(mesh: TriangleMesh, what: str) -> TriangleMesh:
+    if not np.abs(mesh.vertices).max(initial=0.0) < _MAX_MM:
+        raise ValidationError(f"{what} has a vertex coordinate of {_MAX_MM:g} mm "
+                              "or more: Hausdorff distances would overflow")
+    return mesh
+
+
 def evaluate_fit(model, volume: Volume4D, gt_meshes, steps_per_frame: int = 1,
                  with_psnr: bool = True, n_probes: int = 500,
                  probe_seed: int = 1234) -> EvalReport:
@@ -226,13 +236,17 @@ def evaluate_fit(model, volume: Volume4D, gt_meshes, steps_per_frame: int = 1,
 
     gt_meshes is a per-frame list; entries may be None where no reference
     exists (those frames get NaN HSD).  The first entry must be present —
-    it is the mesh that gets advected.
+    it is the mesh that gets advected.  Every vertex, given or deformed, must
+    lie within 1e75 mm of the origin on each axis.
     """
     n = volume.n_frames
     if len(gt_meshes) != n:
         raise ValidationError(f"need one mesh slot per frame ({n}), got {len(gt_meshes)}")
     if gt_meshes[0] is None:
         raise ValidationError("the frame-0 mesh is required")
+    for i, mesh in enumerate(gt_meshes):
+        if mesh is not None:
+            _bounded(mesh, f"mesh {i}")
     normalizer = DomainNormalizer.from_volume(volume)
     base = gt_meshes[0]
     seeds = normalizer.to_normalized(base.vertices)
@@ -243,8 +257,9 @@ def evaluate_fit(model, volume: Volume4D, gt_meshes, steps_per_frame: int = 1,
     gt_vols = np.full(n, math.nan)
     psnrs = np.full(n, math.nan)
     for i in range(n):
-        deformed = TriangleMesh(normalizer.to_world(track[:, i, :]),
-                                base.faces.copy())
+        deformed = _bounded(TriangleMesh(normalizer.to_world(track[:, i, :]),
+                                         base.faces.copy()),
+                            f"the mesh deformed to frame {i}")
         vols[i] = mesh_volume(deformed)
         if gt_meshes[i] is not None:
             hsd[i] = hausdorff(deformed, gt_meshes[i])

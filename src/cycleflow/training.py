@@ -27,6 +27,10 @@ from .volume import Volume4D, gather_trilinear
 SAMPLING_STRATEGIES = ("uniform", "foreground", "band")
 PRECISIONS = ("f32", "f64")
 LOSS_COLUMNS = ("epoch", "data_loss", "cycle_loss", "total_loss")
+# counts become array dimensions and enter float arithmetic; the seed does not
+_COUNTS = ("epochs", "points_per_epoch", "steps_per_frame", "hidden_layers",
+           "hidden_width")
+_MAX_COUNT = np.iinfo(np.intp).max
 
 
 @dataclass(frozen=True)
@@ -53,6 +57,9 @@ class FitConfig:
     precision: str = "f32"
 
     def __post_init__(self):
+        for name in _COUNTS:
+            if getattr(self, name) > _MAX_COUNT:
+                raise ConfigError(f"{name} must be at most {_MAX_COUNT}")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.seed < 0:
@@ -215,7 +222,10 @@ def fit(volume: Volume4D, config: FitConfig):
     for epoch in range(config.epochs):
         pts = sample_points(volume, config.points_per_epoch, config.sampling,
                             seed=(config.seed, epoch))
-        with ad.Tape() as tape:
+        # a wild omega, cycle weight or learning rate overflows somewhere in
+        # the step; the checks on the velocities, the loss and the weights
+        # report it, so the overflow itself need not warn
+        with ad.Tape() as tape, np.errstate(over="ignore", invalid="ignore"):
             total, data, cyc = total_loss(
                 model, volume, pts, config.cycle_weight, config.cycle_enabled,
                 config.steps_per_frame)
@@ -223,8 +233,11 @@ def fit(volume: Volume4D, config: FitConfig):
             if not math.isfinite(tv):
                 raise NumericalError(f"non-finite loss at epoch {epoch}")
             tape.backward(total)
-        adam_step([p.value for p in params], [p.grad for p in params],
-                  state, config.learning_rate)
+            adam_step([p.value for p in params], [p.grad for p in params],
+                      state, config.learning_rate)
+        if not all(np.isfinite(p.value).all() for p in params):
+            raise NumericalError(f"non-finite weights after epoch {epoch}: "
+                                 "the step overflowed the model dtype")
         data_hist.append(float(data.value))
         cycle_hist.append(float(cyc.value) if cyc is not None else 0.0)
         total_hist.append(tv)

@@ -135,6 +135,8 @@ BAD_OPTION_VALUES = {
     "gen-nan-periodic-amplitude": ("gen", ["--pattern=periodic", "--amplitude=nan"]),
     "deform-zero-steps": ("deform", ["--steps=0"]),
     "deform-underflowing-bounds": ("deform-bounds", ["--bounds=0,0,0,5e-324,5e-324,5e-324"]),
+    "fit-oversize-hidden-width": ("fit", ["--hidden-width=" + "9" * 400]),
+    "fit-oversize-points": ("fit", ["--points=" + "9" * 400]),
 }
 
 
@@ -193,12 +195,12 @@ def test_gen_reports_a_huge_radius_in_a_short_line(tmp_path, capsys):
     assert not out.exists()
 
 
-def _far_mesh_dir(good, tmp_path):
+def _far_mesh_dir(good, tmp_path, x="1e300"):
     meshes = tmp_path / "meshes"
     shutil.copytree(good["meshes"], meshes)
     obj = meshes / "mesh_000.obj"
     lines = obj.read_text().splitlines(keepends=True)
-    obj.write_text("v 1e300 0 0\n" + "".join(lines[1:]))
+    obj.write_text(f"v {x} 0 0\n" + "".join(lines[1:]))
     return meshes
 
 
@@ -222,6 +224,36 @@ def test_seeds_overflowing_the_model_dtype_are_a_data_error(good, tmp_path, case
         argv = _command("eval", {**good, "meshes": _far_mesh_dir(good, tmp_path)},
                         out)
     assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def f64_ckpt(good, tmp_path_factory):
+    """A float64 checkpoint, whose seeds do not overflow before 1e308."""
+    out = tmp_path_factory.mktemp("f64")
+    assert main(["fit", str(good["v4d"]), "--epochs", "1", "--points", "8",
+                 "--hidden-width", "16", "--hidden-layers", "1",
+                 "--precision", "f64", "--out-dir", str(out)]) == 0
+    return out / "model.ckpt"
+
+
+@pytest.mark.parametrize("case", ["vertex-1e200", "vertex-1e80", "wide-volume"])
+def test_eval_refuses_mesh_coordinates_that_overflow_hausdorff(good, f64_ckpt, tmp_path,
+                                                               case, capsys):
+    # Hausdorff's barycentric terms are fourth powers of the coordinates; a
+    # 1e90 mm voxel spacing carries the deformed mesh that far out
+    files = {**good, "ckpt": f64_ckpt}
+    if case == "wide-volume":
+        files["v4d"] = rewrite_container(
+            good["v4d"], tmp_path / "wide.v4d",
+            header=lambda h: {**h, "spacing_mm": [1e90, 1, 1]})
+    else:
+        files["meshes"] = _far_mesh_dir(good, tmp_path, case.split("-")[1])
+    out = tmp_path / "out"
+    assert main(_command("eval", files, out)) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
@@ -333,10 +365,13 @@ def _json_numbers(value):
 
 
 def _check_outputs(out, allow_nan=()):
-    """Every file a successful run left is readable and holds finite numbers."""
+    """Every file a successful run left is readable and holds finite numbers
+    (load_checkpoint refuses non-finite weights)."""
     for path in out.iterdir():
         if path.suffix == ".obj":
             read_obj(path)
+        elif path.suffix == ".ckpt":
+            load_checkpoint(path)
         elif path.suffix == ".csv":
             _csv_numbers(path, allow_nan)
         elif path.suffix == ".json":
@@ -415,3 +450,26 @@ def test_eval_writes_readable_files_or_refuses_cleanly(good, tmp_path_factory):
         _run(argv, root / str(run), allow_nan=("psnr_db",))
 
     evaluate()
+
+
+def test_fit_writes_readable_files_or_refuses_cleanly(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fit")
+    assert main(["gen", "--grid", "8", "--frames", "3", "--radius", "1.5",
+                 "--amplitude", "0.4", "--out-dir", str(root / "gen")]) == 0
+    runs = itertools.count()
+    # the float options range over every finite float; the sizes stay small,
+    # since a run costs time in proportion to them
+    floats = {k: st.one_of(st.floats(*r), _WILD) for k, r in
+              {"learning-rate": (1e-5, 1e-2), "omega": (1.0, 30.0),
+               "cycle-weight": (0.0, 4.0)}.items()}
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(st.fixed_dictionaries(floats), st.integers(1, 2), st.integers(1, 200),
+           st.integers(1, 16), st.integers(1, 2), st.sampled_from(["f32", "f64"]))
+    def fit(values, epochs, points, width, layers, precision):
+        argv = ["fit", root / "gen" / "volume.v4d", "--epochs", epochs,
+                "--points", points, "--hidden-width", width, "--hidden-layers", layers,
+                "--precision", precision] + [f"--{k}={v!r}" for k, v in values.items()]
+        _run(argv, root / str(next(runs)))
+
+    fit()

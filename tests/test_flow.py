@@ -3,6 +3,8 @@ composition, frame-time alignment, mesh advection, and gradient flow
 through the unrolled recursion."""
 import csv
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,13 +54,15 @@ class LinearField:
 
 
 class CountingField:
-    """Wraps a field and counts its evaluations (one per Euler step)."""
+    """Wraps a field and counts its evaluations (one per Euler step), with
+    the batch size of each."""
 
     def __init__(self, inner):
-        self.inner, self.dtype, self.calls = inner, inner.dtype, 0
+        self.inner, self.dtype, self.calls, self.rows = inner, inner.dtype, 0, []
 
     def __call__(self, x, t):
         self.calls += 1
+        self.rows.append(x.value.shape[0])
         return self.inner(x, t)
 
 
@@ -295,6 +299,73 @@ def test_inverse_map_undoes_constant_flow():
     model = ConstantField([0.25, 0.125, -0.5])
     fwd = integrate(model, seeds, 0.0, 0.75, steps=4)
     assert np.array_equal(inverse_map(model, fwd.endpoints, 0.75, 4), seeds)
+
+
+def _grid_centres(n):
+    axis = np.linspace(-1.0, 1.0, n)
+    gz, gy, gx = np.meshgrid(axis, axis, axis, indexing="ij")
+    return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
+
+
+def _acceptance_model():
+    return field.init_weights(7, field.default_layer_sizes(3, 128), omega=6.0)
+
+
+@pytest.mark.parametrize("rows,steps", [(110592, 1), (9000, 2), (4097, 2)],
+                         ids=["grid-48", "9000", "4097"])
+def test_inverse_map_blocks_equal_one_unblocked_pass(rows, steps):
+    model = _acceptance_model()
+    targets = (_grid_centres(48) if rows == 110592 else
+               np.random.default_rng(rows).uniform(-1.0, 1.0, (rows, 3)))
+    ref = euler_path(model, targets, np.linspace(0.75, 0.0, steps + 1))[-1].value
+    got = inverse_map(model, targets, 0.75, steps)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("rows", [1, 4095, 4096, 8191, 8192, 12287, 110592])
+def test_inverse_map_calls_the_field_on_blocks_of_4096_to_8191_rows(rows):
+    stub = CountingField(ConstantField([0.25, 0.25, 0.25]))
+    targets = np.zeros((rows, 3))
+    got = inverse_map(stub, targets, 0.5, steps=3)
+    assert np.array_equal(got, np.full((rows, 3), -0.125))
+    blocks = max(1, rows // 4096)
+    assert stub.calls == blocks * 3
+    assert sum(stub.rows) == rows * 3
+    if rows >= 4096:
+        assert all(4096 <= r <= 8191 for r in stub.rows)
+    else:
+        assert stub.rows == [rows] * 3
+
+
+def test_inverse_map_of_a_48_grid_peaks_under_20_mb():
+    model = _acceptance_model()
+    targets = _grid_centres(48)
+    tracemalloc.start()
+    try:
+        inverse_map(model, targets, 0.5, steps=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6
+
+
+def test_inverse_map_is_safe_to_run_concurrently():
+    model = _acceptance_model()
+    targets = np.random.default_rng(11).uniform(-1.0, 1.0, (9000, 3))
+    ref = inverse_map(model, targets, 0.5, steps=2)
+    results = [None, None]
+
+    def run(i):
+        results[i] = inverse_map(model, targets, 0.5, steps=2)
+
+    workers = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join(timeout=60)
+        assert not w.is_alive()
+    assert all(np.array_equal(r, ref) for r in results)
 
 
 # ----------------------------------------------------------- mesh advection

@@ -329,6 +329,19 @@ def test_fit_raises_on_non_finite_loss():
         fit(vol, tiny_config())
 
 
+def test_fit_raises_when_adam_overflows_the_weights():
+    # a step of 1e308 is past float32's range
+    with pytest.raises(NumericalError, match="non-finite weights after epoch 0"):
+        fit(tiny_volume(), tiny_config(learning_rate=1e308))
+
+
+@pytest.mark.parametrize("key", ["hidden_width", "points_per_epoch", "epochs",
+                                 "steps_per_frame", "hidden_layers"])
+def test_fit_config_rejects_counts_past_the_array_dimension_limit(key):
+    with pytest.raises(ConfigError, match=f"{key} must be at most"):
+        tiny_config(**{key: 2 ** 63})
+
+
 def _fit_peak_bytes(epochs):
     vol = tiny_volume(n_frames=9, n=16)
     cfg = tiny_config(epochs=epochs, points_per_epoch=500, hidden_width=64)
