@@ -126,9 +126,13 @@ class VelocityFieldModel:
         h = np.concatenate([pts.value, tcols], axis=1)
         saved = []  # (layer input, slope of its sine) per hidden layer
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            phase = self.omega * (h @ w.value + b.value)
+            phase = h @ w.value
+            phase += b.value
+            phase *= self.omega
             if taped:
-                saved.append((h, self.omega * np.cos(phase)))
+                slope = np.cos(phase)
+                slope *= self.omega
+                saved.append((h, slope))
             h = np.sin(phase, out=phase)  # the slope has already read phase
         w_out = self.weights[-1].value
         out = h @ w_out + self.biases[-1].value
@@ -137,7 +141,7 @@ class VelocityFieldModel:
             grads = [g.sum(axis=0), h.T @ g]  # parameter grads, last first
             g = g @ w_out.T
             for (x, slope), w in zip(reversed(saved), reversed(self.weights[:-1])):
-                g = g * slope
+                g *= slope  # g is a fresh matmul result
                 grads += [g.sum(axis=0), x.T @ g]
                 g = g @ w.value.T
             return [g[:, :3], *reversed(grads)]

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,16 +58,21 @@ def mesh_volume(mesh: TriangleMesh) -> float:
     n_open = boundary_edge_count(mesh)
     if n_open:
         raise ValidationError(f"open mesh: {n_open} boundary edges")
+    return signed_volume(mesh)
+
+
+def signed_volume(mesh: TriangleMesh) -> float:
+    """``mesh_volume`` without the closedness check, for meshes whose faces
+    are already known to be closed."""
     a = mesh.vertices[mesh.faces[:, 0]]
     b = mesh.vertices[mesh.faces[:, 1]]
     c = mesh.vertices[mesh.faces[:, 2]]
     return float(np.einsum("ij,ij->i", a, np.cross(b, c)).sum() / 6.0)
 
 
-def icosphere(radius: float, center=(0.0, 0.0, 0.0), subdivisions: int = 4) -> TriangleMesh:
-    """Subdivided icosahedron with all vertices on the sphere surface."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+@lru_cache(maxsize=None)
+def _unit_icosphere(subdivisions: int):
+    """Read-only (vertices, faces) of the subdivided unit icosahedron."""
     phi = (1.0 + np.sqrt(5.0)) / 2.0
     verts = np.array([
         [-1, phi, 0], [1, phi, 0], [-1, -phi, 0], [1, -phi, 0],
@@ -103,63 +109,80 @@ def icosphere(radius: float, center=(0.0, 0.0, 0.0), subdivisions: int = 4) -> T
         verts = np.array(verts_list)
         faces = np.array(new_faces, dtype=np.int64)
 
-    verts = verts * radius + np.asarray(center, dtype=np.float64)
-    return TriangleMesh(verts, faces)
+    verts.flags.writeable = False
+    faces.flags.writeable = False
+    return verts, faces
+
+
+def icosphere(radius: float, center=(0.0, 0.0, 0.0), subdivisions: int = 4) -> TriangleMesh:
+    """Subdivided icosahedron with all vertices on the sphere surface.
+
+    The unit sphere is built once per subdivision level and cached; each
+    call scales it into new arrays.
+    """
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    verts, faces = _unit_icosphere(subdivisions)
+    return TriangleMesh(verts * radius + np.asarray(center, dtype=np.float64),
+                        faces.copy())
 
 
 def write_obj(mesh: TriangleMesh, path):
     """ASCII OBJ with v/f records only; 9 significant digits per coordinate."""
+    v, f = mesh.vertices, mesh.faces + 1
     with open(path, "w", encoding="ascii") as fh:
-        for x, y, z in mesh.vertices:
-            fh.write(f"v {x:.9g} {y:.9g} {z:.9g}\n")
-        for a, b, c in mesh.faces + 1:
-            fh.write(f"f {a} {b} {c}\n")
+        fh.write("v %.9g %.9g %.9g\n" * len(v) % tuple(v.ravel().tolist()))
+        fh.write("f %d %d %d\n" * len(f) % tuple(f.ravel().tolist()))
 
 
 def read_obj(path) -> TriangleMesh:
     """Parse the v/f subset of OBJ; triangular faces only."""
-    verts, faces = [], []
+    verts, faces, face_lines = [], [], []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = line.split()
         kind = tokens[0]
         if kind == "v":
             if len(tokens) < 4:
                 raise FormatError(f"{path}:{lineno}: vertex needs 3 coordinates")
             try:
-                verts.append([float(t) for t in tokens[1:4]])
+                x, y, z = float(tokens[1]), float(tokens[2]), float(tokens[3])
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: bad vertex coordinate") from exc
-            if not all(map(math.isfinite, verts[-1])):
+            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
                 raise FormatError(f"{path}:{lineno}: non-finite vertex coordinate")
+            verts.append((x, y, z))
         elif kind == "f":
             if len(tokens) != 4:
                 raise FormatError(
                     f"{path}:{lineno}: only triangular faces are supported"
                 )
             try:
-                idx = [int(t.split("/")[0]) for t in tokens[1:4]]
+                a, b, c = (int(tokens[1].partition("/")[0]),
+                           int(tokens[2].partition("/")[0]),
+                           int(tokens[3].partition("/")[0]))
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: bad face index") from exc
-            if any(i <= 0 for i in idx):
+            if a <= 0 or b <= 0 or c <= 0:
                 raise FormatError(f"{path}:{lineno}: face index must be positive")
-            if len(set(idx)) < 3:
+            if a == b or b == c or a == c:
                 raise FormatError(f"{path}:{lineno}: degenerate face")
-            faces.append(([i - 1 for i in idx], lineno))
+            faces.append((a, b, c))
+            face_lines.append(lineno)
         # other record kinds (vn, vt, o, ...) are outside the subset: skipped
     if not verts or not faces:
         raise FormatError(f"{path}: no geometry")
-    for idx, lineno in faces:
-        if max(idx) >= len(verts):
-            raise FormatError(f"{path}:{lineno}: face index out of range")
-    return TriangleMesh(
-        np.asarray(verts, dtype=np.float64),
-        np.asarray([idx for idx, _ in faces], dtype=np.int64),
-    )
+    try:
+        idx = np.array(faces, dtype=np.int64)
+        bad = np.flatnonzero(idx.max(axis=1) > len(verts))
+    except OverflowError:  # an index past int64 addresses no vertex
+        bad = [k for k, face in enumerate(faces) if max(face) > len(verts)]
+    if len(bad):
+        raise FormatError(f"{path}:{face_lines[bad[0]]}: face index out of range")
+    return TriangleMesh(np.array(verts, dtype=np.float64), idx - 1)

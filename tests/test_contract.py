@@ -428,8 +428,10 @@ def test_deform_writes_readable_files_or_refuses_cleanly(good, tmp_path_factory)
 def test_eval_writes_readable_files_or_refuses_cleanly(good, tmp_path_factory):
     root = tmp_path_factory.mktemp("eval")
     runs = itertools.count()
-    # 162-vertex spheres: a scale that collapses mesh_000 to a point leaves the
-    # Hausdorff search nothing to prune, which costs V*F pairs per frame
+    # 162-vertex spheres keep each example short; a scale that collapses
+    # mesh_000 to a point puts every triangle in every ball query, and the
+    # Hausdorff early exit then refines about one block of vertices, not V*F
+    # pairs, per direction
     sphere = icosphere(3.0, center=(5.5, 5.5, 5.5), subdivisions=2)
 
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)

@@ -145,6 +145,41 @@ def test_velocity_matches_a_layer_by_layer_reference():
         assert np.array_equal(model(pts, 0.35).value, want)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_taped_call_matches_the_out_of_place_formula(dtype):
+    # the forward and backward passes work in place; outputs and gradients
+    # must equal the plain expressions bit for bit
+    model = tiny_model(seed=9, dtype=dtype, width=16, layers=3)
+    rng = np.random.default_rng(9)
+    for b in model.biases:  # they start at zero
+        b.value[:] = rng.uniform(-0.5, 0.5, b.value.shape)
+    pts = rng.uniform(-1, 1, size=(7, 3)).astype(dtype)
+    up = rng.normal(size=(7, 3)).astype(dtype)
+    c, s = encode_time(0.6, 1.0)
+    h = np.concatenate([pts, np.tile(np.array([c, s], dtype), (7, 1))], axis=1)
+    saved = []
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        phase = model.omega * (h @ w.value + b.value)
+        saved.append((h, model.omega * np.cos(phase)))
+        h = np.sin(phase)
+    want = h @ model.weights[-1].value + model.biases[-1].value
+    grads = [up.sum(axis=0), h.T @ up]
+    g = up @ model.weights[-1].value.T
+    for (x, slope), w in zip(reversed(saved), reversed(model.weights[:-1])):
+        g = g * slope
+        grads += [g.sum(axis=0), x.T @ g]
+        g = g @ w.value.T
+
+    points = ad.constant(pts)
+    with ad.Tape() as tape:
+        out = model(points, 0.6)
+        tape.backward(ad.sum_all(ad.mul(out, ad.constant(up))))
+    assert np.array_equal(out.value, want)
+    assert np.array_equal(points.grad, g[:, :3])
+    for p, want_grad in zip(model.parameters, reversed(grads)):
+        assert np.array_equal(p.grad, want_grad)
+
+
 def test_velocity_is_in_the_model_dtype():
     pts = np.random.default_rng(6).uniform(-1, 1, size=(9, 3))
     assert pts.dtype == np.float64

@@ -7,6 +7,7 @@ import pytest
 from cycleflow.errors import FormatError, ValidationError
 from cycleflow.mesh import (
     TriangleMesh,
+    _unit_icosphere,
     boundary_edge_count,
     icosphere,
     mesh_volume,
@@ -114,6 +115,26 @@ def test_icosphere_volume_near_analytic():
     assert abs(v - exact) / exact < 0.02
 
 
+def test_cached_icosphere_equals_a_fresh_build():
+    center = (24.0, 24.0, 24.0)
+    m = icosphere(19.0, center=center)
+    verts, faces = _unit_icosphere.__wrapped__(4)
+    assert np.array_equal(m.vertices, verts * 19.0 + np.asarray(center))
+    assert np.array_equal(m.faces, faces)
+    cached = _unit_icosphere(4)
+    assert not cached[0].flags.writeable and not cached[1].flags.writeable
+
+
+def test_icosphere_meshes_do_not_share_arrays():
+    first = icosphere(1.0, subdivisions=2)
+    first.vertices[:] = 0.0
+    first.faces[:] = 0
+    verts, faces = _unit_icosphere.__wrapped__(2)
+    again = icosphere(1.0, subdivisions=2)
+    assert np.array_equal(again.vertices, verts)
+    assert np.array_equal(again.faces, faces)
+
+
 def test_icosphere_rejects_bad_radius():
     with pytest.raises(ValueError):
         icosphere(0.0)
@@ -122,6 +143,24 @@ def test_icosphere_rejects_bad_radius():
 
 
 # ------------------------------------------------------------------- OBJ
+
+def _rowwise_obj(mesh):
+    """The OBJ text written one f-string per row."""
+    rows = [f"v {x:.9g} {y:.9g} {z:.9g}\n" for x, y, z in mesh.vertices]
+    rows += [f"f {a} {b} {c}\n" for a, b, c in mesh.faces + 1]
+    return "".join(rows).encode("ascii")
+
+
+@pytest.mark.parametrize("mesh", [
+    icosphere(19.0, center=(24.0, 24.0, 24.0)),
+    TriangleMesh([[-0.0, 5e-324, 1e300], [123456789.123, -1e-300, 0.1],
+                  [0.0, 1.0, -2.5e-7]], [[0, 1, 2]]),
+], ids=["acceptance-sphere", "extreme-values"])
+def test_write_obj_bytes_match_rowwise_formatting(tmp_path, mesh):
+    path = tmp_path / "mesh.obj"
+    write_obj(mesh, path)
+    assert path.read_bytes() == _rowwise_obj(mesh)
+
 
 def test_obj_round_trip(tmp_path):
     m = icosphere(9.25, center=(0.5, -0.25, 1.0), subdivisions=1)
@@ -182,6 +221,21 @@ def test_obj_rejects_out_of_range_face_index(tmp_path):
     path = tmp_path / "bad.obj"
     path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 9\n")
     with pytest.raises(FormatError, match=r"bad\.obj:4.*out of range"):
+        read_obj(path)
+
+
+def test_obj_reports_the_first_out_of_range_face(tmp_path):
+    path = tmp_path / "bad.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nf 1 2 3\nv 0 1 0\nf 1 2 4\n"
+                    f"f 1 2 {10 ** 30}\n")
+    with pytest.raises(FormatError, match=r"bad\.obj:5: face index out of range"):
+        read_obj(path)
+    path.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 {10 ** 30}\nf 1 2 4\n")
+    with pytest.raises(FormatError, match=r"bad\.obj:4: face index out of range"):
+        read_obj(path)
+    # the range is checked once the whole file has parsed
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 9\nv 0 0 x\n")
+    with pytest.raises(FormatError, match=r"bad\.obj:5: bad vertex coordinate"):
         read_obj(path)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import cycleflow.autodiff as ad
+import cycleflow.metrics as metrics
 from cycleflow.errors import ValidationError
 from cycleflow.metrics import (
     EvalReport,
@@ -178,7 +179,39 @@ def _mixed_size_pair():
                               "zero-area-triangle", "mixed-size-triangles"])
 def test_accelerated_matches_brute_on_edge_cases(make_pair):
     a, b = make_pair()
-    assert abs(hausdorff(a, b) - hausdorff_brute(a, b)) <= 1e-12
+    assert hausdorff(a, b) == hausdorff_brute(a, b)
+
+
+@pytest.mark.parametrize("seed,amp", [(0, 0.1), (1, 1.0), (2, 3.0), (4, 0.01)])
+def test_early_exit_equals_brute_on_perturbed_spheres(seed, amp):
+    # the early exit skips vertices by their upper bounds; the result must
+    # still be the exhaustive maximum, bit for bit, in both directions
+    center = np.array([24.0, 24.0, 24.0])
+    a = icosphere(19.0, center=center, subdivisions=3)
+    b = _smoothly_perturbed(a, center, seed=seed, amp=amp)
+    assert hausdorff(a, b) == hausdorff_brute(a, b)
+    assert metrics._directed_hausdorff_indexed(b, a) == \
+        metrics._directed_hausdorff_brute(b, a)
+
+
+def test_collapsed_mesh_refines_a_bounded_number_of_pairs(monkeypatch):
+    # a sphere scaled to a point puts every centroid in every ball query;
+    # without the early exit that is V*F kernel pairs per direction
+    sphere = icosphere(1.0)
+    dot = TriangleMesh(sphere.vertices * 1e-300, sphere.faces)
+    n_verts, n_faces = dot.vertices.shape[0], dot.faces.shape[0]
+    pairs = []
+    kernel = metrics._point_triangle_sq
+
+    def counting_kernel(p, tri):
+        pairs.append(math.prod(np.broadcast_shapes(p.shape[:-1], tri.shape[:-2])))
+        return kernel(p, tri)
+
+    monkeypatch.setattr(metrics, "_point_triangle_sq", counting_kernel)
+    assert hausdorff(dot, dot) == 0.0
+    # at most the k-nearest pass and one ball block per direction
+    assert sum(pairs) <= 2 * (8 * n_verts + metrics._BALL_BLOCK * n_faces)
+    assert sum(pairs) < n_verts * n_faces / 8
 
 
 def test_concentric_spheres_distance():
