@@ -1,14 +1,18 @@
 """Command-line front end: gen | fit | deform | eval.
 
-Every command writes its outputs plus a run manifest (config snapshot,
-input/output SHA-256 hashes, tool version, wall time) into the output
-directory, so runs are auditable and reproducible.
+Each command computes everything first; ``_finish`` then creates the output
+directory, runs the output writers in order and writes a run manifest
+(config snapshot, input/output SHA-256 hashes, tool version, wall time), so
+runs are auditable and a refused run leaves no directory.
 
 Option values are checked by the library functions they enter; only the
 CLI's own options (--times, the --bounds string, --probes, --volume and
---meshes) are checked here.  Exit codes: 0 success, else the exit_code of
-the CycleflowError raised (2 usage/config, 3 data/format, 4 numerical
-failure), or 3 for an unreadable file.
+--meshes) are checked here.  Numbers in flags, --times, --bounds and config
+files go through int() and float(), which read ``1_0`` as 10 and accept
+non-ASCII decimal digits.  Exit codes: 0 success, else the exit_code of the
+CycleflowError raised (2 usage/config, 3 data/format, 4 numerical failure),
+3 for an unreadable file, and 2 for options that ask for more memory than is
+available.
 """
 from __future__ import annotations
 
@@ -21,6 +25,7 @@ import sys
 import time
 import warnings
 from dataclasses import asdict, fields
+from functools import partial
 
 import numpy as np
 
@@ -47,7 +52,15 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir, command, config, seed, inputs, outputs, started):
+def _finish(args, command, config, seed, inputs, writers, started):
+    """Create --out-dir, run each (file name, writer(path)) pair in order,
+    then write manifest.json hashing the inputs and outputs; returns the
+    output paths."""
+    os.makedirs(args.out_dir, exist_ok=True)
+    outputs = []
+    for name, write in writers:
+        outputs.append(os.path.join(args.out_dir, name))
+        write(outputs[-1])
     manifest = {
         "tool": "cycleflow",
         "version": __version__,
@@ -55,19 +68,13 @@ def _write_manifest(out_dir, command, config, seed, inputs, outputs, started):
         "config": config,
         "seed": seed,
         "inputs": {str(p): _sha256(p) for p in inputs},
-        "outputs": {str(p): _sha256(p) for p in outputs},
+        "outputs": {p: _sha256(p) for p in outputs},
         "wall_time_s": time.perf_counter() - started,
     }
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w") as fh:
+    with open(os.path.join(args.out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
-
-
-def _out_dir(args) -> str:
-    os.makedirs(args.out_dir, exist_ok=True)
-    return args.out_dir
+    return outputs
 
 
 # ---------------------------------------------------------------------------
@@ -81,22 +88,16 @@ def cmd_gen(args) -> int:
     vol, meshes = make_sphere_series(
         pattern, args.grid, args.spacing, args.frames,
         smoothing_mm=args.smoothing)
-    out = _out_dir(args)
-    outputs = []
-    vpath = os.path.join(out, "volume.v4d")
-    write_v4d(vol, vpath)
-    outputs.append(vpath)
-    for i, mesh in enumerate(meshes):
-        mpath = os.path.join(out, f"mesh_{i:03d}.obj")
-        write_obj(mesh, mpath)
-        outputs.append(mpath)
+    writers = [("volume.v4d", partial(write_v4d, vol))] + [
+        (f"mesh_{i:03d}.obj", partial(write_obj, mesh))
+        for i, mesh in enumerate(meshes)]
     config = {
         "pattern": args.pattern, "grid": args.grid, "frames": args.frames,
         "spacing": args.spacing, "radius": args.radius, "rate": args.rate,
         "amplitude": args.amplitude, "smoothing": args.smoothing,
     }
-    _write_manifest(out, "gen", config, None, [], outputs, started)
-    print(f"wrote {len(outputs)} files to {out}")
+    outputs = _finish(args, "gen", config, None, [], writers, started)
+    print(f"wrote {len(outputs)} files to {args.out_dir}")
     return 0
 
 
@@ -112,19 +113,14 @@ def cmd_fit(args) -> int:
     for key, val in sorted(asdict(config).items()):
         print(f"{key} = {val}")
     model, report = fit(volume, config)
-    out = _out_dir(args)
     if report.cycle_weight_ignored:
         print("note: cycle_weight is ignored because cycle_enabled is off")
-    ckpt = os.path.join(out, "model.ckpt")
-    save_checkpoint(model, ckpt)
-    report.checkpoint_path = ckpt
-    loss_csv = os.path.join(out, "loss.csv")
-    write_loss_csv(report, loss_csv)
-    summary = os.path.join(out, "fit_summary.json")
-    write_fit_summary(report, summary)
+    report.checkpoint_path = os.path.join(args.out_dir, "model.ckpt")
     inputs = [args.volume] + ([args.config] if args.config else [])
-    _write_manifest(out, "fit", asdict(config), config.seed, inputs,
-                    [ckpt, loss_csv, summary], started)
+    _finish(args, "fit", asdict(config), config.seed, inputs,
+            [("model.ckpt", partial(save_checkpoint, model)),
+             ("loss.csv", partial(write_loss_csv, report)),
+             ("fit_summary.json", partial(write_fit_summary, report))], started)
     print(f"final total loss {report.total_loss[-1]:.6g} after {report.epochs} "
           f"epochs ({time.perf_counter() - started:.1f}s)")
     return 0
@@ -184,25 +180,19 @@ def cmd_deform(args) -> int:
     mesh = read_obj(args.mesh)
     normalizer = _bounds_from_args(args)
     deformed_meshes = deform_mesh(model, mesh, times, args.steps, normalizer)
+    writers = [(f"deformed_{i:03d}_t{t:.6f}.obj", partial(write_obj, deformed))
+               for i, (t, deformed) in enumerate(zip(times, deformed_meshes))]
     if args.probes > 0:
         seeds = normalizer.to_normalized(
             mesh.vertices[:: max(1, mesh.vertices.shape[0] // args.probes)])
         traj = integrate(model, seeds, 0.0, 1.0, args.steps)
-    out = _out_dir(args)
-    outputs = []
-    for i, (t, deformed) in enumerate(zip(times, deformed_meshes)):
-        mpath = os.path.join(out, f"deformed_{i:03d}_t{t:.6f}.obj")
-        write_obj(deformed, mpath)
-        outputs.append(mpath)
-    if args.probes > 0:
-        tpath = os.path.join(out, "trajectories.csv")
-        write_trajectory_csv(traj, tpath, normalizer)
-        outputs.append(tpath)
+        writers.append(("trajectories.csv", partial(
+            write_trajectory_csv, traj, normalizer=normalizer)))
     inputs = [args.checkpoint, args.mesh] + ([args.volume] if args.volume else [])
     config = {"times": times, "steps": args.steps, "wrap": args.wrap,
               "probes": args.probes}
-    _write_manifest(out, "deform", config, None, inputs, outputs, started)
-    print(f"wrote {len(outputs)} files to {out}")
+    outputs = _finish(args, "deform", config, None, inputs, writers, started)
+    print(f"wrote {len(outputs)} files to {args.out_dir}")
     return 0
 
 
@@ -244,39 +234,28 @@ def cmd_eval(args) -> int:
     report = evaluate_fit(model, volume, meshes,
                           steps_per_frame=args.steps_per_frame,
                           with_psnr=not args.no_psnr)
-    out = _out_dir(args)
-    outputs = []
-    csv_path = os.path.join(out, "eval.csv")
-    write_eval_csv(report, csv_path)
-    outputs.append(csv_path)
-    summary_path = os.path.join(out, "eval_summary.json")
-    write_eval_summary(report, summary_path)
-    outputs.append(summary_path)
-
     series = [("predicted", report.frame_times, report.volume_mm3)]
     if np.isfinite(report.gt_volume_mm3).sum() >= 2:
         keep = np.isfinite(report.gt_volume_mm3)
         series.append(("reference", report.frame_times[keep],
                        report.gt_volume_mm3[keep]))
-    svg_path = os.path.join(out, "volume_curve.svg")
-    line_plot(series, svg_path, title="Mesh volume over the cycle",
-              xlabel="t", ylabel="volume (mm^3)")
-    outputs.append(svg_path)
-
+    writers = [("eval.csv", partial(write_eval_csv, report)),
+               ("eval_summary.json", partial(write_eval_summary, report)),
+               ("volume_curve.svg", partial(
+                   line_plot, series, title="Mesh volume over the cycle",
+                   xlabel="t", ylabel="volume (mm^3)"))]
     if losses is not None:
-        loss_svg = os.path.join(out, "loss_history.svg")
-        line_plot(
+        writers.append(("loss_history.svg", partial(
+            line_plot,
             [("total", losses["epoch"], losses["total_loss"]),
              ("data", losses["epoch"], losses["data_loss"]),
              ("cycle", losses["epoch"], losses["cycle_loss"])],
-            loss_svg, title="Loss history", xlabel="epoch", ylabel="loss")
-        outputs.append(loss_svg)
-
+            title="Loss history", xlabel="epoch", ylabel="loss")))
     inputs = [args.checkpoint, args.volume] + \
         ([args.loss_csv] if args.loss_csv else [])
     config = {"meshes": args.meshes, "steps_per_frame": args.steps_per_frame,
               "no_psnr": args.no_psnr}
-    _write_manifest(out, "eval", config, None, inputs, outputs, started)
+    _finish(args, "eval", config, None, inputs, writers, started)
     print(f"mean HSD {report.mean_hsd_mm:.3f} mm, "
           f"periodicity error {report.periodicity_error_mm:.3f} mm")
     return 0
@@ -309,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sinusoid amplitude mm (periodic pattern)")
     p.add_argument("--smoothing", type=float, default=None,
                    help="boundary ramp width mm (default 2 voxels)")
-    p.add_argument("--out-dir", default=out_default)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("fit", help="fit a velocity field to a volume")
@@ -332,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycle", choices=("on", "off"), default=None,
                    dest="cycle_enabled",
                    help="enable/disable the cycle-return penalty")
-    p.add_argument("--out-dir", default=out_default)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("deform", help="advect a mesh to requested times")
@@ -352,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="world bounds x0,y0,z0,x1,y1,z1 (mm)")
     p.add_argument("--probes", type=int, default=0,
                    help="also write a trajectory CSV for ~this many vertices")
-    p.add_argument("--out-dir", default=out_default)
     p.set_defaults(func=cmd_deform)
 
     p = sub.add_parser("eval", help="score a fit against ground truth")
@@ -365,8 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip the warped-image PSNR (slow on big grids)")
     p.add_argument("--loss-csv", default=None,
                    help="loss history CSV to plot alongside")
-    p.add_argument("--out-dir", default=out_default)
     p.set_defaults(func=cmd_eval)
+    for p in sub.choices.values():
+        p.add_argument("--out-dir", default=out_default)
     return parser
 
 
@@ -384,6 +361,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("error: the options ask for more memory than is available",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -213,12 +213,10 @@ def deform_mesh(model, mesh: TriangleMesh, times, steps: int,
     return out
 
 
-def write_trajectory_csv(trajectory: Trajectory, path, normalizer=None):
-    """Dump a trajectory as point_id, step, t, x, y, z rows (world mm when a
-    normalizer is supplied, otherwise normalized coordinates)."""
-    pts = trajectory.points
-    if normalizer is not None:
-        pts = normalizer.to_world(pts.reshape(-1, 3)).reshape(pts.shape)
+def write_trajectory_csv(trajectory: Trajectory, path, normalizer):
+    """Dump a trajectory as point_id, step, t, x, y, z rows in world mm."""
+    shape = trajectory.points.shape
+    pts = normalizer.to_world(trajectory.points.reshape(-1, 3)).reshape(shape)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["point_id", "step", "t", "x", "y", "z"])

@@ -213,11 +213,11 @@ class EvalReport:
 
 
 def periodicity_error(model, normalizer: DomainNormalizer, steps: int,
-                      n_probes: int = 500, seed: int = 1234) -> float:
-    """Mean world-mm distance between probe points and their full-period
-    trajectory endpoints (zero for a perfectly periodic flow)."""
+                      seed: int = 1234) -> float:
+    """Mean world-mm distance between 500 random probe points and their
+    full-period trajectory endpoints (zero for a perfectly periodic flow)."""
     rng = np.random.default_rng(seed)
-    probes = rng.uniform(-1.0, 1.0, size=(n_probes, 3))
+    probes = rng.uniform(-1.0, 1.0, size=(500, 3))
     traj = integrate(model, probes, 0.0, model.period, steps)
     start = normalizer.to_world(traj.seeds)
     end = normalizer.to_world(traj.endpoints)
@@ -247,8 +247,7 @@ def _bounded(mesh: TriangleMesh, what: str) -> TriangleMesh:
 
 
 def evaluate_fit(model, volume: Volume4D, gt_meshes, steps_per_frame: int = 1,
-                 with_psnr: bool = True, n_probes: int = 500,
-                 probe_seed: int = 1234) -> EvalReport:
+                 with_psnr: bool = True) -> EvalReport:
     """Deform the t=0 mesh across the cycle and score it against ground truth.
 
     gt_meshes is a per-frame list; entries may be None where no reference
@@ -287,9 +286,7 @@ def evaluate_fit(model, volume: Volume4D, gt_meshes, steps_per_frame: int = 1,
                       _warped_first_frame(model, volume, i, steps_per_frame))
             psnrs[i] = psnr(warped, volume.frames[i])
 
-    period_err = periodicity_error(
-        model, normalizer, steps=(n - 1) * steps_per_frame,
-        n_probes=n_probes, seed=probe_seed)
+    period_err = periodicity_error(model, normalizer, steps=(n - 1) * steps_per_frame)
     return EvalReport(volume.frame_times.copy(), hsd, psnrs, vols, gt_vols,
                       period_err)
 

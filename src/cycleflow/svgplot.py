@@ -11,29 +11,30 @@ import numpy as np
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _MARGIN = dict(left=64, right=16, top=34, bottom=44)
+_WIDTH, _HEIGHT = 640, 420  # figure size in px
+_N_TICKS = 5  # at most this many ticks per axis
 
 
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _ticks(lo: float, hi: float, n: int = 5):
+def _ticks(lo: float, hi: float):
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    raw = span / max(1, n - 1)
+    raw = span / (_N_TICKS - 1)
     mag = 10.0 ** np.floor(np.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag
-        if span / step <= n:
+        if span / step <= _N_TICKS:
             break
     first = np.ceil(lo / step) * step
     vals = np.arange(first, hi + step * 0.5, step)
     return [float(v) for v in vals if lo - 1e-12 <= v <= hi + 1e-12]
 
 
-def line_plot(series, path, title="", xlabel="", ylabel="",
-              width: int = 640, height: int = 420):
+def line_plot(series, path, title="", xlabel="", ylabel=""):
     """Write an SVG plot of [(label, xs, ys), ...] line series."""
     if not series:
         raise ValueError("need at least one series")
@@ -60,8 +61,8 @@ def line_plot(series, path, title="", xlabel="", ylabel="",
     y_lo -= pad
     y_hi += pad
 
-    px0, px1 = _MARGIN["left"], width - _MARGIN["right"]
-    py0, py1 = height - _MARGIN["bottom"], _MARGIN["top"]
+    px0, px1 = _MARGIN["left"], _WIDTH - _MARGIN["right"]
+    py0, py1 = _HEIGHT - _MARGIN["bottom"], _MARGIN["top"]
 
     def to_px(xs, ys):
         fx = px0 + (xs - x_lo) / (x_hi - x_lo) * (px1 - px0)
@@ -70,13 +71,13 @@ def line_plot(series, path, title="", xlabel="", ylabel="",
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
     if title:
         parts.append(
-            f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
+            f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
             f'font-family="sans-serif" font-size="14">{escape(title)}</text>')
 
     # axes
@@ -97,7 +98,7 @@ def line_plot(series, path, title="", xlabel="", ylabel="",
         parts.append(f'<text x="{px0 - 8}" y="{fy[0] + 4:.1f}" text-anchor="end" '
                      f'font-family="sans-serif" font-size="11">{_fmt(ty)}</text>')
     if xlabel:
-        parts.append(f'<text x="{(px0 + px1) / 2:.1f}" y="{height - 8}" '
+        parts.append(f'<text x="{(px0 + px1) / 2:.1f}" y="{_HEIGHT - 8}" '
                      'text-anchor="middle" font-family="sans-serif" '
                      f'font-size="12">{escape(xlabel)}</text>')
     if ylabel:

@@ -31,6 +31,7 @@ LOSS_COLUMNS = ("epoch", "data_loss", "cycle_loss", "total_loss")
 _COUNTS = ("epochs", "points_per_epoch", "steps_per_frame", "hidden_layers",
            "hidden_width")
 _MAX_COUNT = np.iinfo(np.intp).max
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and eps
 
 
 @dataclass(frozen=True)
@@ -191,22 +192,21 @@ class AdamState:
                    [np.zeros_like(p) for p in params], 0)
 
 
-def adam_step(params, grads, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+def adam_step(params, grads, state: AdamState, lr: float):
     """Standard bias-corrected Adam update, in place on the param arrays."""
     if not (len(params) == len(grads) == len(state.m) == len(state.v)):
         raise ValueError("params/grads/state length mismatch")
     state.step += 1
-    bc1 = 1.0 - beta1 ** state.step
-    bc2 = 1.0 - beta2 ** state.step
+    bc1 = 1.0 - _BETA1 ** state.step
+    bc2 = 1.0 - _BETA2 ** state.step
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if p.shape != g.shape or p.shape != m.shape:
             raise ValueError(f"shape mismatch: param {p.shape} vs grad {g.shape}")
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * (g * g)
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
     return state
 
 
@@ -287,17 +287,21 @@ def load_fit_config(path=None, overrides=None) -> FitConfig:
     """
     values = {}
     if path is not None:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                text = line.split("#", 1)[0].strip()
-                if not text:
-                    continue
-                if "=" not in text:
-                    raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-                key, raw = (s.strip() for s in text.split("=", 1))
-                if key not in _CONFIG_TYPES:
-                    raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-                values[key] = _convert(key, raw)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+        for lineno, line in enumerate(lines, start=1):
+            text = line.split("#", 1)[0].strip()
+            if not text:
+                continue
+            if "=" not in text:
+                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+            key, raw = (s.strip() for s in text.split("=", 1))
+            if key not in _CONFIG_TYPES:
+                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            values[key] = _convert(key, raw)
     for key, val in (overrides or {}).items():
         if val is None:
             continue

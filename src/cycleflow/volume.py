@@ -201,18 +201,15 @@ class GrowthPattern:
     base_radius_mm: float
     rate: float = 0.0           # linear / exponential growth rate
     amplitude_mm: float = 0.0   # sinusoid amplitude for the periodic kind
-    period: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("linear", "exponential", "periodic"):
             raise ConfigError(f"unknown growth kind {self.kind!r}")
-        for name in ("base_radius_mm", "rate", "amplitude_mm", "period"):
+        for name in ("base_radius_mm", "rate", "amplitude_mm"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be a finite number")
         if self.base_radius_mm <= 0:
             raise ConfigError("base radius must be positive")
-        if self.period <= 0:
-            raise ConfigError("period must be positive")
         # radius must stay finite and positive over the whole cycle; linear
         # and exponential radii run monotonically from r0, so t=1 decides
         if self.kind != "periodic":
@@ -236,19 +233,18 @@ def radius_at(pattern: GrowthPattern, t: float) -> float:
         except OverflowError:
             r = math.inf
     else:
-        # wrap first so t=period reproduces t=0 bit-identically; the cycle
+        # wrap first so t=1 reproduces t=0 bit-identically; the cycle
         # starts at the minimum radius (cyclic acquisitions are conventionally
         # phase-aligned to an extremum), so r0 is the cycle-mean radius
-        frac = math.fmod(t, pattern.period)
-        r = r0 - pattern.amplitude_mm * math.cos(2.0 * math.pi * frac / pattern.period)
+        frac = math.fmod(t, 1.0)
+        r = r0 - pattern.amplitude_mm * math.cos(2.0 * math.pi * frac)
     if not 0.0 < r < math.inf:
         raise ConfigError(f"non-positive or non-finite radius {r} at t={t}")
     return r
 
 
 def make_sphere_series(pattern: GrowthPattern, grid_shape, spacing,
-                       n_frames: int, smoothing_mm: float | None = None,
-                       origin=(0.0, 0.0, 0.0), subdivisions: int = 4):
+                       n_frames: int, smoothing_mm: float | None = None):
     """Generate a soft-occupancy sphere sequence plus matching surface meshes.
 
     Each frame is 1 inside the sphere, 0 outside, with a linear ramp of the
@@ -270,16 +266,11 @@ def make_sphere_series(pattern: GrowthPattern, grid_shape, spacing,
     if not all(0.0 < v < math.inf for v in (*spacing, smoothing_mm)):
         raise ConfigError("spacing and smoothing width must be positive and finite")
 
-    ox, oy, oz = (float(v) for v in origin)
-    center = np.array([
-        ox + (w - 1) * sx / 2.0,
-        oy + (h - 1) * sy / 2.0,
-        oz + (d - 1) * sz / 2.0,
-    ])
+    center = np.array([(w - 1) * sx / 2.0, (h - 1) * sy / 2.0, (d - 1) * sz / 2.0])
     with np.errstate(over="ignore", invalid="ignore"):
-        zz = oz + sz * np.arange(d, dtype=np.float64)[:, None, None]
-        yy = oy + sy * np.arange(h, dtype=np.float64)[None, :, None]
-        xx = ox + sx * np.arange(w, dtype=np.float64)[None, None, :]
+        zz = sz * np.arange(d, dtype=np.float64)[:, None, None]
+        yy = sy * np.arange(h, dtype=np.float64)[None, :, None]
+        xx = sx * np.arange(w, dtype=np.float64)[None, None, :]
         dist = np.sqrt((xx - center[0]) ** 2 + (yy - center[1]) ** 2
                        + (zz - center[2]) ** 2)
 
@@ -302,12 +293,12 @@ def make_sphere_series(pattern: GrowthPattern, grid_shape, spacing,
         with np.errstate(over="ignore"):
             occupancy = np.clip((r + smoothing_mm / 2.0 - dist) / smoothing_mm, 0.0, 1.0)
         frames[i] = occupancy.astype(np.float32)
-        meshes.append(icosphere(r, center=center, subdivisions=subdivisions))
+        meshes.append(icosphere(r, center=center))
     if not (frames[0] > 0.0).any():
         raise ValidationError("no voxel centre lies inside the frame-0 sphere "
                               "or its ramp")
 
-    vol = Volume4D(frames, spacing, (ox, oy, oz), times)
+    vol = Volume4D(frames, spacing, (0.0, 0.0, 0.0), times)
     return vol, meshes
 
 

@@ -1,9 +1,14 @@
 import math
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cycleflow
 import cycleflow.autodiff as ad
 from cycleflow.container import read_container, write_container
 from cycleflow.mesh import TriangleMesh
@@ -19,6 +24,34 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+# Address-space cap of every run_cli child, as with `ulimit -v 4194304`.
+CHILD_ADDRESS_CAP = 4 << 30
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_CAP, CHILD_ADDRESS_CAP))
+
+
+def run_cli(argv, env=None):
+    """Run ``python -m cycleflow.cli argv`` in a child process whose address
+    space is capped at CHILD_ADDRESS_CAP bytes; returns the CompletedProcess
+    with text stdout and stderr.
+
+    The cap makes an oversize allocation fail at once with MemoryError.
+    Never run an oversize option value without it: under overcommit, a
+    request that fits in virtual memory but not in RAM gets the process
+    killed, and it takes memory from everything else on the machine.
+    ``env`` adds or replaces environment variables of the child.
+    """
+    src = str(Path(cycleflow.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "cycleflow.cli", *map(str, argv)],
+        env={**os.environ, "PYTHONPATH": path, **(env or {})},
+        preexec_fn=_cap_address_space, capture_output=True, text=True,
+        timeout=300)
 
 
 def fd_grad(f, x, eps=1e-6):

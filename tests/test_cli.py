@@ -2,6 +2,7 @@
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from cycleflow.cli import main
 from cycleflow.mesh import read_obj
 from cycleflow.volume import read_v4d
 
-from conftest import rewrite_container
+from conftest import rewrite_container, run_cli
 
 GEN_ARGS = ["gen", "--grid", "12", "--frames", "3", "--spacing", "1.0",
             "--radius", "3.0", "--pattern", "periodic", "--amplitude", "0.5"]
@@ -31,6 +32,10 @@ def run_fit(tmp_path, gen_dir, extra=()):
                 + ["--out-dir", str(out)])
     assert code == 0
     return out
+
+
+def sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 # -------------------------------------------------------------------- gen
@@ -299,6 +304,61 @@ def test_eval_requires_mesh_directory(tmp_path):
 
 
 # ------------------------------------------------------------------ misc
+
+def assert_out_dir_matches_manifest(out, inputs):
+    """The out-dir holds exactly the manifest's outputs plus manifest.json,
+    every hash matches its file, and the inputs are exactly ``inputs``."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(str(p) for p in out.iterdir()) == \
+        sorted([*manifest["outputs"], str(out / "manifest.json")])
+    assert sorted(manifest["inputs"]) == sorted(str(p) for p in inputs)
+    for path, digest in {**manifest["inputs"], **manifest["outputs"]}.items():
+        assert sha256(path) == digest, path
+
+
+def test_each_out_dir_holds_exactly_what_its_manifest_lists(tmp_path):
+    gen = run_gen(tmp_path)
+    assert_out_dir_matches_manifest(gen, [])
+    vol, mesh = gen / "volume.v4d", gen / "mesh_000.obj"
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text("cycle_weight = 0.5\n")
+    fit_dir = run_fit(tmp_path, gen, extra=["--config", str(cfg)])
+    assert_out_dir_matches_manifest(fit_dir, [vol, cfg])
+    ckpt, loss_csv = fit_dir / "model.ckpt", fit_dir / "loss.csv"
+    out = tmp_path / "def"
+    assert main(["deform", str(ckpt), str(mesh), "--times", "0.25,0.75",
+                 "--probes", "3", "--volume", str(vol), "--out-dir", str(out)]) == 0
+    assert (out / "trajectories.csv").exists()
+    assert_out_dir_matches_manifest(out, [ckpt, mesh, vol])
+    out = tmp_path / "eval"
+    assert main(["eval", str(ckpt), str(vol), "--meshes", str(gen),
+                 "--loss-csv", str(loss_csv), "--out-dir", str(out)]) == 0
+    assert (out / "loss_history.svg").exists()
+    assert_out_dir_matches_manifest(out, [ckpt, vol, loss_csv])
+
+
+def test_deform_and_eval_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a 64-wide network on a 16^3 grid gives GEMMs large enough for
+    # OpenBLAS to split them across threads
+    gen = run_gen(tmp_path, extra=["--grid", "16"])
+    fit_dir = run_fit(tmp_path, gen, extra=["--hidden-width", "64"])
+    ckpt, vol = fit_dir / "model.ckpt", gen / "volume.v4d"
+    commands = {"deform": ["deform", ckpt, gen / "mesh_000.obj", "--times",
+                           "0.3,0.8", "--probes", "50", "--volume", vol],
+                "eval": ["eval", ckpt, vol, "--meshes", gen]}
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        for name, argv in commands.items():
+            proc = run_cli(argv + ["--out-dir", out / name],
+                           env={"OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+        digests.append({p.relative_to(out).as_posix(): sha256(p)
+                        for p in out.rglob("*")
+                        if p.is_file() and p.name != "manifest.json"})
+    assert len(digests[0]) == 2 + 1 + 3  # 2 meshes, trajectories, eval's 3 files
+    assert digests[0] == digests[1]
+
 
 def test_version_and_usage(capsys):
     assert main(["--version"]) == 0

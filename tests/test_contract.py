@@ -8,19 +8,21 @@ import itertools
 import json
 import math
 import shutil
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cycleflow.cli import main
-from cycleflow.errors import FormatError, ValidationError
+from cycleflow.errors import ConfigError, FormatError, ValidationError
 from cycleflow.field import init_weights, load_checkpoint, save_checkpoint
 from cycleflow.mesh import icosphere, read_obj, write_obj
+from cycleflow.training import FitConfig, load_fit_config
 from cycleflow.volume import Volume4D, read_v4d, write_v4d
 
 from conftest import (BAD_CHECKPOINTS, BAD_MESHES, BAD_VOLUMES, make_cube_mesh,
-                      rewrite_container)
+                      rewrite_container, run_cli)
 
 GEN_ARGS = ["gen", "--grid", "12", "--frames", "3", "--spacing", "1.0",
             "--radius", "3.0", "--amplitude", "0.5"]
@@ -270,7 +272,70 @@ def test_fit_rejects_a_non_finite_config_file_value(good, tmp_path, line, capsys
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_fit_refuses_a_config_file_that_is_not_utf8(good, tmp_path, capsys):
+    config = tmp_path / "fit.cfg"
+    config.write_bytes(b"epochs = 2\n\xff\n")
+    out = tmp_path / "out"
+    assert main(_command("fit", good, out) + ["--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(config) in err and "UTF-8" in err
+    assert not out.exists()
+
+
+# each asks NumPy for far more than the child's 4 GiB address space:
+# 74.5 GiB, 745 GiB, 21.8 TiB and 37.3 GiB in its first large allocation
+OVERSIZE = {
+    "gen-grid": ["gen", "--grid", "100000", "--frames", "2"],
+    "gen-frames": ["gen", "--grid", "12", "--frames", "100000000000"],
+    "fit-points": ["fit", "{v4d}", "--points", "1000000000000"],
+    "fit-hidden-width": ["fit", "{v4d}", "--hidden-width", "1000000000"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZE))
+def test_an_oversize_request_exits_2_with_one_error_line(good, tmp_path, case):
+    out = tmp_path / "out"
+    argv = [str(good["v4d"]) if a == "{v4d}" else a for a in OVERSIZE[case]]
+    proc = run_cli(argv + ["--out-dir", out])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: the options ask for more memory than is available\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- fuzzing
+
+
+_KEYS = st.sampled_from([f.name for f in fields(FitConfig)])
+_VALUES = st.sampled_from(["2", "0", "-1", "1_0", "\u0663", "3e-5", "1e-320", "nan",
+                           "inf", "on", "off", "band", "f64", "", "1" + "0" * 30])
+_CONFIG_LINES = st.one_of(
+    st.builds(lambda k, v: f"{k} = {v}".encode(), _KEYS, _VALUES),
+    st.binary(max_size=24),  # mostly not UTF-8
+    st.builds(lambda k, n: f"{k} = ".encode() + b"9" * n, _KEYS,
+              st.integers(4000, 20000)),  # long lines, past int()'s digit limit
+    st.builds(lambda n: b"# " + b"x" * n, st.integers(0, 20000)),
+    st.sampled_from([b"\x00", b"epochs = 2\x00", b"# \xff\xfe", b"epochs = 2 # \xc3",
+                     b"\xef\xbb\xbfepochs = 2", b"=", b"epochs"]),
+)
+_CONFIG_FILES = st.lists(
+    st.tuples(_CONFIG_LINES, st.sampled_from([b"\n", b"\r", b"\r\n", b""])),
+    max_size=6).map(lambda pairs: b"".join(line + end for line, end in pairs))
+
+
+def test_config_file_bytes_load_or_refuse_cleanly(tmp_path):
+    path = tmp_path / "fit.cfg"
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(_CONFIG_FILES)
+    def load(data):
+        path.write_bytes(data)
+        try:
+            assert isinstance(load_fit_config(path), FitConfig)
+        except ConfigError:
+            pass
+
+    load()
 
 
 def _valid_files(root):

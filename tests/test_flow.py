@@ -523,14 +523,16 @@ def test_seed_gradient_through_integration_matches_fd():
 def test_trajectory_csv_round_trips_exact_floats(tmp_path):
     seeds = np.array([[0.1, -0.2, 0.3], [0.4, 0.5, -0.6]])
     traj = integrate(ConstantField([0.25, 0, 0]), seeds, 0.0, 1.0, steps=2)
+    norm = DomainNormalizer((0.0, -3.0, 1.0), (7.0, 5.0, 2.5))
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, path)
+    write_trajectory_csv(traj, path, norm)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["point_id", "step", "t", "x", "y", "z"]
     assert len(rows) == 1 + 2 * 3
     got = np.array([[float(r[3]), float(r[4]), float(r[5])] for r in rows[1:]])
-    assert np.array_equal(got.reshape(2, 3, 3), traj.points)
+    assert np.array_equal(got.reshape(2, 3, 3),
+                          norm.to_world(traj.points.reshape(-1, 3)).reshape(2, 3, 3))
 
 
 def test_trajectory_csv_world_units(tmp_path):
