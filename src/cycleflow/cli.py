@@ -201,11 +201,13 @@ def cmd_deform(args) -> int:
 
 
 def _load_gt_meshes(mesh_dir, n_frames):
-    """One mesh or None per frame; evaluate_fit refuses a missing mesh_000."""
+    """One mesh or None per frame (evaluate_fit refuses a missing mesh_000)
+    and the paths read."""
     if mesh_dir is None:
         raise ConfigError("eval needs --meshes pointing at mesh_NNN.obj files")
     paths = [os.path.join(mesh_dir, f"mesh_{i:03d}.obj") for i in range(n_frames)]
-    return [read_obj(p) if os.path.exists(p) else None for p in paths]
+    meshes = [read_obj(p) if os.path.exists(p) else None for p in paths]
+    return meshes, [p for p, m in zip(paths, meshes) if m is not None]
 
 
 def _read_loss_history(path):
@@ -229,7 +231,7 @@ def cmd_eval(args) -> int:
     started = time.perf_counter()
     model = load_checkpoint(args.checkpoint)
     volume = read_v4d(args.volume)
-    meshes = _load_gt_meshes(args.meshes, volume.n_frames)
+    meshes, mesh_paths = _load_gt_meshes(args.meshes, volume.n_frames)
     losses = _read_loss_history(args.loss_csv) if args.loss_csv else None
     report = evaluate_fit(model, volume, meshes,
                           steps_per_frame=args.steps_per_frame,
@@ -251,7 +253,7 @@ def cmd_eval(args) -> int:
              ("data", losses["epoch"], losses["data_loss"]),
              ("cycle", losses["epoch"], losses["cycle_loss"])],
             title="Loss history", xlabel="epoch", ylabel="loss")))
-    inputs = [args.checkpoint, args.volume] + \
+    inputs = [args.checkpoint, args.volume, *mesh_paths] + \
         ([args.loss_csv] if args.loss_csv else [])
     config = {"meshes": args.meshes, "steps_per_frame": args.steps_per_frame,
               "no_psnr": args.no_psnr}

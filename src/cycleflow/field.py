@@ -4,12 +4,15 @@ The model maps a batch of positions in the normalized cube plus one time
 value to one 3-D velocity per position.  With time encoding enabled the
 time enters as a point on the unit circle, which makes the field exactly
 periodic; with encoding disabled the raw time is appended instead (the
-non-periodic ablation mode).
+non-periodic ablation mode).  Large untaped calls use a second thread.
 """
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -25,6 +28,7 @@ CHECKPOINT_DTYPES = {"f32le": "<f4", "f64le": "<f8"}
 # positions may drift past the nominal [-1,1] cube during integration; the
 # MLP is defined everywhere, so evaluation proceeds with a logged warning
 DOMAIN_SLACK = 1.5
+_HALF = 4096  # least rows per half of a split call; flow.inverse_map says why
 
 
 def encode_time(t: float, period: float) -> tuple[float, float]:
@@ -102,6 +106,8 @@ class VelocityFieldModel:
         are the points and the parameters.  Per hidden layer it keeps the
         layer input and the sine's slope omega*cos(omega*z), taken from the
         same omega*z as the activation; its backward walks the layers once.
+        Untaped, 2 * _HALF rows or more run rows [n//2:] on the pool thread,
+        under the caller's np.errstate; taped calls stay whole for the gradients.
         """
         pts = points if isinstance(points, ad.Node) else ad.constant(points, self.dtype)
         if pts.value.ndim != 2 or pts.value.shape[1] != 3:
@@ -122,24 +128,23 @@ class VelocityFieldModel:
             tcols[:, 1] = s
         else:
             tcols = np.full((n, 1), t, dtype=dt)
-        taped = ad.recording()
         h = np.concatenate([pts.value, tcols], axis=1)
-        saved = []  # (layer input, slope of its sine) per hidden layer
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            phase = h @ w.value
-            phase += b.value
-            phase *= self.omega
-            if taped:
-                slope = np.cos(phase)
-                slope *= self.omega
-                saved.append((h, slope))
-            h = np.sin(phase, out=phase)  # the slope has already read phase
-        w_out = self.weights[-1].value
-        out = h @ w_out + self.biases[-1].value
+        out = np.empty((n, 3), dtype=dt)
+        saved = [] if ad.recording() else None
+        if saved is None and n >= 2 * _HALF:
+            k = n // 2
+            half = _pool.submit(contextvars.copy_context().run,
+                                self._layers, h[k:], None, out[k:])
+            try:
+                self._layers(h[:k], None, out[:k])
+            finally:
+                half.result()  # waits for the worker; re-raises its error here
+            return ad.constant(out)
+        h = self._layers(h, saved, out)
 
         def backward(g):
             grads = [g.sum(axis=0), h.T @ g]  # parameter grads, last first
-            g = g @ w_out.T
+            g = g @ self.weights[-1].value.T
             for (x, slope), w in zip(reversed(saved), reversed(self.weights[:-1])):
                 g *= slope  # g is a fresh matmul result
                 grads += [g.sum(axis=0), x.T @ g]
@@ -147,6 +152,31 @@ class VelocityFieldModel:
             return [g[:, :3], *reversed(grads)]
 
         return ad.record(out, (pts, *self.parameters), backward)
+
+    def _layers(self, h, saved, out):
+        """Velocities of rows h into out; returns the last activation.  Plain
+        NumPy only (nothing a profiler wraps), so the pool thread may run it."""
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            phase = h @ w.value
+            phase += b.value
+            phase *= self.omega
+            if saved is not None:
+                slope = np.cos(phase)
+                slope *= self.omega
+                saved.append((h, slope))
+            h = np.sin(phase, out=phase)  # the slope has already read phase
+        np.add(h @ self.weights[-1].value, self.biases[-1].value, out=out)
+        return h
+
+
+def _start_pool():  # one worker thread per process, started on the first submit
+    global _pool
+    _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="cycleflow-field")
+
+
+_start_pool()
+if hasattr(os, "register_at_fork"):  # a forked child has no copy of the thread
+    os.register_at_fork(after_in_child=_start_pool)
 
 
 def init_weights(seed: int, layer_sizes, omega: float, period: float = 1.0,

@@ -21,6 +21,7 @@ from .errors import ConfigError, FormatError, ValidationError
 from .mesh import TriangleMesh, icosphere
 
 V4D_MAGIC = b"V4DVOL01"
+_SAMPLE_BLOCK = 16384  # rows per trilinear kernel call in sample_trilinear
 
 
 @dataclass
@@ -170,12 +171,14 @@ def _trilinear_kernel(frame, pts, want_grad):
 
 
 def sample_trilinear(frame, points) -> np.ndarray:
-    """Trilinear intensities of one (D,H,W) frame at normalized points (B,3)."""
+    """Trilinear intensities of one (D,H,W) frame at normalized points (B,3),
+    in blocks of _SAMPLE_BLOCK rows; rows are independent, so blocks keep bits."""
     pts = np.atleast_2d(np.asarray(points))
     if not np.isfinite(pts).all():
         raise ValueError("non-finite sample point")
-    values, _ = _trilinear_kernel(frame, pts, want_grad=False)
-    return values
+    return np.concatenate([
+        _trilinear_kernel(frame, pts[i:i + _SAMPLE_BLOCK], want_grad=False)[0]
+        for i in range(0, max(1, len(pts)), _SAMPLE_BLOCK)])
 
 
 def gather_trilinear(frame, points: ad.Node) -> ad.Node:

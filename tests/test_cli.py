@@ -1,5 +1,7 @@
 """End-to-end command-line runs: artifacts, manifests, and exit codes."""
+import csv
 import hashlib
+import itertools
 import json
 import math
 from pathlib import Path
@@ -334,7 +336,8 @@ def test_each_out_dir_holds_exactly_what_its_manifest_lists(tmp_path):
     assert main(["eval", str(ckpt), str(vol), "--meshes", str(gen),
                  "--loss-csv", str(loss_csv), "--out-dir", str(out)]) == 0
     assert (out / "loss_history.svg").exists()
-    assert_out_dir_matches_manifest(out, [ckpt, vol, loss_csv])
+    assert_out_dir_matches_manifest(
+        out, [ckpt, vol, loss_csv, *(gen / f"mesh_{i:03d}.obj" for i in range(3))])
 
 
 def test_deform_and_eval_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
@@ -358,6 +361,25 @@ def test_deform_and_eval_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
                         if p.is_file() and p.name != "manifest.json"})
     assert len(digests[0]) == 2 + 1 + 3  # 2 meshes, trajectories, eval's 3 files
     assert digests[0] == digests[1]
+
+
+def test_psnr_eval_bytes_do_not_depend_on_blas_threads_or_hash_seed(tmp_path):
+    # a 24^3 grid is one warp block of 13824 voxels, which the field runs
+    # as two halves on two threads
+    gen = run_gen(tmp_path, extra=["--grid", "24"])
+    fit_dir = run_fit(tmp_path, gen, extra=["--hidden-width", "128"])
+    digests = set()
+    for threads, seed in itertools.product("12", "01"):
+        out = tmp_path / f"eval-{threads}-{seed}"
+        proc = run_cli(["eval", fit_dir / "model.ckpt", gen / "volume.v4d",
+                        "--meshes", gen, "--out-dir", out],
+                       env={"OPENBLAS_NUM_THREADS": threads, "PYTHONHASHSEED": seed})
+        assert proc.returncode == 0, proc.stderr
+        digests.add((sha256(out / "eval.csv"), sha256(out / "eval_summary.json")))
+    with open(out / "eval.csv", newline="") as fh:
+        psnrs = [float(row["psnr_db"]) for row in csv.DictReader(fh)]
+    assert all(math.isfinite(p) for p in psnrs[1:])
+    assert len(digests) == 1
 
 
 def test_version_and_usage(capsys):

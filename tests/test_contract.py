@@ -1,6 +1,7 @@
 """Input contract: every malformed file or option value ends in a documented
 exit code (CLI) or a FormatError / ValidationError (readers), never in a
 traceback, and a run that succeeds writes only readable, finite numbers."""
+import argparse
 import contextlib
 import csv
 import io
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cycleflow.cli import main
+from cycleflow.cli import _bounds_from_args, _parse_times, main
 from cycleflow.errors import ConfigError, FormatError, ValidationError
 from cycleflow.field import init_weights, load_checkpoint, save_checkpoint
 from cycleflow.mesh import icosphere, read_obj, write_obj
@@ -336,6 +337,46 @@ def test_config_file_bytes_load_or_refuse_cleanly(tmp_path):
             pass
 
     load()
+
+
+# one field of a --times or --bounds value: numbers in and out of range,
+# the spellings int() and float() accept (1_0, non-ASCII digits, padding),
+# non-finite values and free text
+_FIELDS = st.one_of(
+    st.sampled_from(["", " ", "0", "1", "-0.0", "0.25", " 0.5\t", "2", "-1",
+                     "1_0", "0_5", "\u0663", "\uff10.\uff15", "\u0660.\u0665",
+                     "nan", "-nan", "inf", "1e999", "-1e999", "1e-400", "5e-324",
+                     "1e308", "-1e308", "0x1", "1,0", "--", "1e", "\x00"]),
+    st.floats().map(repr),
+    st.text(max_size=6))
+# six fields, low corner first, so that some draws make valid bounds
+_CORNERS = st.tuples(
+    st.lists(st.sampled_from(["-1", " -0.5", "0", "-0.0", "-1e308", "-1_0"]),
+             min_size=3, max_size=3),
+    st.lists(st.sampled_from(["1_0", "\u0663", "\uff11\uff12 ", "0.5", "1e308",
+                              "1e999", "nan", "0"]), min_size=3, max_size=3))
+_FIELD_LISTS = st.one_of(st.lists(_FIELDS, max_size=8),
+                         _CORNERS.map(lambda c: c[0] + c[1])).map(",".join)
+
+
+def test_times_and_bounds_strings_parse_or_refuse_cleanly():
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(_FIELD_LISTS, st.booleans())
+    def parse(spec, wrap):
+        try:
+            times = _parse_times(spec, wrap)
+        except ConfigError:
+            pass
+        else:
+            assert times and all(0.0 <= t <= 1.0 for t in times)
+        try:
+            bounds = _bounds_from_args(argparse.Namespace(volume=None, bounds=spec))
+        except ConfigError:
+            pass
+        else:
+            assert np.all(bounds.half > 0) and np.isfinite(bounds.center).all()
+
+    parse()
 
 
 def _valid_files(root):

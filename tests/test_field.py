@@ -1,10 +1,13 @@
 import math
+import multiprocessing
+import sys
 import threading
 
 import numpy as np
 import pytest
 
 import cycleflow.autodiff as ad
+from cycleflow import field
 from cycleflow.errors import FormatError
 from cycleflow.field import (VelocityFieldModel, default_layer_sizes,
                              encode_time, init_weights, load_checkpoint,
@@ -221,6 +224,132 @@ def test_other_threads_do_not_record_on_an_active_tape():
         worker.join()
         assert len(tape) == 1
     assert np.array_equal(results[0], velocity(model, pts, 0.25))
+
+
+# --- two-thread split of large untaped calls -------------------------------
+
+_SPLIT_MODELS = {"f32": dict(dtype=np.float32), "f64": dict(dtype=np.float64),
+                 "raw-time": dict(dtype=np.float32, time_encoding=False)}
+
+
+@pytest.mark.parametrize("kind", list(_SPLIT_MODELS))
+@pytest.mark.parametrize("rows", [8191, 8192, 8193, 16383, 110592])
+def test_untaped_call_is_bit_equal_to_the_never_split_taped_call(rows, kind):
+    # 128 wide, as the acceptance networks are (some widths, such as 64, do
+    # round apart when split); one hidden layer keeps the taped 110592-row
+    # float64 reference near 250 MB
+    layers = 1 if rows == 110592 else 2
+    model = tiny_model(seed=12, width=128, layers=layers, **_SPLIT_MODELS[kind])
+    pts = np.random.default_rng(rows).uniform(-1, 1, size=(rows, 3))
+    with ad.Tape():
+        want = model(pts, 0.4).value
+    got = velocity(model, pts, 0.4)
+    assert got.dtype == want.dtype == model.dtype
+    assert np.array_equal(got, want)
+
+
+class SpyPool:
+    """Stands in for the field's worker pool and records each submission."""
+
+    def __init__(self, pool):
+        self.pool, self.submitted = pool, []
+
+    def submit(self, fn, *args):
+        self.submitted.append(len(args[1]))  # rows of the worker's half
+        return self.pool.submit(fn, *args)
+
+
+def test_only_large_untaped_calls_submit_to_the_pool(monkeypatch):
+    spy = SpyPool(field._pool)
+    monkeypatch.setattr(field, "_pool", spy)
+    model = tiny_model(seed=13, width=16)
+    rng = np.random.default_rng(13)
+    with ad.Tape():
+        model(rng.uniform(-1, 1, size=(20000, 3)), 0.1)
+    velocity(model, rng.uniform(-1, 1, size=(8191, 3)), 0.1)
+    assert spy.submitted == []
+    velocity(model, rng.uniform(-1, 1, size=(8192, 3)), 0.1)
+    velocity(model, rng.uniform(-1, 1, size=(9001, 3)), 0.1)
+    assert spy.submitted == [4096, 4501]
+
+
+def test_the_worker_half_runs_under_the_callers_errstate():
+    # float32 weights of 1e38 overflow the first layer, and sin(inf) is
+    # invalid: both halves must come back NaN without a warning, which the
+    # suite would turn into an error
+    model = tiny_model(seed=14, dtype=np.float32, width=16)
+    model.weights[0].value[:] = 1e38
+    pts = np.random.default_rng(14).uniform(0.5, 1.0, size=(9000, 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = velocity(model, pts, 0.2)
+    assert np.isnan(v[:4500]).all() and np.isnan(v[4500:]).all()
+
+
+def test_a_worker_error_is_raised_on_the_callers_thread():
+    model = tiny_model(seed=15, dtype=np.float32, width=16)
+    model.weights[0].value[:] = 1e38
+    pts = np.random.default_rng(15).uniform(0.5, 1.0, size=(9000, 3))
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(FloatingPointError):
+            velocity(model, pts, 0.2)
+    # the pool is still usable afterwards
+    model = tiny_model(seed=15, width=16)
+    with ad.Tape():
+        want = model(pts, 0.2).value
+    assert np.array_equal(velocity(model, pts, 0.2), want)
+
+
+def _pool_threads():
+    return sum(t.name.startswith("cycleflow-field") for t in threading.enumerate())
+
+
+def _velocity_into(queue, model, pts):
+    queue.put(velocity(model, pts, 0.7))
+
+
+def test_a_forked_child_builds_its_own_pool():
+    model = tiny_model(seed=16, width=32)
+    pts = np.random.default_rng(16).uniform(-1, 1, size=(9000, 3))
+    want = velocity(model, pts, 0.7)
+    assert _pool_threads() == 1  # the parent's worker thread is running
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_velocity_into, args=(queue, model, pts))
+    child.start()
+    try:
+        got = queue.get(timeout=60)  # drained before the join
+        child.join(timeout=60)
+        assert not child.is_alive()
+        assert child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join(timeout=10)
+    assert np.array_equal(got, want)
+
+
+def test_concurrent_callers_share_one_worker_thread():
+    model = tiny_model(seed=17, width=32)
+    pts = np.random.default_rng(17).uniform(-1, 1, size=(9000, 3))
+    with ad.Tape():
+        want = model(pts, 0.9).value
+    results = [None] * 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def run(i):
+            results[i] = velocity(model, pts, 0.9)
+
+        workers = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+            assert not w.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert _pool_threads() == 1
+    assert all(np.array_equal(r, want) for r in results)
 
 
 def test_model_validates_construction():

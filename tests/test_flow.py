@@ -323,17 +323,17 @@ def test_inverse_map_blocks_equal_one_unblocked_pass(rows, steps):
     assert np.array_equal(got, ref)
 
 
-@pytest.mark.parametrize("rows", [1, 4095, 4096, 8191, 8192, 12287, 110592])
-def test_inverse_map_calls_the_field_on_blocks_of_4096_to_8191_rows(rows):
+@pytest.mark.parametrize("rows", [1, 8191, 8192, 16383, 16384, 24575, 110592])
+def test_inverse_map_calls_the_field_on_blocks_of_8192_to_16383_rows(rows):
     stub = CountingField(ConstantField([0.25, 0.25, 0.25]))
     targets = np.zeros((rows, 3))
     got = inverse_map(stub, targets, 0.5, steps=3)
     assert np.array_equal(got, np.full((rows, 3), -0.125))
-    blocks = max(1, rows // 4096)
+    blocks = max(1, rows // 8192)
     assert stub.calls == blocks * 3
     assert sum(stub.rows) == rows * 3
-    if rows >= 4096:
-        assert all(4096 <= r <= 8191 for r in stub.rows)
+    if rows >= 8192:
+        assert all(8192 <= r <= 16383 for r in stub.rows)
     else:
         assert stub.rows == [rows] * 3
 

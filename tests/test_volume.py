@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,28 @@ def test_sampling_rejects_nonfinite():
     vol = make_volume()
     with pytest.raises(ValueError, match="non-finite"):
         sample_trilinear(vol.frames[0], np.array([[np.inf, 0, 0]]))
+
+
+@pytest.mark.parametrize("rows", [1, 16384, 16385, 110592])
+def test_sampling_in_blocks_equals_one_whole_batch_gather(rows):
+    frame = np.random.default_rng(rows).uniform(0, 1, (48, 40, 32)).astype(np.float32)
+    pts = np.random.default_rng(rows + 1).uniform(-1.1, 1.1, size=(rows, 3))
+    got = sample_trilinear(frame, pts)
+    want = gather_trilinear(frame, ad.constant(pts)).value  # untaped: one call
+    assert got.dtype == want.dtype == np.float64
+    assert np.array_equal(got, want)
+
+
+def test_sampling_a_48_grid_peaks_under_8_mb():
+    frame = np.random.default_rng(4).uniform(0, 1, (48, 48, 48)).astype(np.float32)
+    pts = np.random.default_rng(5).uniform(-1, 1, size=(48 ** 3, 3))
+    tracemalloc.start()
+    try:
+        sample_trilinear(frame, pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
 
 
 # --- domain normalizer ----------------------------------------------------
