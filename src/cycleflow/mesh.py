@@ -127,12 +127,19 @@ def icosphere(radius: float, center=(0.0, 0.0, 0.0), subdivisions: int = 4) -> T
                         faces.copy())
 
 
+@lru_cache(maxsize=1)
+def _face_block(faces: bytes) -> str:
+    f = np.frombuffer(faces, dtype=np.int64) + 1
+    return "f %d %d %d\n" * (len(f) // 3) % tuple(f.tolist())
+
+
 def write_obj(mesh: TriangleMesh, path):
-    """ASCII OBJ with v/f records only; 9 significant digits per coordinate."""
-    v, f = mesh.vertices, mesh.faces + 1
+    """ASCII OBJ with v/f records only; 9 significant digits per coordinate.
+    The face block is formatted once per run of meshes with equal faces."""
+    v = mesh.vertices
     with open(path, "w", encoding="ascii") as fh:
         fh.write("v %.9g %.9g %.9g\n" * len(v) % tuple(v.ravel().tolist()))
-        fh.write("f %d %d %d\n" * len(f) % tuple(f.ravel().tolist()))
+        fh.write(_face_block(mesh.faces.astype(np.int64).tobytes()))
 
 
 def read_obj(path) -> TriangleMesh:

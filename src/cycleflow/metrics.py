@@ -4,12 +4,12 @@ Hausdorff is symmetric vertex-to-surface: each vertex of one mesh is
 measured against the exact nearest point on any triangle of the other.
 Two interchangeable routes share one point-triangle kernel: a brute-force
 all-pairs scan, and a KD-tree search that prunes triangles without changing
-the result.  The KD-tree route is batched — one k-nearest query, one ball
-query per block of vertices, and the kernel over the flattened (vertex,
-triangle) candidate pairs — and is validated against the brute one.  It
-also exits early: blocks are refined in descending order of the k-nearest
-upper bound and the search stops once no bound left exceeds the largest
-exact distance found (the early break of Taha & Hanbury, TPAMI 2015).
+the result.  The KD-tree route is batched — one nearest-centroid query, one
+ball query per block of vertices, and the kernel over the flattened (vertex,
+triangle) candidate pairs — and is validated against the brute one.  It exits
+early: blocks are refined in descending order of the nearest-centroid upper
+bound and the search stops once no bound left exceeds the largest exact
+distance found (the early break of Taha & Hanbury, TPAMI 2015).
 """
 from __future__ import annotations
 
@@ -109,17 +109,17 @@ def hausdorff_brute(a: TriangleMesh, b: TriangleMesh) -> float:
 def _directed_hausdorff_indexed(a: TriangleMesh, b: TriangleMesh) -> float:
     """Directed Hausdorff using a KD-tree over triangle centroids of b.
 
-    Exact distances to the k nearest-centroid triangles give each vertex an
-    upper bound d.  No point of a triangle is farther from its centroid than
-    its farthest corner, at most r_max away, so a triangle whose surface
-    comes closer than d has its centroid within d + r_max: one ball query
-    per block of vertices yields candidates that provably include the true
-    nearest triangle (1e-12 absorbs rounding in the tree's comparison).  The
-    ragged candidate lists are flattened to (vertex, triangle) pairs,
-    evaluated in fixed-size blocks and reduced to a per-vertex minimum; a
-    pair seen twice cannot change a minimum.  Each pair goes through the
-    brute-force scan's kernel with the same arithmetic, so both routes
-    return the same value.
+    The exact distance to the triangle with the nearest centroid gives each
+    vertex an upper bound d.  No point of a triangle is farther from its
+    centroid than its farthest corner, at most r_max away, so a triangle
+    whose surface comes closer than d has its centroid within d + r_max: one
+    ball query per block of vertices yields candidates that provably include
+    the true nearest triangle (1e-12 absorbs rounding in the tree's
+    comparison).  The ragged candidate lists are flattened to (vertex,
+    triangle) pairs, evaluated in fixed-size blocks and reduced to a
+    per-vertex minimum; a pair seen twice cannot change a minimum.  Each
+    pair goes through the brute-force scan's kernel with the same
+    arithmetic, so both routes return the same value.
 
     Only the maximum is wanted, so vertices are refined in blocks in
     descending order of d, and the search stops before the first block
@@ -134,10 +134,7 @@ def _directed_hausdorff_indexed(a: TriangleMesh, b: TriangleMesh) -> float:
     r_max = float(np.sqrt(((tri - centroids[:, None, :]) ** 2).sum(axis=2)).max())
     tree = cKDTree(centroids)
     pts = a.vertices
-    k = min(8, tri.shape[0])
-    _, near = tree.query(pts, k=k)
-    best = _point_triangle_sq(pts[:, None, :],
-                              tri[near.reshape(pts.shape[0], k)]).min(axis=1)
+    best = _point_triangle_sq(pts, tri[tree.query(pts)[1]])
     reach = np.sqrt(best) + r_max + 1e-12
     order = np.argsort(-best, kind="stable")
     bound = best[order]  # upper bounds, before refinement lowers best

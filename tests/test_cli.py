@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -380,6 +381,32 @@ def test_psnr_eval_bytes_do_not_depend_on_blas_threads_or_hash_seed(tmp_path):
         psnrs = [float(row["psnr_db"]) for row in csv.DictReader(fh)]
     assert all(math.isfinite(p) for p in psnrs[1:])
     assert len(digests) == 1
+
+
+def test_whole_chain_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    # gen, fit, deform and eval each in a fresh process under two hash
+    # seeds, into the same paths (fit_summary.json names the checkpoint)
+    out = tmp_path / "chain"
+    gen, fit = out / "gen", out / "fit"
+    vol, ckpt = gen / "volume.v4d", fit / "model.ckpt"
+    stages = [[*GEN_ARGS, "--out-dir", gen],
+              ["fit", vol, *FIT_ARGS, "--out-dir", fit],
+              ["deform", ckpt, gen / "mesh_000.obj", "--times", "0.3,0.8",
+               "--probes", "5", "--volume", vol, "--out-dir", out / "deform"],
+              ["eval", ckpt, vol, "--meshes", gen, "--loss-csv", fit / "loss.csv",
+               "--out-dir", out / "eval"]]
+    digests = []
+    for seed in "01":
+        for argv in stages:
+            proc = run_cli(argv, env={"PYTHONHASHSEED": seed})
+            assert proc.returncode == 0, proc.stderr
+        digests.append({p.relative_to(out).as_posix(): sha256(p)
+                        for p in out.rglob("*")
+                        if p.is_file() and p.name != "manifest.json"})
+        shutil.rmtree(out)
+    # gen 4, fit 3, deform 3, eval 4
+    assert len(digests[0]) == 14
+    assert digests[0] == digests[1]
 
 
 def test_version_and_usage(capsys):

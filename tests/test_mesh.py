@@ -162,6 +162,21 @@ def test_write_obj_bytes_match_rowwise_formatting(tmp_path, mesh):
     assert path.read_bytes() == _rowwise_obj(mesh)
 
 
+def test_write_obj_never_reuses_a_stale_face_block(tmp_path):
+    # A, B with other faces, A after an in-place edit of its faces, and A
+    # after a second edit: each file matches the rows of the mesh it wrote
+    a, b = icosphere(2.0, subdivisions=1), icosphere(3.0, subdivisions=2)
+    written, expected = [], []
+    for mesh, edit in ((a, False), (b, False), (a, True), (a, True)):
+        if edit:
+            a.faces[:] = np.roll(a.faces, 1, axis=0)
+        path = tmp_path / f"{len(written)}.obj"
+        write_obj(mesh, path)
+        written.append(path.read_bytes())
+        expected.append(_rowwise_obj(mesh))
+    assert written == expected
+
+
 def test_obj_round_trip(tmp_path):
     m = icosphere(9.25, center=(0.5, -0.25, 1.0), subdivisions=1)
     path = tmp_path / "mesh.obj"

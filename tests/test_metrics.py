@@ -142,7 +142,8 @@ def _far_apart_pair():
 
 
 def _one_triangle_pair():
-    # k = 1: the k-nearest query returns a single index per vertex
+    # one triangle: its centroid is every vertex's nearest, and every ball
+    # query returns it alone
     return (icosphere(1.0, center=(0.2, 0.1, 0.5), subdivisions=1),
             TriangleMesh([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.5, 0.0]],
                          [[0, 1, 2]]))
@@ -172,11 +173,40 @@ def _mixed_size_pair():
     return TriangleMesh(corners, [[0, 1, 2]]), b
 
 
+def _sliver_fan_pair():
+    # b fans 24 slivers out of the origin, 30 and 1 mm long in turn; a is a
+    # disc 0.5 mm above it with an inner ring of radius 3 mm.  From each
+    # inner-ring vertex the nearest centroid is a 1 mm sliver's, whose
+    # surface is 2 mm away, while a 30 mm sliver passes within 1 mm: the
+    # maximum comes from a triangle the ball query alone finds
+    ang = np.arange(24) * (2.0 * math.pi / 24)
+    u = np.stack([np.cos(ang), np.sin(ang), np.zeros(24)], axis=1)
+    side = 0.05 * np.stack([-u[:, 1], u[:, 0], np.zeros(24)], axis=1)
+    tip = np.where(np.arange(24) % 2 == 0, 30.0, 1.0)[:, None] * u
+    b = TriangleMesh(np.concatenate([[[0.0, 0.0, 0.0]], tip + side, tip - side]),
+                     [[0, 1 + i, 25 + i] for i in range(24)])
+    # a: centre 0, inner ring 1-24, rim 25-36 above the long slivers' ends
+    faces = [[0, 1 + i, 1 + (i + 1) % 24] for i in range(24)]
+    for j in range(12):
+        i0, i1, i2 = 1 + 2 * j, 2 + 2 * j, 1 + (2 * j + 2) % 24
+        r0, r1 = 25 + j, 25 + (j + 1) % 12
+        faces += [[i0, r0, i1], [i1, r0, r1], [i1, r1, i2]]
+    lift = [0.0, 0.0, 0.5]
+    a = TriangleMesh(np.concatenate([[lift], 3.0 * u + lift, 30.0 * u[::2] + lift]),
+                     faces)
+    tri = b.vertices[b.faces]
+    sq = metrics._point_triangle_sq(a.vertices[:, None], tri[None])
+    near = ((a.vertices[:, None] - tri.mean(axis=1)) ** 2).sum(axis=2).argmin(axis=1)
+    assert (sq[np.arange(len(sq)), near] > 4.0 * sq.min(axis=1)).sum() >= 24
+    return a, b
+
+
 @pytest.mark.parametrize("make_pair", [_acceptance_pair, _far_apart_pair,
                                        _one_triangle_pair, _zero_area_pair,
-                                       _mixed_size_pair],
+                                       _mixed_size_pair, _sliver_fan_pair],
                          ids=["acceptance-scale", "far-apart", "one-triangle",
-                              "zero-area-triangle", "mixed-size-triangles"])
+                              "zero-area-triangle", "mixed-size-triangles",
+                              "sliver-fan"])
 def test_accelerated_matches_brute_on_edge_cases(make_pair):
     a, b = make_pair()
     assert hausdorff(a, b) == hausdorff_brute(a, b)
@@ -209,8 +239,8 @@ def test_collapsed_mesh_refines_a_bounded_number_of_pairs(monkeypatch):
 
     monkeypatch.setattr(metrics, "_point_triangle_sq", counting_kernel)
     assert hausdorff(dot, dot) == 0.0
-    # at most the k-nearest pass and one ball block per direction
-    assert sum(pairs) <= 2 * (8 * n_verts + metrics._BALL_BLOCK * n_faces)
+    # at most the nearest-centroid pass and one ball block per direction
+    assert sum(pairs) <= 2 * (n_verts + metrics._BALL_BLOCK * n_faces)
     assert sum(pairs) < n_verts * n_faces / 8
 
 
