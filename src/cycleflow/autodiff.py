@@ -1,13 +1,11 @@
-"""Minimal reverse-mode gradient engine over dense numpy arrays.
+"""Minimal reverse-mode tape over dense numpy arrays.
 
-The operation set is fixed and matches exactly what the motion-estimation
-loss graph needs besides its two fused nodes: elementwise arithmetic,
-scaling by a constant, and reductions.  The elementwise ops require
-conforming shapes (no broadcasting), so each backward rule stays
-individually testable.  The two fused nodes record onto the same tape
-through ``record``: the whole sine MLP (field module) and the
-differentiable trilinear gather (volume module).  The tape, not the
-nodes, holds the graph's edges, and ``Tape.backward`` spends them.
+It holds no operation set.  Each record is one fused kernel of the fixed
+motion-estimation graph, recorded through ``record`` with its backward next
+to its forward: the whole sine MLP (field module), the Euler step (flow
+module), the trilinear gather (volume module) and the objective (training
+module).  The tape, not the nodes, holds the graph's edges, and
+``Tape.backward`` spends them.
 """
 from __future__ import annotations
 
@@ -15,7 +13,7 @@ import contextvars
 
 import numpy as np
 
-# per thread (and per task), so a tape records only its own thread's ops
+# per thread (and per task), so a tape records only its own thread's kernels
 _active_tape = contextvars.ContextVar("active_tape", default=None)
 
 
@@ -69,7 +67,7 @@ def _accumulate(node: Node, contribution):
 
 
 class Tape:
-    """The graph: one (node, parents, backward) record per executed op.
+    """The graph: one (node, parents, backward) record per executed kernel.
 
     Single-owner: only one tape may record at a time in a thread (enforced
     on entry); other threads never record onto it.
@@ -123,52 +121,3 @@ class Tape:
         for leaf in leaves.values():
             if leaf.grad is None:
                 leaf.grad = np.zeros_like(leaf.value)
-
-
-# ---------------------------------------------------------------------------
-# operations
-
-
-def _check_shapes(name, a: Node, b: Node):
-    if a.value.shape != b.value.shape:
-        raise ValueError(f"{name} shape mismatch: {a.value.shape} vs {b.value.shape}")
-
-
-def add(a: Node, b: Node) -> Node:
-    _check_shapes("add", a, b)
-    return record(a.value + b.value, (a, b), lambda g: (g, g))
-
-
-def sub(a: Node, b: Node) -> Node:
-    _check_shapes("sub", a, b)
-    return record(a.value - b.value, (a, b), lambda g: (g, -g))
-
-
-def mul(a: Node, b: Node) -> Node:
-    """Elementwise product of same-shape arrays."""
-    _check_shapes("mul", a, b)
-    return record(a.value * b.value, (a, b),
-                  lambda g: (g * b.value, g * a.value))
-
-
-def scale(x: Node, c: float) -> Node:
-    """Multiply by a plain (non-differentiated) scalar."""
-    c = float(c)
-    return record(x.value * c, (x,), lambda g: (g * c,))
-
-
-def sum_all(x: Node) -> Node:
-    """Sum of all elements (scalar node)."""
-    return record(np.asarray(x.value.sum()), (x,), lambda g: (g,))
-
-
-def mse(a: Node, b: Node) -> Node:
-    """Mean of squared elementwise differences (scalar node)."""
-    _check_shapes("mse", a, b)
-    diff = a.value - b.value
-
-    def backward(g):
-        c = g * (2.0 / diff.size) * diff
-        return c, -c
-
-    return record(np.asarray(np.mean(diff * diff)), (a, b), backward)

@@ -2,10 +2,10 @@
 
 Positions live in normalized [-1,1]^3 coordinates throughout; meshes are
 converted at the boundary by a DomainNormalizer.  Under an active tape each
-Euler step records three nodes (the field call, its scaling by the step
-size, and the add), so the backward pass is the discrete adjoint of the
-unrolled integrator: the endpoint is differentiable with respect to both
-the model weights and the seed positions.
+Euler step records two nodes (the field call and the step x + h * v), so the
+backward pass is the discrete adjoint of the unrolled integrator: the
+endpoint is differentiable with respect to both the model weights and the
+seed positions.
 
 Every Euler step, taped or not, runs in the model's dtype: an f32
 checkpoint integrates in float32, an f64 one in float64.  The arrays
@@ -89,7 +89,7 @@ def euler_path(model, seeds, times) -> list:
         v = model(x, float(times[k]))
         if not np.isfinite(v.value).all():
             raise NumericalError(f"non-finite velocity at step {k} (t={times[k]})")
-        x = ad.add(x, ad.scale(v, h))
+        x = ad.record(x.value + v.value * h, (x, v), lambda g, h=h: (g, g * h))
         path.append(x)
     return path
 

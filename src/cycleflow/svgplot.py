@@ -5,6 +5,7 @@ avoids a plotting dependency and makes the output byte-deterministic.
 """
 from __future__ import annotations
 
+import math
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -19,9 +20,17 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _unit(lo: float, hi: float) -> float:
+    """A power of two to divide one axis' data by: near either end of the
+    float range it brings the largest magnitude into [1, 2), so that spans,
+    padding and tick steps neither overflow nor underflow; else 1."""
+    big = max(abs(lo), abs(hi))
+    if big == 0.0 or 2.0 ** -900 < big < 2.0 ** 1000:
+        return 1.0
+    return 2.0 ** (math.frexp(big)[1] - 1)
+
+
 def _ticks(lo: float, hi: float):
-    if hi <= lo:
-        hi = lo + 1.0
     span = hi - lo
     raw = span / (_N_TICKS - 1)
     mag = 10.0 ** np.floor(np.log10(raw))
@@ -53,10 +62,16 @@ def line_plot(series, path, title="", xlabel="", ylabel=""):
     x_hi = max(float(xs.max()) for _, xs, _ in clean)
     y_lo = min(float(ys.min()) for _, _, ys in clean)
     y_hi = max(float(ys.max()) for _, _, ys in clean)
+    ux, uy = _unit(x_lo, x_hi), _unit(y_lo, y_hi)
+    clean = [(label, xs / ux, ys / uy) for label, xs, ys in clean]
+    x_lo, x_hi, y_lo, y_hi = x_lo / ux, x_hi / ux, y_lo / uy, y_hi / uy
+    # a flat range widens by a part in 1024 of its value where the unit
+    # step would be lost to rounding
     if x_hi == x_lo:
-        x_hi = x_lo + 1.0
+        x_hi = x_lo + max(1.0, abs(x_lo) / 1024)
     if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+        half = max(0.5, abs(y_lo) / 1024)
+        y_lo, y_hi = y_lo - half, y_hi + half
     pad = 0.04 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad
@@ -90,13 +105,13 @@ def line_plot(series, path, title="", xlabel="", ylabel=""):
         parts.append(f'<line x1="{fx[0]:.1f}" y1="{py0}" x2="{fx[0]:.1f}" '
                      f'y2="{py0 + 5}" stroke="black" stroke-width="1"/>')
         parts.append(f'<text x="{fx[0]:.1f}" y="{py0 + 18}" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="11">{_fmt(tx)}</text>')
+                     f'font-family="sans-serif" font-size="11">{_fmt(tx * ux)}</text>')
     for ty in _ticks(y_lo, y_hi):
         _, fy = to_px(np.array([x_lo]), np.array([ty]))
         parts.append(f'<line x1="{px0 - 5}" y1="{fy[0]:.1f}" x2="{px0}" '
                      f'y2="{fy[0]:.1f}" stroke="black" stroke-width="1"/>')
         parts.append(f'<text x="{px0 - 8}" y="{fy[0] + 4:.1f}" text-anchor="end" '
-                     f'font-family="sans-serif" font-size="11">{_fmt(ty)}</text>')
+                     f'font-family="sans-serif" font-size="11">{_fmt(ty * uy)}</text>')
     if xlabel:
         parts.append(f'<text x="{(px0 + px1) / 2:.1f}" y="{_HEIGHT - 8}" '
                      'text-anchor="middle" font-family="sans-serif" '

@@ -5,8 +5,10 @@ points advected from t=0 are scored on intensity constancy
 sum_i mean_P (I_{t_i}(x_i) - I_T(x_{N-1}))^2, plus an optional
 cycle-return penalty mean_P ||P - phi_T(P)||^2 that forces full-period
 trajectories back to their seeds.  Both terms share one Euler pass, so
-enabling the penalty costs nothing extra.  Optimization is plain Adam
-over the unrolled recursion.
+enabling the penalty costs nothing extra.  The weighted sum of both terms
+is one tape node, whose backward hands each frame read and the path's two
+ends their gradients.  Optimization is plain Adam over the unrolled
+recursion.
 """
 from __future__ import annotations
 
@@ -155,23 +157,40 @@ def sample_points(volume: Volume4D, n: int, strategy: str = "uniform",
 def total_loss(model: VelocityFieldModel, volume: Volume4D, points,
                cycle_weight: float = 1.0, cycle_enabled: bool = True,
                steps_per_frame: int = 1):
-    """The objective; one Euler pass over the (n, 3) seed array feeds both
-    terms.
+    """The objective; one Euler pass over the (n, 3) seeds (an array, or a
+    Node to get their gradient) feeds both terms, and the terms and their
+    weighting record as one tape node over the frame gathers and the
+    path's ends.
 
-    Returns (total, data, cycle) nodes; cycle is None when disabled.  With
-    weight 0 the total equals the data term exactly.
+    Returns (total, data, cycle): total is that node, data and cycle are
+    untaped constants.  With the cycle disabled it returns (total, total,
+    None).  With weight 0 the total equals the data term exactly.
     """
     nodes = flow_at_frames_nodes(model, points, volume.frame_times, steps_per_frame)
-    ref = gather_trilinear(volume.frames[-1], nodes[-1])
-    data = None
-    for i in range(volume.n_frames - 1):
-        term = ad.mse(gather_trilinear(volume.frames[i], nodes[i]), ref)
-        data = term if data is None else ad.add(data, term)
+    reads = [gather_trilinear(f, x) for f, x in zip(volume.frames, nodes)]
+    # float64 intensities: one mean square per frame, summed left to right
+    diffs = [r.value - reads[-1].value for r in reads[:-1]]
+    data = sum(np.mean(diff * diff) for diff in diffs)
+    total, parents = data, reads
+    if cycle_enabled:
+        d = nodes[0].value - nodes[-1].value  # the model's dtype, as is the penalty
+        inv_b = 1.0 / len(d)
+        cyc = (d * d).sum() * inv_b
+        total, parents = data + cyc * cycle_weight, reads + [nodes[0], nodes[-1]]
+
+    def backward(g):
+        cs = [g * (2.0 / diff.size) * diff for diff in diffs]
+        # the reference read's gradient, summed from the last frame down
+        grads = [*cs, sum((-c for c in cs[-2::-1]), -cs[-1])]
+        if cycle_enabled:
+            gd = g.astype(d.dtype) * cycle_weight * inv_b * d * 2
+            grads += [gd, -gd]
+        return grads
+
+    node = ad.record(total, parents, backward)
     if not cycle_enabled:
-        return data, data, None
-    d = ad.sub(nodes[0], nodes[-1])
-    cyc = ad.scale(ad.sum_all(ad.mul(d, d)), 1.0 / nodes[0].value.shape[0])
-    return ad.add(data, ad.scale(cyc, cycle_weight)), data, cyc
+        return node, node, None
+    return node, ad.constant(data), ad.constant(cyc)
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,20 @@ def rel_err(analytic, numeric):
     return float(np.abs(analytic - numeric).max() / scale)
 
 
+def dot(x, w):
+    """Scalar tape node sum(w * x) for a constant array w (broadcast to x's
+    shape): a test loss whose gradient with respect to x is exactly w."""
+    w = np.broadcast_to(w, x.value.shape)
+    return ad.record(np.asarray((x.value * w).sum()), (x,), lambda g: (g * w,))
+
+
+def mean_square(x, target=0.0):
+    """Scalar tape node mean((x - target)^2) for a constant target."""
+    diff = x.value - target
+    return ad.record(np.asarray(np.mean(diff * diff)), (x,),
+                     lambda g: (g * (2.0 / diff.size) * diff,))
+
+
 def make_cube_mesh(side=1.0, origin=(0.0, 0.0, 0.0)):
     """Closed unit cube, outward-oriented, 12 triangles."""
     o = np.asarray(origin, dtype=np.float64)
@@ -128,7 +142,8 @@ class RadialPulseField:
 
     def __call__(self, x, t):
         drho = 2.0 * math.pi * self.amp * math.cos(2.0 * math.pi * t)
-        return ad.scale(x, drho / self.rho(t))
+        c = drho / self.rho(t)
+        return ad.record(x.value * c, (x,), lambda g: (g * c,))
 
 
 def rewrite_container(src, dst, header=None, payload=None):

@@ -6,7 +6,7 @@ import pytest
 import cycleflow.autodiff as ad
 from cycleflow.field import default_layer_sizes, init_weights
 from cycleflow.volume import _trilinear_kernel, gather_trilinear
-from conftest import fd_grad, rel_err
+from conftest import dot, mean_square
 
 
 def tiny_model(seed):
@@ -14,61 +14,9 @@ def tiny_model(seed):
                         dtype=np.float64)
 
 
-def run_backward(build):
-    """Execute build() under a fresh tape, run backward on its root."""
-    with ad.Tape() as tape:
-        root, leaves = build()
-        tape.backward(root)
-    return root, leaves
-
-
-def check_op_grad(make_leaves, op, trials=20, seed=0, tol=1e-6):
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        arrays = make_leaves(rng)
-        leaves = [ad.constant(a) for a in arrays]
-        with ad.Tape() as tape:
-            root = ad.sum_all(op(*leaves))
-            tape.backward(root)
-        for arr, leaf in zip(arrays, leaves):
-            def f(leaf_arr=arr):
-                fresh = [ad.constant(a) for a in arrays]
-                return float(ad.sum_all(op(*fresh)).value)
-            num = fd_grad(f, arr)
-            assert rel_err(leaf.grad, num) < tol
-
-
-# --- value semantics ------------------------------------------------------
-
-
-def test_mse_values():
-    a = ad.constant([1.0, 1.0])
-    assert ad.mse(a, a).value == 0.0
-    assert ad.mse(a, ad.constant([0.0, 0.0])).value == 1.0
-    with pytest.raises(ValueError):
-        ad.mse(a, ad.constant([0.0]))
-
-
-def test_scale_values():
-    x = ad.constant(np.arange(6.0).reshape(2, 3))
-    assert np.array_equal(ad.scale(x, 2.0).value, 2.0 * x.value)
-
-
-# --- gradient oracles -----------------------------------------------------
-
-
-def test_elementwise_grads_match_fd():
-    two = lambda rng: [rng.normal(size=(3, 4)), rng.normal(size=(3, 4))]
-    check_op_grad(two, ad.add)
-    check_op_grad(two, ad.sub)
-    check_op_grad(two, ad.mul)
-    check_op_grad(lambda rng: [rng.normal(size=(3, 4))],
-                  lambda x: ad.scale(x, -1.7))
-
-
-def test_mse_grad_matches_fd():
-    check_op_grad(lambda rng: [rng.normal(size=100), rng.normal(size=100)],
-                  ad.mse, trials=5)
+def double(x):
+    """A non-scalar tape node 2 * x."""
+    return ad.record(x.value * 2.0, (x,), lambda g: (g * 2.0,))
 
 
 # --- backward semantics ---------------------------------------------------
@@ -77,21 +25,14 @@ def test_mse_grad_matches_fd():
 def test_backward_sum_gives_ones():
     x = ad.constant(np.arange(12.0).reshape(3, 4))
     with ad.Tape() as tape:
-        tape.backward(ad.sum_all(x))
+        tape.backward(dot(x, 1.0))
     assert np.array_equal(x.grad, np.ones((3, 4)))
-
-
-def test_backward_mse_against_zero():
-    x = ad.constant(np.array([3.0]))
-    with ad.Tape() as tape:
-        tape.backward(ad.mse(x, ad.constant(np.array([0.0]))))
-    assert x.grad[0] == 6.0
 
 
 def test_backward_requires_scalar_root():
     x = ad.constant(np.ones((2, 2)))
     with ad.Tape() as tape:
-        y = ad.add(x, x)
+        y = double(x)
         with pytest.raises(ValueError, match="scalar"):
             tape.backward(y)
 
@@ -99,8 +40,8 @@ def test_backward_requires_scalar_root():
 def test_backward_requires_root_on_tape():
     x = ad.constant(np.ones(3))
     with ad.Tape() as tape:
-        ad.sum_all(x)
-    off_tape = ad.sum_all(x)  # recorded on no tape
+        dot(x, 1.0)
+    off_tape = dot(x, 1.0)  # recorded on no tape
     with pytest.raises(ValueError, match="not on this tape"):
         tape.backward(off_tape)
 
@@ -109,8 +50,8 @@ def test_unreachable_leaf_gets_exact_zero():
     x = ad.constant(np.ones(3))
     z = ad.constant(np.ones(3))
     with ad.Tape() as tape:
-        root = ad.sum_all(x)
-        ad.sum_all(z)  # unrelated subgraph on the same tape
+        root = dot(x, 1.0)
+        dot(z, 1.0)  # unrelated subgraph on the same tape
         tape.backward(root)
     assert np.array_equal(z.grad, np.zeros(3))
     assert np.array_equal(x.grad, np.ones(3))
@@ -125,9 +66,10 @@ def test_backward_is_linear():
     def grad_of(scale_f, scale_g):
         x = ad.constant(xv.copy())
         with ad.Tape() as tape:
-            f = ad.sum_all(ad.mul(x, x))
-            g = ad.mse(model(x, 0.3), ad.constant(np.zeros((4, 3))))
-            root = ad.add(ad.scale(f, scale_f), ad.scale(g, scale_g))
+            f = mean_square(x)
+            g = mean_square(model(x, 0.3))
+            root = ad.record(scale_f * f.value + scale_g * g.value, (f, g),
+                             lambda r: (r * scale_f, r * scale_g))
             tape.backward(root)
         return x.grad
 
@@ -144,7 +86,7 @@ def test_replay_is_bit_identical():
     def run():
         x = ad.constant(xv.copy())
         with ad.Tape() as tape:
-            root = ad.mse(model(x, 0.6), ad.constant(np.zeros((5, 3))))
+            root = mean_square(model(x, 0.6))
             tape.backward(root)
         return [root.value.copy(), x.grad.copy()] + [
             p.grad.copy() for p in model.parameters]
@@ -163,9 +105,9 @@ def test_tape_is_single_owner():
 
 def test_no_recording_outside_tape():
     x = ad.constant(np.ones((2, 2)))
-    ad.add(x, x)
+    double(x)
     with ad.Tape() as tape:
-        ad.add(x, x)
+        double(x)
         assert len(tape) == 1
 
 
@@ -175,8 +117,8 @@ def test_tape_clear_drops_nodes():
     freed = weakref.ref(saved)
     x = ad.constant(np.arange(3.0))
     with ad.Tape() as tape:
-        root = ad.sum_all(ad.record(x.value * saved, (x,),
-                                    lambda g, s=saved: (g * s,)))
+        root = dot(ad.record(x.value * saved, (x,),
+                             lambda g, s=saved: (g * s,)), 1.0)
         del saved
         assert len(tape) == 2
         tape.backward(root)
@@ -190,14 +132,14 @@ def test_repeated_backward_is_reproducible():
     def grad_on_a_fresh_tape():
         x = ad.constant(np.arange(4.0))
         with ad.Tape() as tape:
-            root = ad.sum_all(ad.mul(x, x))
+            root = mean_square(x)
             tape.backward(root)
             with pytest.raises(ValueError, match="not on this tape"):
                 tape.backward(root)
         return x.grad
 
     g1 = grad_on_a_fresh_tape()
-    assert np.array_equal(g1, 2.0 * np.arange(4.0))
+    assert np.array_equal(g1, 0.5 * np.arange(4.0))
     assert np.array_equal(g1, grad_on_a_fresh_tape())
 
 
@@ -210,13 +152,13 @@ def test_backward_skips_nodes_without_gradient_and_keeps_only_leaf_grads():
         return (g,)
 
     with ad.Tape() as tape:
-        sq = ad.mul(x, x)
-        root = ad.sum_all(sq)
+        sq = double(x)
+        root = dot(sq, 1.0)
         side = ad.record(np.ones(3), (x,), never)  # the root does not use it
         tape.backward(root)
     assert calls == []
     assert sq.grad is None and root.grad is None and side.grad is None
-    assert np.array_equal(x.grad, 2.0 * np.arange(3.0))
+    assert np.array_equal(x.grad, np.full(3, 2.0))
 
 
 def test_f32_leaf_rounds_float64_contributions_into_f32_grad():
@@ -224,9 +166,10 @@ def test_f32_leaf_rounds_float64_contributions_into_f32_grad():
     pts = np.random.default_rng(2).uniform(-0.9, 0.9, (7, 3)).astype(np.float32)
     x = ad.constant(pts)
     with ad.Tape() as tape:
-        first = ad.sum_all(gather_trilinear(frame, x))
-        second = ad.sum_all(gather_trilinear(frame[::-1], x))
-        tape.backward(ad.add(first, second))
+        first = dot(gather_trilinear(frame, x), 1.0)
+        second = dot(gather_trilinear(frame[::-1], x), 1.0)
+        tape.backward(ad.record(first.value + second.value, (first, second),
+                                lambda g: (g, g)))
     _, g1 = _trilinear_kernel(frame, pts, want_grad=True)
     _, g2 = _trilinear_kernel(frame[::-1], pts, want_grad=True)
     assert g1.dtype == np.float64 and x.grad.dtype == np.float32

@@ -294,6 +294,24 @@ def test_eval_writes_reports_and_plots(tmp_path, capsys):
     assert np.isfinite(summary["mean_hsd_mm"])
 
 
+@pytest.mark.parametrize("rows", [
+    [(1e17, 1e17, 1e17)] * 3,                    # flat far past the unit step
+    [(0.0, 0.0, -1e308), (0.0, 0.0, 1e308)],     # a span past the float range
+], ids=["flat-1e17", "span-2e308"])
+def test_eval_plots_any_finite_loss_history(tmp_path, rows):
+    gen = run_gen(tmp_path)
+    ckpt = run_fit(tmp_path, gen) / "model.ckpt"
+    loss_csv = tmp_path / "loss.csv"
+    loss_csv.write_text("epoch,data_loss,cycle_loss,total_loss\n" + "".join(
+        f"{e},{d!r},{c!r},{t!r}\n" for e, (d, c, t) in enumerate(rows)))
+    out = tmp_path / "eval"
+    proc = run_cli(["eval", ckpt, gen / "volume.v4d", "--meshes", gen,
+                    "--no-psnr", "--loss-csv", loss_csv, "--out-dir", out])
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert str(out / "loss_history.svg") in manifest["outputs"]
+
+
 def test_eval_requires_mesh_directory(tmp_path):
     gen = run_gen(tmp_path)
     fit_dir = run_fit(tmp_path, gen)

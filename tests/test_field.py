@@ -12,7 +12,8 @@ from cycleflow.errors import FormatError
 from cycleflow.field import (VelocityFieldModel, default_layer_sizes,
                              encode_time, init_weights, load_checkpoint,
                              save_checkpoint, velocity)
-from conftest import BAD_CHECKPOINTS, fd_grad, rel_err, rewrite_container
+from conftest import (BAD_CHECKPOINTS, dot, fd_grad, mean_square, rel_err,
+                      rewrite_container)
 
 
 def tiny_model(seed=0, time_encoding=True, dtype=np.float64, width=8, layers=2):
@@ -176,7 +177,7 @@ def test_taped_call_matches_the_out_of_place_formula(dtype):
     points = ad.constant(pts)
     with ad.Tape() as tape:
         out = model(points, 0.6)
-        tape.backward(ad.sum_all(ad.mul(out, ad.constant(up))))
+        tape.backward(dot(out, up))
     assert np.array_equal(out.value, want)
     assert np.array_equal(points.grad, g[:, :3])
     for p, want_grad in zip(model.parameters, reversed(grads)):
@@ -373,12 +374,12 @@ def test_mean_speed_gradient_matches_fd():
 
     def loss_value():
         out = model(pts, 0.4)
-        return float(ad.mse(out, ad.constant(np.zeros_like(out.value))).value)
+        return float(mean_square(out).value)
 
     points = ad.constant(pts)
     with ad.Tape() as tape:
         out = model(points, 0.4)
-        tape.backward(ad.mse(out, ad.constant(np.zeros_like(out.value))))
+        tape.backward(mean_square(out))
 
     for p in model.parameters:
         num = fd_grad(loss_value, p.value, eps=1e-6)

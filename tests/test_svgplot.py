@@ -73,3 +73,22 @@ def test_plot_input_validation(tmp_path):
         line_plot([("s", [0.0], [0.0])], path)
     with pytest.raises(ValueError, match="finite"):
         line_plot([("s", [0.0, 1.0, 2.0], [np.nan, np.nan, 1.0])], path)
+
+
+BIG = np.finfo(np.float64).max
+
+
+@pytest.mark.parametrize("xs,ys", [
+    ([0.0, 1.0, 2.0], [1e17, 1e17, 1e17]),    # flat past the unit step
+    ([0.0, 1.0], [-1e308, 1e308]),            # span past the float range
+    ([0.0, 1.0], [-BIG, BIG]),
+    ([0.0, 1.0], [BIG, BIG]),
+    ([0.0, 1.0], [0.0, 5e-324]),              # span below the normal range
+    ([1e17, 1e17], [0.0, 1.0]),
+    ([-BIG, BIG], [0.0, 1.0]),
+])
+def test_plot_handles_ranges_at_the_ends_of_the_float_range(tmp_path, xs, ys):
+    path = render(tmp_path, [("s", np.array(xs), np.array(ys))])
+    pts = ET.parse(path).getroot().find(f"{SVG_NS}polyline").attrib["points"]
+    coords = np.array([p.split(",") for p in pts.split()], dtype=np.float64)
+    assert np.isfinite(coords).all()

@@ -251,6 +251,38 @@ def test_total_loss_gradient_matches_fd():
         assert rel_err(got, num) < 1e-5
 
 
+@pytest.mark.parametrize("cycle", [True, False], ids=["cycle", "no-cycle"])
+def test_total_loss_seed_gradient_matches_fd(cycle):
+    # the seeds reach the objective three ways: the Euler steps, the frame-0
+    # read, and (with the cycle on) the cycle penalty's x0 - xN
+    vol = tiny_volume(seed=4, n_frames=3, n=6)
+    pts = sample_points(vol, 4, "uniform", seed=2)
+    sizes = field.default_layer_sizes(hidden_layers=2, hidden_width=6)
+    model = field.init_weights(6, sizes, omega=4.0, dtype=np.float64)
+
+    def value():
+        return float(total_loss(model, vol, pts, 0.7, cycle)[0].value)
+
+    seeds = ad.constant(pts.copy())
+    with ad.Tape() as tape:
+        total, _, _ = total_loss(model, vol, seeds, 0.7, cycle)
+        tape.backward(total)
+    assert rel_err(seeds.grad, fd_grad(value, pts, eps=1e-6)) < 1e-5
+
+
+@pytest.mark.parametrize("cycle", [True, False], ids=["cycle", "no-cycle"])
+def test_total_loss_records_one_node_per_kernel(cycle):
+    # per Euler step a field call and the step; one read per frame; one
+    # objective: 2 * s * (N - 1) + N + 1 records
+    n_frames, steps = 5, 2
+    vol = tiny_volume(seed=1, n_frames=n_frames)
+    model = field.init_weights(0, field.default_layer_sizes(1, 4), omega=3.0)
+    pts = sample_points(vol, 6, "uniform", seed=0)
+    with ad.Tape() as tape:
+        total_loss(model, vol, pts, 0.5, cycle, steps_per_frame=steps)
+        assert len(tape) == 2 * steps * (n_frames - 1) + n_frames + 1 == 22
+
+
 # ------------------------------------------------------------------- Adam
 
 def test_adam_single_step_hand_computed():
