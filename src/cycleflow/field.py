@@ -103,9 +103,8 @@ class VelocityFieldModel:
         model's dtype (plain-array points are converted to it).
 
         Under a tape the whole network records as one node whose parents
-        are the points and the parameters.  Per hidden layer it keeps the
-        layer input and the sine's slope omega*cos(omega*z), taken from the
-        same omega*z as the activation; its backward walks the layers once.
+        are the points and the parameters.  It saves the input and each hidden
+        phase omega*z, from which its backward rebuilds each sine and slope.
         Untaped, 2 * _HALF rows or more run rows [n//2:] on the pool thread,
         under the caller's np.errstate; taped calls stay whole for the gradients.
         """
@@ -140,33 +139,33 @@ class VelocityFieldModel:
             finally:
                 half.result()  # waits for the worker; re-raises its error here
             return ad.constant(out)
-        h = self._layers(h, saved, out)
+        self._layers(h, saved, out)
 
         def backward(g):
-            grads = [g.sum(axis=0), h.T @ g]  # parameter grads, last first
-            g = g @ self.weights[-1].value.T
-            for (x, slope), w in zip(reversed(saved), reversed(self.weights[:-1])):
-                g *= slope  # g is a fresh matmul result
-                grads += [g.sum(axis=0), x.T @ g]
-                g = g @ w.value.T
+            grads = []  # parameter grads, last first
+            for i in reversed(range(len(self.weights))):
+                if i < len(saved):
+                    g *= slope  # g is a fresh matmul result
+                if i:  # one read of the phase below gives the input and slope
+                    x, slope = np.sin(saved[i - 1]), np.cos(saved[i - 1])
+                    slope *= self.omega
+                grads += [g.sum(axis=0), (x if i else h).T @ g]
+                g = g @ self.weights[i].value.T
             return [g[:, :3], *reversed(grads)]
 
         return ad.record(out, (pts, *self.parameters), backward)
 
     def _layers(self, h, saved, out):
-        """Velocities of rows h into out; returns the last activation.  Plain
-        NumPy only (nothing a profiler wraps), so the pool thread may run it."""
+        """Velocities of rows h into out; hidden phases go to the list saved.
+        Plain NumPy only (nothing a profiler wraps), so the pool thread may run it."""
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
             phase = h @ w.value
             phase += b.value
             phase *= self.omega
             if saved is not None:
-                slope = np.cos(phase)
-                slope *= self.omega
-                saved.append((h, slope))
-            h = np.sin(phase, out=phase)  # the slope has already read phase
+                saved.append(phase)  # so the sine gets an array of its own
+            h = np.sin(phase, out=phase if saved is None else None)
         np.add(h @ self.weights[-1].value, self.biases[-1].value, out=out)
-        return h
 
 
 def _start_pool():  # one worker thread per process, started on the first submit

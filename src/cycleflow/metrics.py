@@ -20,14 +20,13 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ValidationError
 from .flow import flow_at_frames, integrate, inverse_map
 from .mesh import TriangleMesh, mesh_volume, signed_volume
 from .volume import DomainNormalizer, Volume4D, sample_trilinear
 
-_CHUNK = 32  # vertices per brute-force block: keeps the (B,T,3) temporaries in cache
+_CHUNK = 8  # vertices per brute-force block: ~1 MB (B,T,3) temporaries at T=5120
 _BALL_BLOCK = 128  # vertices per ball query: at most 128*T candidates at once
 _PAIRS = 16384  # (vertex, triangle) pairs per kernel call
 # Hausdorff's barycentric projection multiplies squared edge lengths, fourth
@@ -129,6 +128,7 @@ def _directed_hausdorff_indexed(a: TriangleMesh, b: TriangleMesh) -> float:
     collapses to a point, where every ball holds every triangle, thus
     refines one block instead of all of them.
     """
+    from scipy.spatial import cKDTree  # only Hausdorff needs SciPy
     tri = b.vertices[b.faces]               # (T,3,3)
     centroids = tri.mean(axis=1)
     r_max = float(np.sqrt(((tri - centroids[:, None, :]) ** 2).sum(axis=2)).max())

@@ -30,7 +30,7 @@ def _unit(lo: float, hi: float) -> float:
     return 2.0 ** (math.frexp(big)[1] - 1)
 
 
-def _ticks(lo: float, hi: float):
+def _ticks(lo: float, hi: float, unit: float):  # none where v * unit overflows
     span = hi - lo
     raw = span / (_N_TICKS - 1)
     mag = 10.0 ** np.floor(np.log10(raw))
@@ -40,7 +40,8 @@ def _ticks(lo: float, hi: float):
             break
     first = np.ceil(lo / step) * step
     vals = np.arange(first, hi + step * 0.5, step)
-    return [float(v) for v in vals if lo - 1e-12 <= v <= hi + 1e-12]
+    return [float(v) for v in vals if lo - 1e-12 <= v <= hi + 1e-12
+            and math.isfinite(float(v) * unit)]
 
 
 def line_plot(series, path, title="", xlabel="", ylabel=""):
@@ -100,13 +101,13 @@ def line_plot(series, path, title="", xlabel="", ylabel=""):
                  'stroke="black" stroke-width="1"/>')
     parts.append(f'<line x1="{px0}" y1="{py0}" x2="{px0}" y2="{py1}" '
                  'stroke="black" stroke-width="1"/>')
-    for tx in _ticks(x_lo, x_hi):
+    for tx in _ticks(x_lo, x_hi, ux):
         fx, _ = to_px(np.array([tx]), np.array([y_lo]))
         parts.append(f'<line x1="{fx[0]:.1f}" y1="{py0}" x2="{fx[0]:.1f}" '
                      f'y2="{py0 + 5}" stroke="black" stroke-width="1"/>')
         parts.append(f'<text x="{fx[0]:.1f}" y="{py0 + 18}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="11">{_fmt(tx * ux)}</text>')
-    for ty in _ticks(y_lo, y_hi):
+    for ty in _ticks(y_lo, y_hi, uy):
         _, fy = to_px(np.array([x_lo]), np.array([ty]))
         parts.append(f'<line x1="{px0 - 5}" y1="{fy[0]:.1f}" x2="{px0}" '
                      f'y2="{fy[0]:.1f}" stroke="black" stroke-width="1"/>')

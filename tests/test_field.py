@@ -149,18 +149,25 @@ def test_velocity_matches_a_layer_by_layer_reference():
         assert np.array_equal(model(pts, 0.35).value, want)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_taped_call_matches_the_out_of_place_formula(dtype):
-    # the forward and backward passes work in place; outputs and gradients
-    # must equal the plain expressions bit for bit
-    model = tiny_model(seed=9, dtype=dtype, width=16, layers=3)
+@pytest.mark.parametrize("dtype,rows,width", [
+    pytest.param(np.float32, 7, 16, id="float32"),
+    pytest.param(np.float64, 7, 16, id="float64"),
+    pytest.param(np.float32, 2000, 128, id="float32-2000x128"),
+    pytest.param(np.float64, 2000, 128, id="float64-2000x128"),
+])
+def test_taped_call_matches_the_out_of_place_formula(dtype, rows, width):
+    # the forward and backward passes work in place and the backward
+    # rebuilds each layer's input and slope from its phase; outputs and
+    # gradients must equal the plain expressions, which keep the slope from
+    # the forward, bit for bit, also at the fit's BLAS shapes
+    model = tiny_model(seed=9, dtype=dtype, width=width, layers=3)
     rng = np.random.default_rng(9)
     for b in model.biases:  # they start at zero
         b.value[:] = rng.uniform(-0.5, 0.5, b.value.shape)
-    pts = rng.uniform(-1, 1, size=(7, 3)).astype(dtype)
-    up = rng.normal(size=(7, 3)).astype(dtype)
+    pts = rng.uniform(-1, 1, size=(rows, 3)).astype(dtype)
+    up = rng.normal(size=(rows, 3)).astype(dtype)
     c, s = encode_time(0.6, 1.0)
-    h = np.concatenate([pts, np.tile(np.array([c, s], dtype), (7, 1))], axis=1)
+    h = np.concatenate([pts, np.tile(np.array([c, s], dtype), (rows, 1))], axis=1)
     saved = []
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
         phase = model.omega * (h @ w.value + b.value)

@@ -1,6 +1,10 @@
 """Distance metrics, PSNR, periodicity, and whole-fit evaluation."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,6 +92,30 @@ def test_hausdorff_is_symmetric_in_arguments():
     a = icosphere(1.0, subdivisions=1)
     b = make_cube_mesh(side=3.0, origin=(-1.5, -1.5, -1.5))
     assert hausdorff(a, b) == hausdorff(b, a)
+
+
+_IMPORT_CHILD = """
+import sys
+import cycleflow.cli
+from cycleflow.metrics import hausdorff
+from cycleflow.mesh import icosphere
+print("scipy.spatial" in sys.modules)
+print(repr(hausdorff(icosphere(1.0, subdivisions=2),
+                     icosphere(1.2, center=(0.1, 0.0, 0.0), subdivisions=1))))
+print("scipy.spatial" in sys.modules)
+"""
+
+
+def test_only_hausdorff_loads_scipy():
+    # gen, fit and deform never pay for importing scipy.spatial
+    src = str(Path(metrics.__file__).resolve().parents[1])
+    child = subprocess.run([sys.executable, "-c", _IMPORT_CHILD],
+                           env={**os.environ, "PYTHONPATH": src},
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    want = hausdorff(icosphere(1.0, subdivisions=2),
+                     icosphere(1.2, center=(0.1, 0.0, 0.0), subdivisions=1))
+    assert child.stdout.split() == ["False", repr(want), "True"]
 
 
 def test_accelerated_matches_brute_on_random_pairs(rng):

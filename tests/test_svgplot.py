@@ -92,3 +92,7 @@ def test_plot_handles_ranges_at_the_ends_of_the_float_range(tmp_path, xs, ys):
     pts = ET.parse(path).getroot().find(f"{SVG_NS}polyline").attrib["points"]
     coords = np.array([p.split(",") for p in pts.split()], dtype=np.float64)
     assert np.isfinite(coords).all()
+    # the padding past the largest float holds no tick: its label would
+    # read inf
+    labels = [t.text for t in ET.parse(path).getroot().iter(f"{SVG_NS}text")]
+    assert all(np.isfinite(float(v)) for v in labels if v != "s")

@@ -21,7 +21,8 @@ from cycleflow.training import (
     write_loss_csv,
 )
 from cycleflow.flow import flow_at_frames
-from cycleflow.volume import Volume4D, sample_trilinear
+from cycleflow.volume import (GrowthPattern, Volume4D, make_sphere_series,
+                              sample_trilinear)
 
 from conftest import fd_grad, rel_err
 
@@ -387,8 +388,27 @@ def _fit_peak_bytes(epochs):
 
 def test_fit_holds_one_epochs_graph_at_a_time():
     # the losses kept per epoch must not pin that epoch's graph (saved
-    # layer inputs and slopes of every field call) through the next one
+    # phases of every field call) through the next one
     assert _fit_peak_bytes(3) <= 1.2 * _fit_peak_bytes(1)
+
+
+def test_one_acceptance_scale_step_peaks_under_100_mb():
+    # a fit holds every Euler step's saved activations until the backward:
+    # one phase per hidden layer, 2000 x 128 float32 each
+    pattern = GrowthPattern("periodic", 19.0, amplitude_mm=0.75)
+    vol, _ = make_sphere_series(pattern, 48, 1.0, 25, smoothing_mm=4.0)
+    model = field.init_weights(1, field.default_layer_sizes(3, 128), omega=6.0,
+                               dtype=np.float32)
+    pts = sample_points(vol, 2000, "band", seed=(1, 0))
+    tracemalloc.start()
+    try:
+        with ad.Tape() as tape:
+            total, _, _ = total_loss(model, vol, pts, 2.0, True)
+            tape.backward(total)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100e6
 
 
 # ----------------------------------------------------------- config files
