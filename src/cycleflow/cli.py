@@ -186,6 +186,7 @@ def cmd_deform(args) -> int:
         seeds = normalizer.to_normalized(
             mesh.vertices[:: max(1, mesh.vertices.shape[0] // args.probes)])
         traj = integrate(model, seeds, 0.0, 1.0, args.steps)
+        normalizer.to_world(traj.points)  # refuses an overflow before _finish writes
         writers.append(("trajectories.csv", partial(
             write_trajectory_csv, traj, normalizer=normalizer)))
     inputs = [args.checkpoint, args.mesh] + ([args.volume] if args.volume else [])

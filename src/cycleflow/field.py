@@ -100,7 +100,7 @@ class VelocityFieldModel:
 
     def __call__(self, points, t: float) -> ad.Node:
         """Velocity at a batch of positions (B,3) at one time value, in the
-        model's dtype (plain-array points are converted to it).
+        model's dtype; plain-array points are converted to it and checked finite.
 
         Under a tape the whole network records as one node whose parents
         are the points and the parameters.  It saves the input and each hidden
@@ -111,7 +111,7 @@ class VelocityFieldModel:
         pts = points if isinstance(points, ad.Node) else ad.constant(points, self.dtype)
         if pts.value.ndim != 2 or pts.value.shape[1] != 3:
             raise ValueError(f"points must have shape (B,3), got {pts.value.shape}")
-        if not np.isfinite(pts.value).all():
+        if pts is not points and not np.isfinite(pts.value).all():
             raise ValueError("non-finite input positions")
         if np.abs(pts.value).max(initial=0.0) > DOMAIN_SLACK:
             warnings.warn(

@@ -63,17 +63,18 @@ class Trajectory:
         return self.points[:, -1, :]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the checks below report it
 def euler_path(model, seeds, times) -> list:
     """Core unrolled Euler recursion x_{k+1} = x_k + h_k * H(x_k, t_k).
 
     seeds is an (B,3) autodiff Node or array (converted to the model's
     dtype); times is the full array of step boundaries.  Returns the list
-    of position Nodes at every boundary, seeds first.  Recording happens
-    only under an active tape.  Seeds that are not finite in the model's
-    dtype (a float32 model overflows past ~3.4e38) are a ValidationError.
+    of position Nodes at every boundary, seeds first, recorded only under an
+    active tape.  Each position is checked once, here, in the model's dtype:
+    non-finite seeds (a float32 model overflows past ~3.4e38) are a
+    ValidationError, and a non-finite step a NumericalError naming the step.
     """
-    with np.errstate(over="ignore"):
-        x = seeds if isinstance(seeds, ad.Node) else ad.constant(seeds, model.dtype)
+    x = seeds if isinstance(seeds, ad.Node) else ad.constant(seeds, model.dtype)
     if not np.isfinite(x.value).all():
         raise ValidationError(f"seed positions overflow {x.value.dtype}: they lie "
                               "far outside the normalized domain")
@@ -87,9 +88,10 @@ def euler_path(model, seeds, times) -> list:
     for k in range(times.size - 1):
         h = float(times[k + 1] - times[k])
         v = model(x, float(times[k]))
-        if not np.isfinite(v.value).all():
-            raise NumericalError(f"non-finite velocity at step {k} (t={times[k]})")
         x = ad.record(x.value + v.value * h, (x, v), lambda g, h=h: (g, g * h))
+        if not np.isfinite(x.value).all():  # so is x wherever v is not finite
+            what = "position" if np.isfinite(v.value).all() else "velocity"
+            raise NumericalError(f"non-finite {what} at step {k} (t={times[k]})")
         path.append(x)
     return path
 
@@ -161,10 +163,10 @@ def inverse_map(model, targets, t: float, steps: int) -> np.ndarray:
     a float64 250, can take other kernels per block and round apart.
     """
     targets = np.asarray(targets)
-    if t == 0.0:
-        return targets.astype(np.float64)
     if not np.isfinite(targets).all():
         raise ValueError("non-finite seed positions")
+    if t == 0.0:
+        return targets.astype(np.float64)
     times = np.linspace(t, 0.0, steps + 1)
     out = np.empty(targets.shape)
     stop = 0

@@ -27,11 +27,7 @@ class TriangleMesh:
         if self.faces.size:
             if self.faces.min() < 0 or self.faces.max() >= len(self.vertices):
                 raise ValueError("face index out of range")
-            degenerate = (
-                (self.faces[:, 0] == self.faces[:, 1])
-                | (self.faces[:, 1] == self.faces[:, 2])
-                | (self.faces[:, 0] == self.faces[:, 2])
-            )
+            degenerate = (self.faces == np.roll(self.faces, 1, axis=1)).any(axis=1)
             if degenerate.any():
                 raise ValueError(f"{int(degenerate.sum())} degenerate faces")
 

@@ -225,10 +225,8 @@ def _warped_first_frame(model, volume: Volume4D, frame_index: int,
                         steps_per_frame: int) -> np.ndarray:
     """Frame 0 warped onto frame i's grid by backward-mapping voxel centers."""
     d, h, w = volume.grid_shape
-    zs = np.linspace(-1.0, 1.0, d)
-    ys = np.linspace(-1.0, 1.0, h)
-    xs = np.linspace(-1.0, 1.0, w)
-    gz, gy, gx = np.meshgrid(zs, ys, xs, indexing="ij")
+    gz, gy, gx = np.meshgrid(*(np.linspace(-1.0, 1.0, k) for k in (d, h, w)),
+                             indexing="ij")
     grid = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
     t = float(volume.frame_times[frame_index])
     src = inverse_map(model, grid, t, steps=max(1, frame_index * steps_per_frame))

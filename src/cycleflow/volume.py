@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .container import (check_header, is_count, is_number, list_of,
                         read_container, write_container)
-from .errors import ConfigError, FormatError, ValidationError
+from .errors import ConfigError, FormatError, NumericalError, ValidationError
 from .mesh import TriangleMesh, icosphere
 
 V4D_MAGIC = b"V4DVOL01"
@@ -116,7 +116,11 @@ class DomainNormalizer:
         return norm
 
     def to_world(self, norm) -> np.ndarray:
-        return np.asarray(norm, dtype=np.float64) * self.half + self.center
+        with np.errstate(over="ignore"):
+            world = np.asarray(norm, dtype=np.float64) * self.half + self.center
+        if not np.isfinite(world).all():
+            raise NumericalError("positions overflow float64 in world mm")
+        return world
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +186,8 @@ def sample_trilinear(frame, points) -> np.ndarray:
 
 
 def gather_trilinear(frame, points: ad.Node) -> ad.Node:
-    """Differentiable gather: intensities as a (B,) node, gradient flows to
-    the sample points (the frame itself is data, never differentiated)."""
-    if not np.isfinite(points.value).all():
-        raise ValueError("non-finite sample point")
+    """Differentiable gather at euler_path's positions, checked finite there:
+    a (B,) node whose gradient flows to the points, not to the frame (data)."""
     values, grads = _trilinear_kernel(frame, points.value,
                                       want_grad=ad.recording())
     return ad.record(values, (points,), lambda g: (g[:, None] * grads,))

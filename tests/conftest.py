@@ -11,6 +11,7 @@ import pytest
 import cycleflow
 import cycleflow.autodiff as ad
 from cycleflow.container import read_container, write_container
+from cycleflow.field import VelocityFieldModel
 from cycleflow.mesh import TriangleMesh
 
 # One line per acceptance criterion, filled in by tests/test_acceptance.py
@@ -144,6 +145,14 @@ class RadialPulseField:
         drho = 2.0 * math.pi * self.amp * math.cos(2.0 * math.pi * t)
         c = drho / self.rho(t)
         return ad.record(x.value * c, (x,), lambda g: (g * c,))
+
+
+def bias_model(bias, dtype=np.float32):
+    """A 5-4-3 model with zero weights, in dtype: its velocity is the output
+    bias, the same 3-vector at every position and time."""
+    weights = [np.zeros((5, 4), dtype), np.zeros((4, 3), dtype)]
+    biases = [np.zeros(4, dtype), np.full(3, bias, dtype)]
+    return VelocityFieldModel(weights, biases, omega=6.0)
 
 
 def rewrite_container(src, dst, header=None, payload=None):

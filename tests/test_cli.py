@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from cycleflow.cli import main
+from cycleflow.field import save_checkpoint
 from cycleflow.mesh import read_obj
 from cycleflow.volume import read_v4d
 
-from conftest import rewrite_container, run_cli
+from conftest import bias_model, rewrite_container, run_cli
 
 GEN_ARGS = ["gen", "--grid", "12", "--frames", "3", "--spacing", "1.0",
             "--radius", "3.0", "--pattern", "periodic", "--amplitude", "0.5"]
@@ -322,6 +323,66 @@ def test_eval_requires_mesh_directory(tmp_path):
     empty.mkdir()
     assert main(["eval", ckpt, vol, "--meshes", str(empty),
                  "--out-dir", str(tmp_path / "x")]) == 3
+
+
+# ------------------------------------------------ overflowing positions
+
+@pytest.fixture(scope="module")
+def phantom(tmp_path_factory):
+    out = tmp_path_factory.mktemp("phantom") / "gen"
+    assert main(["gen", "--grid", "12", "--frames", "3", "--radius", "3",
+                 "--smoothing", "1", "--out-dir", str(out)]) == 0
+    return out
+
+
+def _refused_with_exit_4(proc, out):
+    """The one error line of a run that exits 4 and writes nothing."""
+    assert proc.returncode == 4, proc.stderr
+    assert "Traceback" not in proc.stderr
+    errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1, proc.stderr
+    assert not out.exists()
+    return errors[0]
+
+
+# the bounds put the mesh's normalized seeds at about 1e38 (f32) or 1e307
+# (f64), and the bias carries them past the dtype's maximum: with --steps 1
+# on the one (last) step, with --steps 4 on a middle one
+OVERFLOWING_STEPS = {
+    f"deform-{name}-steps-{steps}": (dtype, bias, bounds, steps)
+    for name, dtype, bias, bounds in [("f32", np.float32, 3.2e38, 8.5e-38),
+                                      ("f64", np.float64, 1.7e308, 1.5e-307)]
+    for steps in (1, 4)}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_STEPS) + ["eval-f32-max"])
+def test_an_euler_position_that_overflows_the_model_dtype_exits_4(phantom, tmp_path,
+                                                                  case):
+    out, ckpt = tmp_path / "out", tmp_path / "model.ckpt"
+    if case in OVERFLOWING_STEPS:
+        dtype, bias, extent, steps = OVERFLOWING_STEPS[case]
+        save_checkpoint(bias_model(bias, dtype), ckpt)
+        argv = ["deform", ckpt, phantom / "mesh_000.obj", "--times", "1",
+                f"--bounds=0,0,0,{extent},{extent},{extent}", "--steps", steps]
+    else:
+        save_checkpoint(bias_model(np.finfo(np.float32).max), ckpt)
+        argv = ["eval", ckpt, phantom / "volume.v4d", "--meshes", phantom,
+                "--steps-per-frame", "5"]
+    line = _refused_with_exit_4(run_cli(argv + ["--out-dir", out]), out)
+    assert "non-finite position at step" in line
+
+
+@pytest.mark.parametrize("extra", [["--times", "1"], ["--times", "0.5", "--probes", "2"]],
+                         ids=["mesh", "trajectory-only"])
+def test_a_position_that_overflows_world_mm_exits_4(phantom, tmp_path, extra):
+    # normalized positions reach 5e307 at t = 1, 2.5e307 at t = 0.5; the
+    # 5.5 mm half extent takes only the first past float64 in world mm
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(bias_model(5e307, np.float64), ckpt)
+    out = tmp_path / "out"
+    proc = run_cli(["deform", ckpt, phantom / "mesh_000.obj", "--volume",
+                    phantom / "volume.v4d", *extra, "--out-dir", out])
+    assert "world mm" in _refused_with_exit_4(proc, out)
 
 
 # ------------------------------------------------------------------ misc

@@ -17,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from cycleflow.cli import _bounds_from_args, _parse_times, main
 from cycleflow.errors import ConfigError, FormatError, ValidationError
-from cycleflow.field import init_weights, load_checkpoint, save_checkpoint
+from cycleflow.field import (VelocityFieldModel, init_weights, load_checkpoint,
+                             save_checkpoint)
 from cycleflow.mesh import icosphere, read_obj, write_obj
 from cycleflow.training import FitConfig, load_fit_config
 from cycleflow.volume import Volume4D, read_v4d, write_v4d
@@ -513,6 +514,36 @@ def _mostly(lo, hi):
 _LO, _HI = _mostly(-2.0, 1.0), _mostly(10.0, 14.0)
 
 
+def _up_to_max(dtype):
+    """(dtype, value): a signed fraction of the dtype's largest finite value."""
+    top = float(np.finfo(dtype).max)
+    return st.tuples(st.just(dtype), st.builds(lambda sign, f: sign * f * top,
+                                               st.sampled_from([1.0, -1.0]),
+                                               st.floats(0.0, 1.0)))
+
+
+# the checkpoint's output-layer bias: the fixture's own three times in four,
+# else one of any magnitude up to the f32 or the f64 maximum, in that dtype
+_BIASES = st.integers(0, 3).flatmap(
+    lambda k: st.none() if k else st.one_of(_up_to_max(np.float32),
+                                            _up_to_max(np.float64)))
+
+
+def _with_bias(ckpt, bias, path):
+    """ckpt, or for a drawn bias a copy at path in the bias's dtype, whose
+    output layer adds that value to every velocity component."""
+    if bias is None:
+        return ckpt
+    dtype, value = bias
+    model = load_checkpoint(ckpt)
+    weights = [w.value.astype(dtype) for w in model.weights]
+    biases = [b.value.astype(dtype) for b in model.biases]
+    biases[-1][:] = value
+    save_checkpoint(VelocityFieldModel(weights, biases, model.omega, model.period,
+                                       model.time_encoding), path)
+    return path
+
+
 def test_deform_writes_readable_files_or_refuses_cleanly(good, tmp_path_factory):
     root = tmp_path_factory.mktemp("deform")
     runs = itertools.count()
@@ -520,13 +551,15 @@ def test_deform_writes_readable_files_or_refuses_cleanly(good, tmp_path_factory)
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
     @given(st.lists(_mostly(0.0, 1.0), min_size=1, max_size=3), st.booleans(),
            st.lists(_LO, min_size=3, max_size=3), st.lists(_HI, min_size=3, max_size=3),
-           st.integers(1, 8), st.integers(0, 5))
-    def deform(times, wrap, lo, hi, steps, probes):
-        argv = ["deform", good["ckpt"], good["meshes"] / "mesh_000.obj",
+           st.integers(1, 8), st.integers(0, 5), _BIASES)
+    def deform(times, wrap, lo, hi, steps, probes, bias):
+        run = next(runs)
+        ckpt = _with_bias(good["ckpt"], bias, root / f"model{run}.ckpt")
+        argv = ["deform", ckpt, good["meshes"] / "mesh_000.obj",
                 "--times=" + ",".join(map(repr, times)),
                 "--bounds=" + ",".join(map(repr, lo + hi)),
                 "--steps", steps, "--probes", probes] + (["--wrap"] if wrap else [])
-        _run(argv, root / str(next(runs)))
+        _run(argv, root / str(run))
 
     deform()
 
@@ -541,9 +574,10 @@ def test_eval_writes_readable_files_or_refuses_cleanly(good, tmp_path_factory):
     sphere = icosphere(3.0, center=(5.5, 5.5, 5.5), subdivisions=2)
 
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
-    @given(st.integers(1, 3), _mostly(0.5, 2.0), _mostly(-2.0, 2.0))
-    def evaluate(steps_per_frame, scale, shift):
+    @given(st.integers(1, 3), _mostly(0.5, 2.0), _mostly(-2.0, 2.0), _BIASES)
+    def evaluate(steps_per_frame, scale, shift, bias):
         run = next(runs)
+        ckpt = _with_bias(good["ckpt"], bias, root / f"model{run}.ckpt")
         meshes = root / f"meshes{run}"
         meshes.mkdir()
         for i in (1, 2):
@@ -553,7 +587,7 @@ def test_eval_writes_readable_files_or_refuses_cleanly(good, tmp_path_factory):
         with open(meshes / "mesh_000.obj", "w") as fh:
             fh.writelines(f"v {x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in vertices)
             fh.writelines(f"f {a} {b} {c}\n" for a, b, c in sphere.faces + 1)
-        argv = ["eval", good["ckpt"], good["v4d"], "--meshes", meshes,
+        argv = ["eval", ckpt, good["v4d"], "--meshes", meshes,
                 "--no-psnr", "--steps-per-frame", steps_per_frame]
         _run(argv, root / str(run), allow_nan=("psnr_db",))
 

@@ -26,7 +26,7 @@ from cycleflow.flow import (
 from cycleflow.mesh import TriangleMesh, icosphere
 from cycleflow.volume import DomainNormalizer
 
-from conftest import fd_grad, make_cube_mesh, mean_square, rel_err
+from conftest import bias_model, fd_grad, make_cube_mesh, mean_square, rel_err
 
 
 class ConstantField:
@@ -167,6 +167,18 @@ def test_non_finite_velocity_raises():
         integrate(NanAfterField(0.5), np.zeros((1, 3)), 0.0, 1.0, steps=4)
 
 
+@pytest.mark.filterwarnings("ignore:evaluating velocity field outside the slack")
+@pytest.mark.parametrize("steps", [10, 24])
+def test_a_position_that_overflows_the_model_dtype_raises(steps):
+    # float32-max steps of 1/steps add up past float32's range near t = 1
+    model = bias_model(np.finfo(np.float32).max)
+    seeds = np.zeros((4, 3))
+    with pytest.raises(NumericalError, match="non-finite position at step"):
+        integrate(model, seeds, 0.0, 1.0, steps)
+    with pytest.raises(NumericalError, match="non-finite position at step"):
+        inverse_map(model, seeds, 1.0, steps)
+
+
 # ------------------------------------------------------- frame alignment
 
 def test_frame_step_times_one_step_per_frame_is_exact():
@@ -292,6 +304,8 @@ def test_inverse_map_at_time_zero_is_copy():
     assert np.array_equal(got, targets)
     got[0, 0] = 99.0
     assert targets[0, 0] != 99.0
+    with pytest.raises(ValueError, match="non-finite"):
+        inverse_map(ConstantField([1, 1, 1]), [[math.nan, 0.0, 0.0]], 0.0, steps=4)
 
 
 def test_inverse_map_undoes_constant_flow():

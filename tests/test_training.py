@@ -24,7 +24,7 @@ from cycleflow.flow import flow_at_frames
 from cycleflow.volume import (GrowthPattern, Volume4D, make_sphere_series,
                               sample_trilinear)
 
-from conftest import fd_grad, rel_err
+from conftest import bias_model, fd_grad, rel_err
 
 
 class ConstantField:
@@ -269,6 +269,17 @@ def test_total_loss_seed_gradient_matches_fd(cycle):
         total, _, _ = total_loss(model, vol, seeds, 0.7, cycle)
         tape.backward(total)
     assert rel_err(seeds.grad, fd_grad(value, pts, eps=1e-6)) < 1e-5
+
+
+@pytest.mark.filterwarnings("ignore:evaluating velocity field outside the slack")
+@pytest.mark.parametrize("steps_per_frame", [1, 3])
+def test_total_loss_refuses_positions_that_overflow_the_model_dtype(steps_per_frame):
+    pattern = GrowthPattern("periodic", 4.0, amplitude_mm=1.0)
+    vol, _ = make_sphere_series(pattern, 16, 1.0, 25, smoothing_mm=2.0)
+    points = np.random.default_rng(0).uniform(-1.0, 1.0, (32, 3))
+    model = bias_model(np.finfo(np.float32).max)
+    with ad.Tape(), pytest.raises(NumericalError, match="non-finite position at step"):
+        total_loss(model, vol, points, steps_per_frame=steps_per_frame)
 
 
 @pytest.mark.parametrize("cycle", [True, False], ids=["cycle", "no-cycle"])
