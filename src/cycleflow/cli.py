@@ -186,9 +186,9 @@ def cmd_deform(args) -> int:
         seeds = normalizer.to_normalized(
             mesh.vertices[:: max(1, mesh.vertices.shape[0] // args.probes)])
         traj = integrate(model, seeds, 0.0, 1.0, args.steps)
-        normalizer.to_world(traj.points)  # refuses an overflow before _finish writes
+        # in world mm here, so that an overflow is refused before _finish writes
         writers.append(("trajectories.csv", partial(
-            write_trajectory_csv, traj, normalizer=normalizer)))
+            write_trajectory_csv, normalizer.to_world(traj.points), traj.times)))
     inputs = [args.checkpoint, args.mesh] + ([args.volume] if args.volume else [])
     config = {"times": times, "steps": args.steps, "wrap": args.wrap,
               "probes": args.probes}

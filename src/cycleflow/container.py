@@ -8,8 +8,10 @@ of this framing.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -27,24 +29,29 @@ def write_container(path, magic: bytes, header, arrays, dtype="<f4"):
             fh.write(np.ascontiguousarray(a, dtype=dtype))
 
 
+@contextmanager
 def read_container(path, magic: bytes):
-    """Check the framing; returns (header dict, file bytes, payload offset)."""
+    """Check the framing; yields (header dict, file positioned at the payload).
+
+    The header length is checked against the file size before it is read,
+    and the payload is left for the format to read straight into its arrays.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:8] != magic:
-        raise FormatError(f"{path}: bad magic at offset 0, expected {magic!r}")
-    if len(data) < 12:
-        raise FormatError(f"{path}: truncated header length at offset 8")
-    (hlen,) = struct.unpack("<I", data[8:12])
-    if len(data) < 12 + hlen:
-        raise FormatError(f"{path}: truncated header at offset 12")
-    try:
-        header = json.loads(data[12:12 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: unreadable header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise FormatError(f"{path}: header is not a JSON object")
-    return header, data, 12 + hlen
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(8) != magic:
+            raise FormatError(f"{path}: bad magic at offset 0, expected {magic!r}")
+        if size < 12:
+            raise FormatError(f"{path}: truncated header length at offset 8")
+        (hlen,) = struct.unpack("<I", fh.read(4))
+        if size < 12 + hlen:
+            raise FormatError(f"{path}: truncated header at offset 12")
+        try:
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise FormatError(f"{path}: unreadable header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise FormatError(f"{path}: header is not a JSON object")
+        yield header, fh
 
 
 def is_number(v) -> bool:

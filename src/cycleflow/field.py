@@ -232,7 +232,9 @@ def save_checkpoint(model: VelocityFieldModel, path):
 
 
 def load_checkpoint(path) -> VelocityFieldModel:
-    header, data, offset = read_container(path, CHECKPOINT_MAGIC)
+    with read_container(path, CHECKPOINT_MAGIC) as (header, fh):
+        start = fh.tell()
+        data = fh.read()
     check_header(path, header, {
         "layer_sizes": list_of(is_count), "omega": is_number, "period": is_number,
         "time_encoding": lambda v: type(v) is bool,
@@ -241,17 +243,18 @@ def load_checkpoint(path) -> VelocityFieldModel:
     sizes = header["layer_sizes"]
     dtype = np.dtype(CHECKPOINT_DTYPES[header["dtype"]])
     weights, biases = [], []
+    pos = 0  # into the payload, which starts at file offset ``start``
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        if offset + (fan_in + 1) * fan_out * dtype.itemsize > len(data):
-            raise FormatError(f"{path}: truncated weight payload at offset {offset}")
-        w = np.frombuffer(data, dtype=dtype, count=fan_in * fan_out, offset=offset)
-        offset += fan_in * fan_out * dtype.itemsize
-        b = np.frombuffer(data, dtype=dtype, count=fan_out, offset=offset)
-        offset += fan_out * dtype.itemsize
+        if pos + (fan_in + 1) * fan_out * dtype.itemsize > len(data):
+            raise FormatError(f"{path}: truncated weight payload at offset {start + pos}")
+        w = np.frombuffer(data, dtype=dtype, count=fan_in * fan_out, offset=pos)
+        pos += fan_in * fan_out * dtype.itemsize
+        b = np.frombuffer(data, dtype=dtype, count=fan_out, offset=pos)
+        pos += fan_out * dtype.itemsize
         weights.append(w.reshape(fan_in, fan_out).copy())
         biases.append(b.copy())
-    if offset != len(data):
-        raise FormatError(f"{path}: {len(data) - offset} trailing bytes after weights")
+    if pos != len(data):
+        raise FormatError(f"{path}: {len(data) - pos} trailing bytes after weights")
     try:
         return VelocityFieldModel(weights, biases, omega=header["omega"],
                                   period=header["period"],

@@ -213,15 +213,14 @@ def deform_mesh(model, mesh: TriangleMesh, times, steps: int,
     return out
 
 
-def write_trajectory_csv(trajectory: Trajectory, path, normalizer):
-    """Dump a trajectory as point_id, step, t, x, y, z rows in world mm."""
-    shape = trajectory.points.shape
-    pts = normalizer.to_world(trajectory.points.reshape(-1, 3)).reshape(shape)
+def write_trajectory_csv(points, times, path):
+    """Dump (B, S+1, 3) world-mm positions at times (S+1,) as point_id,
+    step, t, x, y, z rows."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["point_id", "step", "t", "x", "y", "z"])
-        for i in range(pts.shape[0]):
-            for k in range(pts.shape[1]):
-                x, y, z = pts[i, k]
-                writer.writerow([i, k, repr(float(trajectory.times[k])),
+        for i in range(points.shape[0]):
+            for k in range(points.shape[1]):
+                x, y, z = points[i, k]
+                writer.writerow([i, k, repr(float(times[k])),
                                  repr(float(x)), repr(float(y)), repr(float(z))])

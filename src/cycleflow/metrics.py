@@ -3,13 +3,14 @@
 Hausdorff is symmetric vertex-to-surface: each vertex of one mesh is
 measured against the exact nearest point on any triangle of the other.
 Two interchangeable routes share one point-triangle kernel: a brute-force
-all-pairs scan, and a KD-tree search that prunes triangles without changing
-the result.  The KD-tree route is batched — one nearest-centroid query, one
-ball query per block of vertices, and the kernel over the flattened (vertex,
-triangle) candidate pairs — and is validated against the brute one.  It exits
-early: blocks are refined in descending order of the nearest-centroid upper
-bound and the search stops once no bound left exceeds the largest exact
-distance found (the early break of Taha & Hanbury, TPAMI 2015).
+all-pairs scan, and an indexed search, in NumPy alone, that prunes
+triangles without changing the result.  The indexed route is batched — one
+near-centroid search, one grid of triangle centroids per block of vertices,
+and the kernel over the flattened (vertex, triangle) candidate pairs — and
+is validated against the brute one.  It exits early: blocks are refined in
+descending order of the near-centroid upper bound and the search stops once
+no bound left exceeds the largest exact distance found (the early break of
+Taha & Hanbury, TPAMI 2015).
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -27,8 +27,11 @@ from .mesh import TriangleMesh, mesh_volume, signed_volume
 from .volume import DomainNormalizer, Volume4D, sample_trilinear
 
 _CHUNK = 8  # vertices per brute-force block: ~1 MB (B,T,3) temporaries at T=5120
-_BALL_BLOCK = 128  # vertices per ball query: at most 128*T candidates at once
+_BALL_BLOCK = 128  # vertices refined at once: at most 128*T candidates
 _PAIRS = 16384  # (vertex, triangle) pairs per kernel call
+_WINDOW = 8  # Morton-sorted centroids that start each vertex's walk
+_CELLS = 1 << 20  # most grid cells per axis: cell keys stay below 2**61
+_NEIGHBOURS = np.stack(np.meshgrid(*[(-1, 0, 1)] * 3, indexing="ij"), -1).reshape(27, 3)
 # Hausdorff's barycentric projection multiplies squared edge lengths, fourth
 # powers of the coordinates: below 1e75 mm they stay finite in float64
 _MAX_MM = 1e75
@@ -105,19 +108,111 @@ def hausdorff_brute(a: TriangleMesh, b: TriangleMesh) -> float:
     return max(_directed_hausdorff_brute(a, b), _directed_hausdorff_brute(b, a))
 
 
-def _directed_hausdorff_indexed(a: TriangleMesh, b: TriangleMesh) -> float:
-    """Directed Hausdorff using a KD-tree over triangle centroids of b.
+def _morton(q):
+    """Interleave the bits of (N,3) integers below 2**21 into one key each."""
+    q = q.astype(np.uint64)
+    for shift, mask in ((32, 0x1F00000000FFFF), (16, 0x1F0000FF0000FF),
+                        (8, 0x100F00F00F00F00F), (4, 0x10C30C30C30C30C3),
+                        (2, 0x1249249249249249)):
+        q = (q | q << np.uint64(shift)) & np.uint64(mask)
+    return q[:, 0] | q[:, 1] << np.uint64(1) | q[:, 2] << np.uint64(2)
 
-    The exact distance to the triangle with the nearest centroid gives each
-    vertex an upper bound d.  No point of a triangle is farther from its
-    centroid than its farthest corner, at most r_max away, so a triangle
-    whose surface comes closer than d has its centroid within d + r_max: one
-    ball query per block of vertices yields candidates that provably include
-    the true nearest triangle (1e-12 absorbs rounding in the tree's
-    comparison).  The ragged candidate lists are flattened to (vertex,
-    triangle) pairs, evaluated in fixed-size blocks and reduced to a
-    per-vertex minimum; a pair seen twice cannot change a minimum.  Each
-    pair goes through the brute-force scan's kernel with the same
+
+def _edge_neighbours(faces):
+    """(T,3): the triangle across each edge of each triangle.  A boundary
+    edge leads back to its own triangle; the triangles on a non-manifold
+    edge pair off in sorted order."""
+    ends = np.roll(faces, -1, axis=1)
+    keys = (np.minimum(faces, ends) * (int(faces.max()) + 1)
+            + np.maximum(faces, ends)).ravel()
+    by_key = np.argsort(keys)
+    i = np.flatnonzero(keys[by_key][1:] == keys[by_key][:-1])
+    twin = np.arange(keys.size)
+    twin[by_key[i]], twin[by_key[i + 1]] = by_key[i + 1], by_key[i]
+    return (twin // 3).reshape(-1, 3)
+
+
+def _near_centroid(pts, centroids, faces):
+    """Index of a centroid near each point, for its upper bound.
+
+    Each point starts from the nearest of the _WINDOW centroids around it in
+    Morton order, then walks across triangle edges while a neighbour's
+    centroid is strictly nearer.  The walk ends at the nearest centroid of
+    all for nearly every point of a surface; any triangle gives a bound.
+    """
+    lo, hi = centroids.min(axis=0), centroids.max(axis=0)
+    extent = float((hi - lo).max()) or 1.0
+
+    def keys(x):  # clipped into the centroids' box: quotients in [0, 1]
+        return _morton((np.clip(x, lo, hi) - lo) / extent * (2 ** 21 - 1))
+
+    def nearest(p, cand):  # the first of the nearest candidates, per row
+        d2 = sum((centroids[:, k][cand] - p[:, k, None]) ** 2 for k in range(3))
+        return cand[np.arange(cand.shape[0]), d2.argmin(axis=1)]
+
+    codes = keys(centroids)
+    order = np.argsort(codes)
+    w = min(_WINDOW, order.size)
+    at = np.clip(np.searchsorted(codes[order], keys(pts)) - w // 2, 0, order.size - w)
+    near = nearest(pts, order[at[:, None] + np.arange(w)])
+    across = _edge_neighbours(faces)
+    moving = np.arange(pts.shape[0])
+    while moving.size:
+        here = near[moving]
+        step = nearest(pts[moving], np.column_stack([here, across[here]]))
+        near[moving] = step
+        moving = moving[step != here]
+    return near
+
+
+def _ball_pairs(pts, reach, centroids):
+    """(point, triangle) pairs that include every triangle whose centroid
+    lies within ``reach`` of the point, for one block of points.
+
+    Centroids are binned on cubic cells at least as wide as the largest
+    reach, so such a centroid lies in the point's cell or one of its 26
+    neighbours: a cell's triangles are one ``searchsorted`` range of the
+    sorted cell keys.  At most _CELLS cells per axis keep the keys in int64
+    and every cell quotient finite, from 1e-300 to 1e75 mm.
+    """
+    lo = centroids.min(axis=0)
+    extent = float((centroids.max(axis=0) - lo).max())
+    # the 1e-6 margin absorbs rounding in the quotients (x - lo) / h, whose
+    # floors must differ by at most one for points within reach
+    h = max(float(reach.max()) * (1.0 + 1e-6), extent / _CELLS)
+    n = int(extent / h) + 3  # cells per axis, with an empty one on each side
+
+    def cells(x):
+        return np.clip(np.floor((x - lo) / h), 0, n - 3).astype(np.int64) + 1
+
+    def keys(c):
+        return (c[..., 2] * n + c[..., 1]) * n + c[..., 0]
+
+    tri_keys = keys(cells(centroids))
+    by_key = np.argsort(tri_keys)
+    tri_keys = tri_keys[by_key]
+    wanted = keys(cells(pts)[:, None, :] + _NEIGHBOURS).ravel()
+    first = np.searchsorted(tri_keys, wanted, "left")
+    counts = np.searchsorted(tri_keys, wanted, "right") - first
+    ends = np.cumsum(counts)
+    owner = np.repeat(np.arange(wanted.size) // len(_NEIGHBOURS), counts)
+    cand = by_key[np.arange(ends[-1]) + np.repeat(first + counts - ends, counts)]
+    return owner, cand
+
+
+def _directed_hausdorff_indexed(a: TriangleMesh, b: TriangleMesh) -> float:
+    """Directed Hausdorff using a cell grid over triangle centroids of b.
+
+    The exact distance to the triangle of a near centroid gives each vertex
+    an upper bound d.  No point of a triangle is farther from its centroid
+    than its farthest corner, at most r_max away, so a triangle whose
+    surface comes closer than d has its centroid within d + r_max: binning
+    the centroids per block of vertices yields candidates that provably
+    include the true nearest triangle, and the candidates whose centroid
+    lies beyond that reach are dropped before the kernel runs.  The
+    (vertex, triangle) pairs are evaluated in fixed-size blocks and reduced
+    to a per-vertex minimum; a pair seen twice cannot change a minimum.
+    Each pair goes through the brute-force scan's kernel with the same
     arithmetic, so both routes return the same value.
 
     Only the maximum is wanted, so vertices are refined in blocks in
@@ -128,14 +223,12 @@ def _directed_hausdorff_indexed(a: TriangleMesh, b: TriangleMesh) -> float:
     collapses to a point, where every ball holds every triangle, thus
     refines one block instead of all of them.
     """
-    from scipy.spatial import cKDTree  # only Hausdorff needs SciPy
     tri = b.vertices[b.faces]               # (T,3,3)
     centroids = tri.mean(axis=1)
     r_max = float(np.sqrt(((tri - centroids[:, None, :]) ** 2).sum(axis=2)).max())
-    tree = cKDTree(centroids)
     pts = a.vertices
-    best = _point_triangle_sq(pts, tri[tree.query(pts)[1]])
-    reach = np.sqrt(best) + r_max + 1e-12
+    best = _point_triangle_sq(pts, tri[_near_centroid(pts, centroids, b.faces)])
+    reach = np.sqrt(best) + r_max
     order = np.argsort(-best, kind="stable")
     bound = best[order]  # upper bounds, before refinement lowers best
     top = 0.0
@@ -143,13 +236,15 @@ def _directed_hausdorff_indexed(a: TriangleMesh, b: TriangleMesh) -> float:
         if bound[s] <= top:
             break
         block = order[s:s + _BALL_BLOCK]
-        balls = tree.query_ball_point(pts[block], reach[block])
-        counts = np.fromiter(map(len, balls), np.intp, len(balls))
-        owner = np.repeat(block, counts)
-        cand = np.fromiter(chain.from_iterable(balls), np.intp, owner.size)
+        owner, cand = _ball_pairs(pts[block], reach[block], centroids)
+        owner = block[owner]
         for c in range(0, owner.size, _PAIRS):
-            o = owner[c:c + _PAIRS]
-            np.minimum.at(best, o, _point_triangle_sq(pts[o], tri[cand[c:c + _PAIRS]]))
+            o, t = owner[c:c + _PAIRS], cand[c:c + _PAIRS]
+            d2 = sum((centroids[:, k][t] - pts[:, k][o]) ** 2 for k in range(3))
+            # the 1e-6 margin absorbs rounding on both sides of the test
+            within = d2 <= reach[o] ** 2 * (1.0 + 1e-6)
+            o, t = o[within], t[within]
+            np.minimum.at(best, o, _point_triangle_sq(pts[o], tri[t]))
         top = max(top, float(best[block].max()))
     return float(np.sqrt(top))
 

@@ -10,6 +10,7 @@ cycle spans [0, 1].
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -324,19 +325,23 @@ def write_v4d(volume: Volume4D, path):
 
 
 def read_v4d(path) -> Volume4D:
-    header, data, offset = read_container(path, V4D_MAGIC)
-    numbers = list_of(is_number)
-    check_header(path, header, {
-        "shape": list_of(is_count, 3), "spacing_mm": numbers, "origin_mm": numbers,
-        "frame_times": numbers, "dtype": lambda v: v == "f32le"})
-    d, h, w = header["shape"]
-    n = len(header["frame_times"])
-    expected = n * d * h * w * 4
-    if len(data) - offset != expected:
-        raise FormatError(
-            f"{path}: payload is {len(data) - offset} bytes at offset {offset}, "
-            f"expected {expected}"
-        )
-    frames = np.frombuffer(data, dtype="<f4", offset=offset).reshape(n, d, h, w).copy()
+    with read_container(path, V4D_MAGIC) as (header, fh):
+        numbers = list_of(is_number)
+        check_header(path, header, {
+            "shape": list_of(is_count, 3), "spacing_mm": numbers, "origin_mm": numbers,
+            "frame_times": numbers, "dtype": lambda v: v == "f32le"})
+        d, h, w = header["shape"]
+        n = len(header["frame_times"])
+        expected = n * d * h * w * 4
+        offset = fh.tell()
+        size = os.fstat(fh.fileno()).st_size - offset
+        if size == expected:  # allocate only what the file holds
+            frames = np.empty((n, d, h, w), dtype="<f4")
+            size = fh.readinto(frames)
+        if size != expected:
+            raise FormatError(
+                f"{path}: payload is {size} bytes at offset {offset}, "
+                f"expected {expected}"
+            )
     return Volume4D(frames, header["spacing_mm"], header["origin_mm"],
                     header["frame_times"])

@@ -159,8 +159,8 @@ def rewrite_container(src, dst, header=None, payload=None):
     """Copy a .v4d or .ckpt file, passing its header dict and its float32
     payload through the given edit functions."""
     magic = Path(src).read_bytes()[:8]
-    head, data, offset = read_container(src, magic)
-    values = np.frombuffer(data, dtype="<f4", offset=offset)
+    with read_container(src, magic) as (head, fh):
+        values = np.frombuffer(fh.read(), dtype="<f4")
     write_container(dst, magic, header(head) if header else head,
                     [payload(values) if payload else values])
     return dst

@@ -539,7 +539,7 @@ def test_trajectory_csv_round_trips_exact_floats(tmp_path):
     traj = integrate(ConstantField([0.25, 0, 0]), seeds, 0.0, 1.0, steps=2)
     norm = DomainNormalizer((0.0, -3.0, 1.0), (7.0, 5.0, 2.5))
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, path, norm)
+    write_trajectory_csv(norm.to_world(traj.points), traj.times, path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["point_id", "step", "t", "x", "y", "z"]
@@ -553,7 +553,7 @@ def test_trajectory_csv_world_units(tmp_path):
     norm = DomainNormalizer((-8.0, -8.0, -8.0), (8.0, 8.0, 8.0))
     traj = integrate(ConstantField([0.25, 0, 0]), np.zeros((1, 3)), 0.0, 1.0, 2)
     path = tmp_path / "traj_mm.csv"
-    write_trajectory_csv(traj, path, normalizer=norm)
+    write_trajectory_csv(norm.to_world(traj.points), traj.times, path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert float(rows[-1][3]) == pytest.approx(2.0, abs=1e-12)

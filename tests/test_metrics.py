@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cycleflow.autodiff as ad
 import cycleflow.metrics as metrics
@@ -94,32 +95,39 @@ def test_hausdorff_is_symmetric_in_arguments():
     assert hausdorff(a, b) == hausdorff(b, a)
 
 
-_IMPORT_CHILD = """
+_CHAIN_CHILD = """
 import sys
-import cycleflow.cli
-from cycleflow.metrics import hausdorff
-from cycleflow.mesh import icosphere
-print("scipy.spatial" in sys.modules)
-print(repr(hausdorff(icosphere(1.0, subdivisions=2),
-                     icosphere(1.2, center=(0.1, 0.0, 0.0), subdivisions=1))))
-print("scipy.spatial" in sys.modules)
+from cycleflow.cli import main
+gen, fit, out = sys.argv[1:]
+vol, ckpt = gen + "/volume.v4d", fit + "/model.ckpt"
+for argv in (["gen", "--grid", "12", "--frames", "3", "--radius", "3",
+              "--smoothing", "1", "--out-dir", gen],
+             ["fit", vol, "--epochs", "2", "--points", "8", "--hidden-width", "8",
+              "--out-dir", fit],
+             ["deform", ckpt, gen + "/mesh_000.obj", "--times", "0.5",
+              "--probes", "4", "--volume", vol, "--out-dir", out + "/deform"],
+             ["eval", ckpt, vol, "--meshes", gen, "--out-dir", out + "/eval"]):
+    assert main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
 """
 
 
-def test_only_hausdorff_loads_scipy():
-    # gen, fit and deform never pay for importing scipy.spatial
+def test_no_command_loads_scipy(tmp_path):
+    # gen, fit, deform and eval (three Hausdorff distances among its
+    # metrics) in one fresh interpreter, which never imports scipy
     src = str(Path(metrics.__file__).resolve().parents[1])
-    child = subprocess.run([sys.executable, "-c", _IMPORT_CHILD],
+    gen, fit = tmp_path / "gen", tmp_path / "fit"
+    child = subprocess.run([sys.executable, "-c", _CHAIN_CHILD, gen, fit, tmp_path],
                            env={**os.environ, "PYTHONPATH": src},
-                           capture_output=True, text=True, timeout=120)
+                           capture_output=True, text=True, timeout=300)
     assert child.returncode == 0, child.stderr
-    want = hausdorff(icosphere(1.0, subdivisions=2),
-                     icosphere(1.2, center=(0.1, 0.0, 0.0), subdivisions=1))
-    assert child.stdout.split() == ["False", repr(want), "True"]
+    assert child.stdout.splitlines()[-1] == "[]"
+    summary = json.loads((tmp_path / "eval" / "eval_summary.json").read_text())
+    assert math.isfinite(summary["max_hsd_mm"])
 
 
 def test_accelerated_matches_brute_on_random_pairs(rng):
-    # The KD-tree route prunes candidate triangles but must reproduce the
+    # The indexed route prunes candidate triangles but must reproduce the
     # exhaustive result exactly.
     for _ in range(10):
         a = icosphere(rng.uniform(0.5, 2.0), center=rng.uniform(-1, 1, 3),
@@ -252,12 +260,8 @@ def test_early_exit_equals_brute_on_perturbed_spheres(seed, amp):
         metrics._directed_hausdorff_brute(b, a)
 
 
-def test_collapsed_mesh_refines_a_bounded_number_of_pairs(monkeypatch):
-    # a sphere scaled to a point puts every centroid in every ball query;
-    # without the early exit that is V*F kernel pairs per direction
-    sphere = icosphere(1.0)
-    dot = TriangleMesh(sphere.vertices * 1e-300, sphere.faces)
-    n_verts, n_faces = dot.vertices.shape[0], dot.faces.shape[0]
+def _counting_kernel(monkeypatch):
+    """Patch the point-triangle kernel to record its pair count per call."""
     pairs = []
     kernel = metrics._point_triangle_sq
 
@@ -266,10 +270,158 @@ def test_collapsed_mesh_refines_a_bounded_number_of_pairs(monkeypatch):
         return kernel(p, tri)
 
     monkeypatch.setattr(metrics, "_point_triangle_sq", counting_kernel)
+    return pairs
+
+
+def test_collapsed_mesh_refines_a_bounded_number_of_pairs(monkeypatch):
+    # a sphere scaled to a point puts every centroid in every ball query;
+    # without the early exit that is V*F kernel pairs per direction
+    sphere = icosphere(1.0)
+    dot = TriangleMesh(sphere.vertices * 1e-300, sphere.faces)
+    n_verts, n_faces = dot.vertices.shape[0], dot.faces.shape[0]
+    pairs = _counting_kernel(monkeypatch)
     assert hausdorff(dot, dot) == 0.0
     # at most the nearest-centroid pass and one ball block per direction
     assert sum(pairs) <= 2 * (n_verts + metrics._BALL_BLOCK * n_faces)
     assert sum(pairs) < n_verts * n_faces / 8
+
+
+def test_acceptance_pair_refines_one_block_per_direction(monkeypatch):
+    # the bound pass takes one pair per vertex; one refined block of
+    # _BALL_BLOCK vertices has about 7 candidates within reach per vertex,
+    # so a second block per direction would pass the 10 per vertex allowed
+    a, b = _acceptance_pair()
+    n_verts = a.vertices.shape[0]
+    pairs = _counting_kernel(monkeypatch)
+    hausdorff(a, b)
+    assert sum(pairs) <= 2 * (n_verts + metrics._BALL_BLOCK * 10)
+
+
+def _directed_pairs_match_brute(a, b):
+    for x, y in ((a, b), (b, a)):
+        assert metrics._directed_hausdorff_indexed(x, y) == \
+            metrics._directed_hausdorff_brute(x, y)
+
+
+def _flat_pair():
+    # a plane has zero extent along z; a sphere cuts through it
+    return _plane_grid(6, 6.0, 0.0), icosphere(2.0, center=(3.1, 2.9, 0.4),
+                                               subdivisions=2)
+
+
+def _coincident_centroids_pair(rng):
+    # every triangle of b is (p, q, -(p + q)): all centroids are the origin
+    p, q = rng.normal(size=(2, 12, 3))
+    verts = np.stack([p, q, -(p + q)], axis=1).reshape(-1, 3)
+    b = TriangleMesh(verts, np.arange(36).reshape(12, 3))
+    assert not b.vertices[b.faces].mean(axis=1).any()
+    return icosphere(1.5, center=(0.2, -0.1, 0.3), subdivisions=2), b
+
+
+def _cell_boundary_pair():
+    # a's vertices lie on the faces and corners of the box around b's
+    # centroids, where the grid's first cells begin and its cell indices
+    # are clipped, and on a lattice 1 mm above b from the box's corner
+    b = _plane_grid(8, 8.0, 0.0)
+    lo = b.vertices[b.faces].mean(axis=1).min(axis=0)
+    a = make_cube_mesh(side=8.0 - 2.0 * lo[0], origin=(lo[0], lo[1], -1.0))
+    lattice = _plane_grid(4, 8.0, 1.0).vertices + [lo[0], lo[1], 0.0]
+    return TriangleMesh(np.concatenate([a.vertices, lattice]), a.faces), b
+
+
+def _tiny_triangles(centers, size=0.05):
+    """One small horizontal triangle centred on each point: vertices, faces."""
+    corners = size * np.array([[1.0, 0.0, 0.0], [-0.5, 1.0, 0.0], [-0.5, -1.0, 0.0]])
+    verts = (np.asarray(centers, dtype=np.float64)[:, None, :] + corners).reshape(-1, 3)
+    return verts, np.arange(len(verts)).reshape(-1, 3)
+
+
+def _loose_bounds_pair():
+    # a is a strip of _BALL_BLOCK vertices 1 mm above a huge triangle of b,
+    # each with a tiny triangle of b 1.5 mm above it: the nearest centroid,
+    # so its bound is loose.  a's last vertex, 1.2 mm from both the huge
+    # triangle and its own tiny one, has a tight bound and the largest
+    # distance; it heads the second block, which the early exit must refine
+    # although the first block's distances end at 1 mm
+    n = metrics._BALL_BLOCK // 2
+    strip = np.stack([np.repeat(np.arange(n, dtype=np.float64), 2),
+                      np.tile([0.0, 1.0], n), np.ones(2 * n)], axis=1)
+    q = 2 * np.arange(n - 1)[:, None]
+    a = TriangleMesh(np.concatenate([strip, [[0.5, 3.0, 1.2]]]),
+                     np.concatenate([q + [0, 2, 3], q + [0, 3, 1]]))
+    tiny, tiny_faces = _tiny_triangles(np.concatenate([strip + [0.0, 0.0, 1.5],
+                                                       [[0.5, 3.0, 2.4]]]))
+    huge = [[-500.0, -500.0, 0.0], [1500.0, -500.0, 0.0], [-500.0, 1500.0, 0.0]]
+    b = TriangleMesh(np.concatenate([tiny, huge]),
+                     np.concatenate([tiny_faces, [len(tiny) + np.arange(3)]]))
+    return a, b
+
+
+def _corner_at_reach_pair():
+    # b: an equilateral triangle whose corners are all r_max = 10 mm from its
+    # centroid, and a tiny triangle 1.001 mm above a's vertex p, which lies
+    # 1 mm beyond a corner.  p's bound is 1.001 mm; its nearest triangle,
+    # the big one, has its centroid 11 mm away: inside the reach of 11.001
+    # mm by under 0.01%
+    ang = np.radians([0.0, 120.0, 240.0])
+    big = 10.0 * np.stack([np.cos(ang), np.sin(ang), np.zeros(3)], axis=1)
+    tiny, tiny_faces = _tiny_triangles([[11.0, 0.0, 1.001]])
+    b = TriangleMesh(np.concatenate([big, tiny]), [[0, 1, 2], *(tiny_faces + 3)])
+    return TriangleMesh(np.concatenate([[[11.0, 0.0, 0.0]], big[1:]]), [[0, 1, 2]]), b
+
+
+def _subnormal_pair():
+    # spheres of radius 1e-310 and 3e-310 mm: subnormal coordinates, whose
+    # extents and squares lose their precision or underflow
+    a, b = icosphere(1.0, subdivisions=2), icosphere(1.0, subdivisions=1)
+    return (TriangleMesh(a.vertices * 1e-310, a.faces),
+            TriangleMesh(b.vertices * 3e-310, b.faces))
+
+
+@pytest.mark.parametrize("make_pair", [_flat_pair, _coincident_centroids_pair,
+                                       _cell_boundary_pair, _loose_bounds_pair,
+                                       _corner_at_reach_pair, _subnormal_pair],
+                         ids=["flat", "coincident-centroids", "cell-boundaries",
+                              "loose-bounds", "corner-at-reach", "subnormal"])
+def test_indexed_equals_brute_on_degenerate_layouts(make_pair, rng):
+    pair = make_pair(rng) if make_pair is _coincident_centroids_pair else make_pair()
+    _directed_pairs_match_brute(*pair)
+
+
+def test_ball_pairs_hold_every_centroid_at_reach():
+    # centroids exactly one reach from their point, along x and along the
+    # diagonal; the points step through every position within a cell, cell
+    # boundaries included, in steps of 1/4096 of a cell
+    n = 4096
+    pts = np.zeros((n, 3))
+    pts[:, 0] = np.arange(n) * (1.0 + 1.0 / n)
+    centroids = np.concatenate([pts + [1.0, 0.0, 0.0], pts + 3 ** -0.5])
+    owner, cand = metrics._ball_pairs(pts, np.ones(n), centroids)
+    found = set(zip(owner.tolist(), cand.tolist()))
+    assert all((i, i) in found and (i, n + i) in found for i in range(n))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 2), st.integers(1, 2), st.integers(0, 2 ** 16),
+       st.one_of(st.floats(-6.0, 6.0), st.just(74.0)),
+       st.floats(0.0, 0.5), st.floats(-5.0, 5.0))
+def test_indexed_equals_brute_on_perturbed_spheres_at_any_scale(
+        sub_a, sub_b, seed, log_scale, amp, where):
+    # spheres from 1e-6 to 1e6 mm, or 1e74 mm at up to 5e74 mm from the
+    # origin, so that coordinates come within 1e75 mm; random centres and
+    # radial bumps
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** log_scale
+    center = scale * where * rng.uniform(-1.0, 1.0, 3)
+    a = _smoothly_perturbed(icosphere(scale, center=center, subdivisions=sub_a),
+                            center, seed, amp * scale)
+    other = center + scale * rng.uniform(-1.5, 1.5, 3)
+    b = _smoothly_perturbed(icosphere(scale * rng.uniform(0.5, 2.0), center=other,
+                                      subdivisions=sub_b), other, seed + 1,
+                            amp * scale)
+    assert np.abs(np.concatenate([a.vertices, b.vertices])).max() < metrics._MAX_MM
+    _directed_pairs_match_brute(a, b)
+    assert hausdorff(a, b) == hausdorff_brute(a, b)
 
 
 def test_concentric_spheres_distance():
