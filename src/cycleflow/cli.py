@@ -36,8 +36,9 @@ from .flow import deform_mesh, integrate, write_trajectory_csv
 from .mesh import read_obj, write_obj
 from .metrics import evaluate_fit, write_eval_csv, write_eval_summary
 from .svgplot import line_plot
-from .training import (LOSS_COLUMNS, FitConfig, fit, load_fit_config,
-                       write_fit_summary, write_loss_csv)
+from .training import (LOSS_COLUMNS, PRECISIONS, SAMPLING_STRATEGIES,
+                       FitConfig, fit, load_fit_config, write_fit_summary,
+                       write_loss_csv)
 from .volume import (DomainNormalizer, GrowthPattern, make_sphere_series,
                      read_v4d, write_v4d)
 
@@ -52,6 +53,13 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
+def _blas() -> str:
+    """Name and version of the BLAS NumPy was built with: with the NumPy
+    version, what the bytes of a fit depend on."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip()
+
+
 def _finish(args, command, config, seed, inputs, writers, started):
     """Create --out-dir, run each (file name, writer(path)) pair in order,
     then write manifest.json hashing the inputs and outputs; returns the
@@ -64,6 +72,7 @@ def _finish(args, command, config, seed, inputs, writers, started):
     manifest = {
         "tool": "cycleflow",
         "version": __version__,
+        "blas": _blas(),
         "command": command,
         "config": config,
         "seed": seed,
@@ -304,11 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--omega", type=float, default=None)
     p.add_argument("--steps-per-frame", type=int, default=None)
-    p.add_argument("--sampling", choices=("uniform", "foreground", "band"),
+    p.add_argument("--sampling", choices=SAMPLING_STRATEGIES,
                    default=None)
     p.add_argument("--hidden-layers", type=int, default=None)
     p.add_argument("--hidden-width", type=int, default=None)
-    p.add_argument("--precision", choices=("f32", "f64"), default=None)
+    p.add_argument("--precision", choices=PRECISIONS, default=None)
     p.add_argument("--time-encoding", choices=("on", "off"), default=None)
     p.add_argument("--cycle", choices=("on", "off"), default=None,
                    dest="cycle_enabled",

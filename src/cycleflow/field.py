@@ -4,7 +4,9 @@ The model maps a batch of positions in the normalized cube plus one time
 value to one 3-D velocity per position.  With time encoding enabled the
 time enters as a point on the unit circle, which makes the field exactly
 periodic; with encoding disabled the raw time is appended instead (the
-non-periodic ablation mode).  Large untaped calls use a second thread.
+non-periodic ablation mode).  A taped call, and an untaped call of
+2 * _HALF rows or more, runs as two row parts, which use a second thread
+when BLAS runs one.
 """
 from __future__ import annotations
 
@@ -28,7 +30,18 @@ CHECKPOINT_DTYPES = {"f32le": "<f4", "f64le": "<f8"}
 # positions may drift past the nominal [-1,1] cube during integration; the
 # MLP is defined everywhere, so evaluation proceeds with a logged warning
 DOMAIN_SLACK = 1.5
-_HALF = 4096  # least rows per half of a split call; flow.inverse_map says why
+_HALF = 4096  # least rows per half of a split untaped call; flow.inverse_map says why
+# rows per weight-gradient product in a taped backward, whose chunks are then
+# added left to right: a 256-row reduction fits one OpenBLAS K block, so the
+# BLAS thread count cannot reorder its sum, and fit bytes depend on the row
+# count alone (512-row chunks lost the bits in 42 of 72 shapes tried)
+_CHUNK = 256
+# the first of these that is set is what BLAS read when NumPy loaded (see
+# cycleflow/__init__.py); the parts of a call run at once only with one BLAS
+# thread, since two BLAS threads and the pool thread oversubscribe two cores
+_PARALLEL = next((os.environ[v].strip() for v in
+                  ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+                  if v in os.environ), None) == "1"
 
 
 def encode_time(t: float, period: float) -> tuple[float, float]:
@@ -105,8 +118,11 @@ class VelocityFieldModel:
         Under a tape the whole network records as one node whose parents
         are the points and the parameters.  It saves the input and each hidden
         phase omega*z, from which its backward rebuilds each sine and slope.
-        Untaped, 2 * _HALF rows or more run rows [n//2:] on the pool thread,
-        under the caller's np.errstate; taped calls stay whole for the gradients.
+        A taped call runs as the row parts [:k] and [k:], k = 256 *
+        round(B / 512), forward and backward; the caller adds part 2's
+        parameter gradients to part 1's, so their bits depend on B alone.
+        Untaped, 2 * _HALF rows or more split at B // 2.  See _in_parts for
+        where each part runs.
         """
         pts = points if isinstance(points, ad.Node) else ad.constant(points, self.dtype)
         if pts.value.ndim != 2 or pts.value.shape[1] != 3:
@@ -129,35 +145,29 @@ class VelocityFieldModel:
             tcols = np.full((n, 1), t, dtype=dt)
         h = np.concatenate([pts.value, tcols], axis=1)
         out = np.empty((n, 3), dtype=dt)
-        saved = [] if ad.recording() else None
-        if saved is None and n >= 2 * _HALF:
-            k = n // 2
-            half = _pool.submit(contextvars.copy_context().run,
-                                self._layers, h[k:], None, out[k:])
-            try:
-                self._layers(h[:k], None, out[:k])
-            finally:
-                half.result()  # waits for the worker; re-raises its error here
+        if not ad.recording():
+            _in_parts(lambda a, b: self._layers(h[a:b], out[a:b]),
+                      n // 2 if n >= 2 * _HALF else 0, n)
             return ad.constant(out)
-        self._layers(h, saved, out)
+        k = _CHUNK * round(n / (2 * _CHUNK))
+        saved = _in_parts(lambda a, b: self._layers(h[a:b], out[a:b], []), k, n)
 
         def backward(g):
-            grads = []  # parameter grads, last first
-            for i in reversed(range(len(self.weights))):
-                if i < len(saved):
-                    g *= slope  # g is a fresh matmul result
-                if i:  # one read of the phase below gives the input and slope
-                    x, slope = np.sin(saved[i - 1]), np.cos(saved[i - 1])
-                    slope *= self.omega
-                grads += [g.sum(axis=0), (x if i else h).T @ g]
-                g = g @ self.weights[i].value.T
-            return [g[:, :3], *reversed(grads)]
+            parts = _in_parts(lambda a, b: self._backward(
+                h[a:b], saved[a > 0], g[a:b]), k, n)  # part 2 starts past row 0
+            g_pts, grads = parts[0]
+            if len(parts) == 2:
+                g_pts = np.concatenate([g_pts, parts[1][0]])
+                for acc, more in zip(grads, parts[1][1]):
+                    acc += more
+            return [g_pts, *grads]
 
         return ad.record(out, (pts, *self.parameters), backward)
 
-    def _layers(self, h, saved, out):
-        """Velocities of rows h into out; hidden phases go to the list saved.
-        Plain NumPy only (nothing a profiler wraps), so the pool thread may run it."""
+    def _layers(self, h, out, saved=None):
+        """Velocities of rows h into out; returns saved with each hidden phase
+        appended, for a taped call.  Plain NumPy only (nothing a profiler
+        wraps), so the pool thread may run it."""
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
             phase = h @ w.value
             phase += b.value
@@ -166,6 +176,46 @@ class VelocityFieldModel:
                 saved.append(phase)  # so the sine gets an array of its own
             h = np.sin(phase, out=phase if saved is None else None)
         np.add(h @ self.weights[-1].value, self.biases[-1].value, out=out)
+        return saved
+
+    def _backward(self, h, saved, g):
+        """Point and parameter gradients of rows h, whose hidden phases _layers
+        saved, for the output gradient g of those rows; plain NumPy, like
+        _layers.  Bias gradients sum these rows, weight gradients go by _xtg."""
+        grads = []  # parameter grads, last first
+        for i in reversed(range(len(self.weights))):
+            if i < len(saved):
+                g *= slope  # g is a fresh matmul result
+            if i:  # one read of the phase below gives the input and slope
+                x, slope = np.sin(saved[i - 1]), np.cos(saved[i - 1])
+                slope *= self.omega
+            grads += [g.sum(axis=0), _xtg(x if i else h, g)]
+            g = g @ self.weights[i].value.T
+        return g[:, :3], grads[::-1]
+
+
+def _xtg(x, g):
+    """x.T @ g as a sum of _CHUNK-row products taken left to right."""
+    acc = x[:_CHUNK].T @ g[:_CHUNK]
+    for s in range(_CHUNK, len(x), _CHUNK):
+        acc += x[s:s + _CHUNK].T @ g[s:s + _CHUNK]
+    return acc
+
+
+def _in_parts(run, k, n):
+    """[run(0, k), run(k, n)], or [run(0, n)] when k is 0 or n.  With one BLAS
+    thread run(k, n) goes to the pool thread, under the caller's np.errstate;
+    otherwise both parts run here in turn.  The bits are the same either way."""
+    if k in (0, n):
+        return [run(0, n)]
+    if not _PARALLEL:
+        return [run(0, k), run(k, n)]
+    second = _pool.submit(contextvars.copy_context().run, run, k, n)
+    try:
+        first = run(0, k)
+    finally:
+        last = second.result()  # waits for the worker; re-raises its error here
+    return [first, last]
 
 
 def _start_pool():  # one worker thread per process, started on the first submit

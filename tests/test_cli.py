@@ -51,6 +51,8 @@ def test_gen_writes_volume_meshes_manifest(tmp_path, capsys):
         assert (out / f"mesh_{i:03d}.obj").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["tool"] == "cycleflow"
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert manifest["blas"] == f"{blas['name']} {blas['version']}"
     assert manifest["command"] == "gen"
     assert manifest["config"]["frames"] == 3
     # recorded output hashes match the files on disk
@@ -440,6 +442,25 @@ def test_deform_and_eval_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
                         for p in out.rglob("*")
                         if p.is_file() and p.name != "manifest.json"})
     assert len(digests[0]) == 2 + 1 + 3  # 2 meshes, trajectories, eval's 3 files
+    assert digests[0] == digests[1]
+
+
+def test_fit_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # 2000 points on a 128-wide network: a whole-batch weight-gradient GEMM
+    # reduces differently at 1 and 2 OpenBLAS threads.  At 1 thread the two
+    # row parts of each field call also run on two threads, at 2 in turn
+    gen = run_gen(tmp_path, extra=["--grid", "24", "--frames", "9"])
+    digests = []
+    out = tmp_path / "fit"  # fit_summary.json names the checkpoint's path
+    for threads in ("1", "2"):
+        proc = run_cli(["fit", gen / "volume.v4d", "--epochs", "3",
+                        "--points", "2000", "--hidden-width", "128",
+                        "--sampling", "band", "--seed", "1", "--out-dir", out],
+                       env={"OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        digests.append([sha256(out / name) for name in
+                        ("model.ckpt", "loss.csv", "fit_summary.json")])
+        shutil.rmtree(out)
     assert digests[0] == digests[1]
 
 

@@ -1,11 +1,16 @@
+import json
 import math
 import multiprocessing
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cycleflow
 import cycleflow.autodiff as ad
 from cycleflow import field
 from cycleflow.errors import FormatError
@@ -20,6 +25,17 @@ def tiny_model(seed=0, time_encoding=True, dtype=np.float64, width=8, layers=2):
     sizes = default_layer_sizes(layers, width, time_encoding)
     return init_weights(seed, sizes, omega=6.0, time_encoding=time_encoding,
                         dtype=dtype)
+
+
+def one_pass(model, pts, t):
+    """The untaped forward as plain expressions over the whole batch."""
+    dt = model.dtype
+    tcols = (np.array(encode_time(t, model.period), dt) if model.time_encoding
+             else np.array([t], dt))
+    h = np.concatenate([np.asarray(pts, dt), np.tile(tcols, (len(pts), 1))], axis=1)
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        h = np.sin(model.omega * (h @ w.value + b.value))
+    return h @ model.weights[-1].value + model.biases[-1].value
 
 
 # --- time encoding --------------------------------------------------------
@@ -156,10 +172,12 @@ def test_velocity_matches_a_layer_by_layer_reference():
     pytest.param(np.float64, 2000, 128, id="float64-2000x128"),
 ])
 def test_taped_call_matches_the_out_of_place_formula(dtype, rows, width):
-    # the forward and backward passes work in place and the backward
-    # rebuilds each layer's input and slope from its phase; outputs and
-    # gradients must equal the plain expressions, which keep the slope from
-    # the forward, bit for bit, also at the fit's BLAS shapes
+    # the forward and backward passes work in place, in the row parts [:k]
+    # and [k:], and the backward rebuilds each layer's input and slope from
+    # its phase; outputs and gradients must equal the plain expressions,
+    # which keep the slope from the forward, bit for bit, also at the fit's
+    # BLAS shapes.  Each part sums its weight gradient as 256-row products
+    # left to right, and part 2's parameter gradients are added to part 1's
     model = tiny_model(seed=9, dtype=dtype, width=width, layers=3)
     rng = np.random.default_rng(9)
     for b in model.biases:  # they start at zero
@@ -174,19 +192,31 @@ def test_taped_call_matches_the_out_of_place_formula(dtype, rows, width):
         saved.append((h, model.omega * np.cos(phase)))
         h = np.sin(phase)
     want = h @ model.weights[-1].value + model.biases[-1].value
-    grads = [up.sum(axis=0), h.T @ up]
-    g = up @ model.weights[-1].value.T
-    for (x, slope), w in zip(reversed(saved), reversed(model.weights[:-1])):
-        g = g * slope
-        grads += [g.sum(axis=0), x.T @ g]
-        g = g @ w.value.T
+
+    def xtg(x, g):
+        acc = x[:256].T @ g[:256]
+        for s in range(256, len(x), 256):
+            acc = acc + x[s:s + 256].T @ g[s:s + 256]
+        return acc
+
+    k = 256 * round(rows / 512)
+    grads, g_pts = None, []
+    for a, b in ([(0, k), (k, rows)] if 0 < k < rows else [(0, rows)]):
+        part = [up[a:b].sum(axis=0), xtg(h[a:b], up[a:b])]
+        g = up[a:b] @ model.weights[-1].value.T
+        for (x, slope), w in zip(reversed(saved), reversed(model.weights[:-1])):
+            g = g * slope[a:b]
+            part += [g.sum(axis=0), xtg(x[a:b], g)]
+            g = g @ w.value.T
+        g_pts.append(g[:, :3])
+        grads = part if grads is None else [p + q for p, q in zip(grads, part)]
 
     points = ad.constant(pts)
     with ad.Tape() as tape:
         out = model(points, 0.6)
         tape.backward(dot(out, up))
     assert np.array_equal(out.value, want)
-    assert np.array_equal(points.grad, g[:, :3])
+    assert np.array_equal(points.grad, np.concatenate(g_pts))
     for p, want_grad in zip(model.parameters, reversed(grads)):
         assert np.array_equal(p.grad, want_grad)
 
@@ -234,7 +264,15 @@ def test_other_threads_do_not_record_on_an_active_tape():
     assert np.array_equal(results[0], velocity(model, pts, 0.25))
 
 
-# --- two-thread split of large untaped calls -------------------------------
+# --- row parts of a call, and the pool thread -------------------------------
+
+
+@pytest.fixture
+def pool_on(monkeypatch):
+    """Run the second part of a split call on the pool thread.  The suite
+    loads NumPy before cycleflow, so BLAS keeps its threads and the field
+    would otherwise run both parts in turn."""
+    monkeypatch.setattr(field, "_PARALLEL", True)
 
 _SPLIT_MODELS = {"f32": dict(dtype=np.float32), "f64": dict(dtype=np.float64),
                  "raw-time": dict(dtype=np.float32, time_encoding=False)}
@@ -242,15 +280,15 @@ _SPLIT_MODELS = {"f32": dict(dtype=np.float32), "f64": dict(dtype=np.float64),
 
 @pytest.mark.parametrize("kind", list(_SPLIT_MODELS))
 @pytest.mark.parametrize("rows", [8191, 8192, 8193, 16383, 110592])
-def test_untaped_call_is_bit_equal_to_the_never_split_taped_call(rows, kind):
-    # 128 wide, as the acceptance networks are (some widths, such as 64, do
-    # round apart when split); one hidden layer keeps the taped 110592-row
-    # float64 reference near 250 MB
+def test_untaped_call_is_bit_equal_to_the_never_split_taped_call(rows, kind,
+                                                                  pool_on):
+    # the reference is one plain pass over the whole batch; 128 wide, as the
+    # acceptance networks are (some widths, such as 64, do round apart when
+    # split); one hidden layer keeps the 110592-row float64 reference small
     layers = 1 if rows == 110592 else 2
     model = tiny_model(seed=12, width=128, layers=layers, **_SPLIT_MODELS[kind])
     pts = np.random.default_rng(rows).uniform(-1, 1, size=(rows, 3))
-    with ad.Tape():
-        want = model(pts, 0.4).value
+    want = one_pass(model, pts, 0.4)
     got = velocity(model, pts, 0.4)
     assert got.dtype == want.dtype == model.dtype
     assert np.array_equal(got, want)
@@ -263,25 +301,84 @@ class SpyPool:
         self.pool, self.submitted = pool, []
 
     def submit(self, fn, *args):
-        self.submitted.append(len(args[1]))  # rows of the worker's half
+        _, start, stop = args
+        self.submitted.append(stop - start)  # rows of the worker's part
         return self.pool.submit(fn, *args)
 
 
-def test_only_large_untaped_calls_submit_to_the_pool(monkeypatch):
+def test_split_calls_submit_to_the_pool_only_with_one_blas_thread(monkeypatch):
     spy = SpyPool(field._pool)
     monkeypatch.setattr(field, "_pool", spy)
     model = tiny_model(seed=13, width=16)
     rng = np.random.default_rng(13)
-    with ad.Tape():
-        model(rng.uniform(-1, 1, size=(20000, 3)), 0.1)
-    velocity(model, rng.uniform(-1, 1, size=(8191, 3)), 0.1)
+
+    def calls():
+        for rows in (255, 256, 512, 2000):  # taped: split at 256*round(rows/512)
+            with ad.Tape() as tape:
+                out = model(rng.uniform(-1, 1, size=(rows, 3)), 0.1)
+                tape.backward(dot(out, 1.0))
+        for rows in (8191, 8192, 9001):  # untaped: split at rows//2 from 8192
+            velocity(model, rng.uniform(-1, 1, size=(rows, 3)), 0.1)
+
+    monkeypatch.setattr(field, "_PARALLEL", False)
+    calls()
     assert spy.submitted == []
-    velocity(model, rng.uniform(-1, 1, size=(8192, 3)), 0.1)
-    velocity(model, rng.uniform(-1, 1, size=(9001, 3)), 0.1)
-    assert spy.submitted == [4096, 4501]
+    monkeypatch.setattr(field, "_PARALLEL", True)
+    calls()
+    # each taped call submits its forward part, then its backward part
+    assert spy.submitted == [256, 256, 976, 976, 4096, 4501]
 
 
-def test_the_worker_half_runs_under_the_callers_errstate():
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_taped_call_has_the_same_bits_on_the_pool_and_in_turn(dtype, monkeypatch):
+    model = tiny_model(seed=18, dtype=dtype, width=128, layers=3)
+    rng = np.random.default_rng(18)
+    pts = rng.uniform(-1, 1, size=(2000, 3)).astype(dtype)
+    up = rng.normal(size=(2000, 3)).astype(dtype)
+    runs = []
+    for parallel in (False, True):
+        monkeypatch.setattr(field, "_PARALLEL", parallel)
+        points = ad.constant(pts)
+        for p in model.parameters:
+            p.grad = None
+        with ad.Tape() as tape:
+            out = model(points, 0.45)
+            tape.backward(dot(out, up))
+        runs.append([out.value, points.grad, *(p.grad for p in model.parameters)])
+    assert all(np.array_equal(a, b) for a, b in zip(*runs))
+
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _fresh_interpreter(first_import, env):
+    """BLAS thread settings and field._PARALLEL seen by a fresh interpreter
+    that imports first_import, then cycleflow, with only env's BLAS thread
+    variables set."""
+    code = (f"import json, os, {first_import}, cycleflow.field; print(json.dumps("
+            f"[cycleflow.field._PARALLEL, [os.environ.get(v) for v in {_THREAD_VARS}]]))")
+    base = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    src = str(Path(cycleflow.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**base, "PYTHONPATH": src, **env},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_importing_cycleflow_first_pins_one_blas_thread_unless_one_is_set():
+    assert _fresh_interpreter("cycleflow", {}) == [True, ["1", "1", "1"]]
+    assert _fresh_interpreter("cycleflow", {"OPENBLAS_NUM_THREADS": "2"}) == \
+        [False, ["2", "1", "1"]]
+
+
+def test_importing_numpy_first_leaves_the_environment_alone():
+    # a setting made after NumPy loaded would not reach its BLAS, only the
+    # processes this one starts
+    assert _fresh_interpreter("numpy", {}) == [False, [None, None, None]]
+
+
+def test_the_worker_half_runs_under_the_callers_errstate(pool_on):
     # float32 weights of 1e38 overflow the first layer, and sin(inf) is
     # invalid: both halves must come back NaN without a warning, which the
     # suite would turn into an error
@@ -293,7 +390,7 @@ def test_the_worker_half_runs_under_the_callers_errstate():
     assert np.isnan(v[:4500]).all() and np.isnan(v[4500:]).all()
 
 
-def test_a_worker_error_is_raised_on_the_callers_thread():
+def test_a_worker_error_is_raised_on_the_callers_thread(pool_on):
     model = tiny_model(seed=15, dtype=np.float32, width=16)
     model.weights[0].value[:] = 1e38
     pts = np.random.default_rng(15).uniform(0.5, 1.0, size=(9000, 3))
@@ -302,9 +399,7 @@ def test_a_worker_error_is_raised_on_the_callers_thread():
             velocity(model, pts, 0.2)
     # the pool is still usable afterwards
     model = tiny_model(seed=15, width=16)
-    with ad.Tape():
-        want = model(pts, 0.2).value
-    assert np.array_equal(velocity(model, pts, 0.2), want)
+    assert np.array_equal(velocity(model, pts, 0.2), one_pass(model, pts, 0.2))
 
 
 def _pool_threads():
@@ -315,7 +410,7 @@ def _velocity_into(queue, model, pts):
     queue.put(velocity(model, pts, 0.7))
 
 
-def test_a_forked_child_builds_its_own_pool():
+def test_a_forked_child_builds_its_own_pool(pool_on):
     model = tiny_model(seed=16, width=32)
     pts = np.random.default_rng(16).uniform(-1, 1, size=(9000, 3))
     want = velocity(model, pts, 0.7)
@@ -336,11 +431,10 @@ def test_a_forked_child_builds_its_own_pool():
     assert np.array_equal(got, want)
 
 
-def test_concurrent_callers_share_one_worker_thread():
+def test_concurrent_callers_share_one_worker_thread(pool_on):
     model = tiny_model(seed=17, width=32)
     pts = np.random.default_rng(17).uniform(-1, 1, size=(9000, 3))
-    with ad.Tape():
-        want = model(pts, 0.9).value
+    want = one_pass(model, pts, 0.9)
     results = [None] * 4
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
