@@ -28,8 +28,8 @@ from .metrics import (EvalReport, evaluate_fit, hausdorff, hausdorff_brute,
                       periodicity_error, psnr)
 from .training import (AdamState, FitConfig, FitReport, adam_step, fit,
                        load_fit_config, sample_points, total_loss)
-from .volume import (DomainNormalizer, GrowthPattern, Volume4D,
-                     make_sphere_series, radius_at, read_v4d,
+from .volume import (DomainNormalizer, GrowthPattern, Volume4D, VolumeGrid,
+                     make_sphere_series, radius_at, read_v4d, read_v4d_grid,
                      sample_trilinear, write_v4d)
 
 __all__ = [
@@ -44,6 +44,7 @@ __all__ = [
     "periodicity_error", "psnr",
     "AdamState", "FitConfig", "FitReport", "adam_step", "fit",
     "load_fit_config", "sample_points", "total_loss",
-    "DomainNormalizer", "GrowthPattern", "Volume4D", "make_sphere_series",
-    "radius_at", "read_v4d", "sample_trilinear", "write_v4d",
+    "DomainNormalizer", "GrowthPattern", "Volume4D", "VolumeGrid",
+    "make_sphere_series", "radius_at", "read_v4d", "read_v4d_grid",
+    "sample_trilinear", "write_v4d",
 ]

@@ -40,7 +40,7 @@ from .training import (LOSS_COLUMNS, PRECISIONS, SAMPLING_STRATEGIES,
                        FitConfig, fit, load_fit_config, write_fit_summary,
                        write_loss_csv)
 from .volume import (DomainNormalizer, GrowthPattern, make_sphere_series,
-                     read_v4d, write_v4d)
+                     read_v4d, read_v4d_grid, write_v4d)
 
 OUT_DIR_ENV = "CYCLEFLOW_OUT"
 
@@ -165,8 +165,10 @@ def _parse_times(spec: str, wrap: bool):
 
 
 def _bounds_from_args(args) -> DomainNormalizer:
+    if args.volume is not None and args.bounds is not None:
+        raise ConfigError("deform takes --volume or --bounds, not both")
     if args.volume is not None:
-        return DomainNormalizer.from_volume(read_v4d(args.volume))
+        return DomainNormalizer.from_volume(read_v4d_grid(args.volume))
     if args.bounds is not None:
         parts = [p.strip() for p in args.bounds.split(",")]
         if len(parts) != 6:
@@ -240,7 +242,7 @@ def _read_loss_history(path):
 def cmd_eval(args) -> int:
     started = time.perf_counter()
     model = load_checkpoint(args.checkpoint)
-    volume = read_v4d(args.volume)
+    volume = (read_v4d_grid if args.no_psnr else read_v4d)(args.volume)
     meshes, mesh_paths = _load_gt_meshes(args.meshes, volume.n_frames)
     losses = _read_loss_history(args.loss_csv) if args.loss_csv else None
     report = evaluate_fit(model, volume, meshes,

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ValidationError
 from .flow import flow_at_frames, integrate, inverse_map
 from .mesh import TriangleMesh, mesh_volume, signed_volume
-from .volume import DomainNormalizer, Volume4D, sample_trilinear
+from .volume import DomainNormalizer, Volume4D, VolumeGrid, sample_trilinear
 
 _CHUNK = 8  # vertices per brute-force block: ~1 MB (B,T,3) temporaries at T=5120
 _BALL_BLOCK = 128  # vertices refined at once: at most 128*T candidates
@@ -336,14 +336,15 @@ def _bounded(mesh: TriangleMesh, what: str) -> TriangleMesh:
     return mesh
 
 
-def evaluate_fit(model, volume: Volume4D, gt_meshes, steps_per_frame: int = 1,
+def evaluate_fit(model, volume: VolumeGrid, gt_meshes, steps_per_frame: int = 1,
                  with_psnr: bool = True) -> EvalReport:
     """Deform the t=0 mesh across the cycle and score it against ground truth.
 
     gt_meshes is a per-frame list; entries may be None where no reference
     exists (those frames get NaN HSD).  The first entry must be present —
     it is the mesh that gets advected.  Every vertex, given or deformed, must
-    lie within 1e75 mm of the origin on each axis.
+    lie within 1e75 mm of the origin on each axis.  Only the PSNR reads
+    voxels: without it, a VolumeGrid from read_v4d_grid is enough.
     """
     n = volume.n_frames
     if len(gt_meshes) != n:

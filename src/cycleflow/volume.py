@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,33 +24,32 @@ from .mesh import TriangleMesh, icosphere
 
 V4D_MAGIC = b"V4DVOL01"
 _SAMPLE_BLOCK = 16384  # rows per trilinear kernel call in sample_trilinear
+_CHUNK_VOXELS = 1 << 18  # read_v4d_grid's one read buffer: 1 MiB of float32
 
 
-@dataclass
-class Volume4D:
-    """A time series of co-registered scalar 3D grids over one cycle."""
+class VolumeGrid:
+    """A 4D volume's grid geometry and frame times without voxels, as
+    read_v4d_grid returns them; a Volume4D is one with frames.  Both run the
+    same checks in one order, ``voxels_finite()`` at the voxel check."""
 
-    frames: np.ndarray       # (N, D, H, W) float32
-    spacing: tuple           # (sx, sy, sz) mm per voxel
-    origin: tuple            # (ox, oy, oz) world mm of voxel (0,0,0)
-    frame_times: np.ndarray  # (N,) normalized, strictly increasing, 0 .. 1
+    def __init__(self, grid_shape, spacing, origin, frame_times,
+                 voxels_finite=lambda: True):
+        self.grid_shape, self.spacing, self.origin = tuple(grid_shape), spacing, origin
+        self.frame_times = frame_times
+        self._validate((len(frame_times), *grid_shape), voxels_finite)
 
-    def __post_init__(self):
-        self.frames = np.asarray(self.frames, dtype=np.float32)
+    def _validate(self, shape, voxels_finite):
         self.spacing = tuple(float(s) for s in self.spacing)
         self.origin = tuple(float(o) for o in self.origin)
         self.frame_times = np.asarray(self.frame_times, dtype=np.float64)
-        self.validate()
-
-    def validate(self):
-        if self.frames.ndim != 4:
-            raise ValidationError(f"frames must be (N,D,H,W), got {self.frames.shape}")
-        n, d, h, w = self.frames.shape
+        if len(shape) != 4:
+            raise ValidationError(f"frames must be (N,D,H,W), got {shape}")
+        n, d, h, w = shape
         if n < 2:
             raise ValidationError("need at least 2 frames")
         if min(d, h, w) < 2:
             raise ValidationError("each grid axis needs at least 2 voxels")
-        if not np.isfinite(self.frames).all():
+        if not voxels_finite():
             raise ValidationError("frames must be finite (no NaN or inf voxels)")
         if len(self.spacing) != 3 or any(s <= 0 for s in self.spacing):
             raise ValidationError(f"spacing must be 3 positive values, got {self.spacing}")
@@ -68,12 +68,7 @@ class Volume4D:
 
     @property
     def n_frames(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def grid_shape(self):
-        """(D, H, W) voxel counts."""
-        return self.frames.shape[1:]
+        return len(self.frame_times)
 
     @property
     def period(self) -> float:
@@ -87,6 +82,28 @@ class Volume4D:
         with np.errstate(over="ignore"):
             hi = lo + (counts - 1) * np.asarray(self.spacing, dtype=np.float64)
         return lo, hi
+
+
+@dataclass
+class Volume4D(VolumeGrid):
+    """A time series of co-registered scalar 3D grids over one cycle."""
+
+    frames: np.ndarray       # (N, D, H, W) float32
+    spacing: tuple           # (sx, sy, sz) mm per voxel
+    origin: tuple            # (ox, oy, oz) world mm of voxel (0,0,0)
+    frame_times: np.ndarray  # (N,) normalized, strictly increasing, 0 .. 1
+
+    def __post_init__(self):
+        self.frames = np.asarray(self.frames, dtype=np.float32)
+        self.validate()
+
+    def validate(self):
+        self._validate(self.frames.shape, lambda: np.isfinite(self.frames).all())
+
+    @property
+    def grid_shape(self):
+        """(D, H, W) voxel counts."""
+        return self.frames.shape[1:]
 
 
 class DomainNormalizer:
@@ -106,7 +123,7 @@ class DomainNormalizer:
             raise ConfigError("bounds need a half extent (hi - lo) / 2 above 0 on every axis")
 
     @classmethod
-    def from_volume(cls, volume: Volume4D) -> "DomainNormalizer":
+    def from_volume(cls, volume: VolumeGrid) -> "DomainNormalizer":
         return cls(*volume.world_bounds())
 
     def to_normalized(self, world) -> np.ndarray:
@@ -142,17 +159,13 @@ def _trilinear_kernel(frame, pts, want_grad):
     uc = np.clip(u, 0.0, n - 1.0)
     i0 = np.minimum(uc.astype(np.int64), (n - 2.0).astype(np.int64))
     f = uc - i0
-    ix, iy, iz = i0[:, 0], i0[:, 1], i0[:, 2]
     fx, fy, fz = f[:, 0], f[:, 1], f[:, 2]
 
-    c000 = frame[iz, iy, ix]
-    c100 = frame[iz, iy, ix + 1]
-    c010 = frame[iz, iy + 1, ix]
-    c110 = frame[iz, iy + 1, ix + 1]
-    c001 = frame[iz + 1, iy, ix]
-    c101 = frame[iz + 1, iy, ix + 1]
-    c011 = frame[iz + 1, iy + 1, ix]
-    c111 = frame[iz + 1, iy + 1, ix + 1]
+    # one flat index per point, and the 8 corners at fixed offsets from it
+    flat, base = frame.ravel(), (i0[:, 2] * h + i0[:, 1]) * w + i0[:, 0]
+    c000, c100, c010, c110, c001, c101, c011, c111 = (
+        flat[base + k] for k in (0, 1, w, w + 1, h * w, h * w + 1, h * w + w,
+                                 h * w + w + 1))
 
     c00 = c000 * (1 - fx) + c100 * fx
     c10 = c010 * (1 - fx) + c110 * fx
@@ -324,24 +337,47 @@ def write_v4d(volume: Volume4D, path):
     write_container(path, V4D_MAGIC, header, [volume.frames])
 
 
-def read_v4d(path) -> Volume4D:
+@contextmanager
+def _open_v4d(path):
+    """Check a V4D header and payload size; yields (header, file, (N, D, H, W))."""
     with read_container(path, V4D_MAGIC) as (header, fh):
         numbers = list_of(is_number)
         check_header(path, header, {
             "shape": list_of(is_count, 3), "spacing_mm": numbers, "origin_mm": numbers,
             "frame_times": numbers, "dtype": lambda v: v == "f32le"})
-        d, h, w = header["shape"]
-        n = len(header["frame_times"])
-        expected = n * d * h * w * 4
+        shape = (len(header["frame_times"]), *header["shape"])
+        expected = 4 * math.prod(shape)
         offset = fh.tell()
         size = os.fstat(fh.fileno()).st_size - offset
-        if size == expected:  # allocate only what the file holds
-            frames = np.empty((n, d, h, w), dtype="<f4")
-            size = fh.readinto(frames)
         if size != expected:
-            raise FormatError(
-                f"{path}: payload is {size} bytes at offset {offset}, "
-                f"expected {expected}"
-            )
+            raise FormatError(f"{path}: payload is {size} bytes at offset {offset}, "
+                              f"expected {expected}")
+        yield header, fh, shape
+
+
+def read_v4d(path) -> Volume4D:
+    """Read a V4D volume, its payload straight into the frames (read_v4d_grid: none)."""
+    with _open_v4d(path) as (header, fh, shape):
+        frames = np.empty(shape, dtype="<f4")
+        if fh.readinto(frames) != frames.nbytes:  # a file that shrank
+            raise FormatError(f"{path}: payload shrank while being read")
     return Volume4D(frames, header["spacing_mm"], header["origin_mm"],
                     header["frame_times"])
+
+
+def read_v4d_grid(path) -> VolumeGrid:
+    """read_v4d's checks and first error without holding the voxels: the
+    payload is checked finite through one buffer of _CHUNK_VOXELS voxels."""
+    with _open_v4d(path) as (header, fh, shape):
+        def voxels_finite():
+            buf = np.empty(min(_CHUNK_VOXELS, math.prod(shape)), dtype="<f4")
+            for start in range(0, math.prod(shape), buf.size):
+                chunk = buf[:math.prod(shape) - start]
+                if fh.readinto(chunk) != chunk.nbytes:
+                    raise FormatError(f"{path}: payload shrank while being read")
+                if not np.isfinite(chunk).all():
+                    return False
+            return True
+
+        return VolumeGrid(shape[1:], header["spacing_mm"], header["origin_mm"],
+                          header["frame_times"], voxels_finite)

@@ -184,6 +184,7 @@ BAD_VOLUMES = {
     "shape-of-two-axes": dict(header=lambda h: {**h, "shape": [2, 2]}),
     "nan-voxel": dict(payload=lambda p: np.r_[np.nan, p[1:]]),
     "inf-voxel": dict(payload=lambda p: np.r_[np.inf, p[1:]]),
+    "nan-last-voxel": dict(payload=lambda p: np.r_[p[:-1], np.nan]),
 }
 _TRIANGLE = b"v 0 0 0\nv 1 0 0\nv 0 1 0\n"
 BAD_MESHES = {

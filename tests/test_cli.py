@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,8 @@ import pytest
 
 from cycleflow.cli import main
 from cycleflow.field import save_checkpoint
-from cycleflow.mesh import read_obj
-from cycleflow.volume import read_v4d
+from cycleflow.mesh import icosphere, read_obj, write_obj
+from cycleflow.volume import GrowthPattern, radius_at, read_v4d
 
 from conftest import bias_model, rewrite_container, run_cli
 
@@ -256,6 +257,47 @@ def test_deform_usage_errors(tmp_path):
                  "--bounds", "1,2,3", "--out-dir", out]) == 2
     assert main(["deform", ckpt, mesh, "--times", "0.5", "--steps", "0",
                  "--volume", vol, "--out-dir", out]) == 2
+
+
+def test_deform_refuses_a_volume_together_with_bounds(tmp_path, capsys):
+    gen = run_gen(tmp_path)
+    fit_dir = run_fit(tmp_path, gen)
+    capsys.readouterr()
+    out = tmp_path / "def"
+    assert main(["deform", str(fit_dir / "model.ckpt"), str(gen / "mesh_000.obj"),
+                 "--times", "0.5", "--volume", str(gen / "volume.v4d"),
+                 "--bounds", "0,0,0,11,11,11", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_deform_and_no_psnr_eval_hold_less_than_the_voxels(tmp_path):
+    # 25 frames of 32^3 voxels: a 3.3 MB payload.  Coarse reference meshes
+    # keep everything else either command holds well below it
+    gen = run_gen(tmp_path, extra=["--grid", "32", "--frames", "25",
+                                   "--radius", "8", "--amplitude", "1"])
+    fit_dir = run_fit(tmp_path, gen)
+    meshes = tmp_path / "meshes"
+    meshes.mkdir()
+    pattern = GrowthPattern("periodic", 8.0, amplitude_mm=1.0)
+    for i in (0, 12, 24):
+        write_obj(icosphere(radius_at(pattern, i / 24), center=(15.5,) * 3,
+                            subdivisions=2), meshes / f"mesh_{i:03d}.obj")
+    ckpt, vol = str(fit_dir / "model.ckpt"), str(gen / "volume.v4d")
+    payload = 25 * 32 ** 3 * 4
+    for argv in (["deform", ckpt, str(meshes / "mesh_000.obj"), "--times",
+                  "0.25,0.5", "--probes", "10", "--volume", vol],
+                 ["eval", ckpt, vol, "--meshes", str(meshes), "--no-psnr"]):
+        # an untraced run first, so that first-call caches are not counted
+        assert main(argv + ["--out-dir", str(tmp_path / "warm")]) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--out-dir", str(tmp_path / argv[0])]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < payload, (argv[0], peak)
 
 
 def test_deform_data_errors(tmp_path):

@@ -21,7 +21,7 @@ from cycleflow.field import (VelocityFieldModel, init_weights, load_checkpoint,
                              save_checkpoint)
 from cycleflow.mesh import icosphere, read_obj, write_obj
 from cycleflow.training import FitConfig, load_fit_config
-from cycleflow.volume import Volume4D, read_v4d, write_v4d
+from cycleflow.volume import Volume4D, read_v4d, read_v4d_grid, write_v4d
 
 from conftest import (BAD_CHECKPOINTS, BAD_MESHES, BAD_VOLUMES, make_cube_mesh,
                       rewrite_container, run_cli)
@@ -385,12 +385,21 @@ def _valid_files(root):
     write_v4d(Volume4D(frames, (1, 1, 1), (0, 0, 0), [0.0, 1.0]), root / "a.v4d")
     save_checkpoint(init_weights(1, [5, 4, 3], omega=6.0), root / "a.ckpt")
     write_obj(make_cube_mesh(), root / "a.obj")
-    return {read_v4d: root / "a.v4d", load_checkpoint: root / "a.ckpt",
-            read_obj: root / "a.obj"}
+    return {read_v4d: root / "a.v4d", read_v4d_grid: root / "a.v4d",
+            load_checkpoint: root / "a.ckpt", read_obj: root / "a.obj"}
 
 
-@pytest.mark.parametrize("reader", [read_v4d, load_checkpoint, read_obj],
-                         ids=["v4d", "ckpt", "obj"])
+def _v4d_outcome(reader, path):
+    """A V4D reader's grid fields, or its error class and message."""
+    try:
+        vol = reader(path)
+    except (FormatError, ValidationError) as exc:
+        return type(exc), str(exc)
+    return vol.grid_shape, vol.spacing, vol.origin, vol.frame_times.tolist()
+
+
+@pytest.mark.parametrize("reader", [read_v4d, read_v4d_grid, load_checkpoint, read_obj],
+                         ids=["v4d", "v4d-grid", "ckpt", "obj"])
 def test_single_byte_mutations_are_read_or_rejected(tmp_path_factory, reader):
     root = tmp_path_factory.mktemp(reader.__name__)
     source = _valid_files(root)[reader]
@@ -405,6 +414,9 @@ def test_single_byte_mutations_are_read_or_rejected(tmp_path_factory, reader):
     @given(st.integers(0, len(original) - 1), byte)
     def mutate_and_read(pos, byte):
         mutant.write_bytes(original[:pos] + bytes([byte]) + original[pos + 1:])
+        if reader is read_v4d_grid:  # the same grid, or the same first error
+            assert _v4d_outcome(reader, mutant) == _v4d_outcome(read_v4d, mutant)
+            return
         try:
             reader(mutant)
         except (FormatError, ValidationError):

@@ -25,7 +25,7 @@ from cycleflow.metrics import (
     write_eval_summary,
 )
 from cycleflow.mesh import TriangleMesh, icosphere
-from cycleflow.volume import DomainNormalizer, Volume4D
+from cycleflow.volume import DomainNormalizer, Volume4D, VolumeGrid
 
 from conftest import make_cube_mesh
 
@@ -531,6 +531,21 @@ def test_evaluate_fit_handles_missing_gt_frames():
     assert np.isfinite(rep.hsd_mm[[0, 2]]).all()
     assert rep.mean_hsd_mm == pytest.approx(0.0, abs=1e-12)
     assert np.isnan(rep.psnr_db).all()
+
+
+def test_evaluate_fit_without_psnr_needs_only_the_grid():
+    vol = flat_volume(n=12, spacing=2.0, n_frames=3)
+    grid = VolumeGrid(vol.grid_shape, vol.spacing, vol.origin, vol.frame_times)
+    base = make_cube_mesh(side=4.0, origin=(6.0, 9.0, 9.0))
+    model = ConstantField([0.125, 0.0, 0.0])
+    full, bare = (evaluate_fit(model, v, [base, None, base], with_psnr=False)
+                  for v in (vol, grid))
+    for name in ("frame_times", "hsd_mm", "psnr_db", "volume_mm3", "gt_volume_mm3"):
+        assert np.array_equal(getattr(full, name), getattr(bare, name),
+                              equal_nan=True), name
+    assert full.periodicity_error_mm == bare.periodicity_error_mm
+    with pytest.raises(AttributeError):  # the PSNR asks for voxels it lacks
+        evaluate_fit(model, grid, [base, None, base], with_psnr=True)
 
 
 def test_evaluate_fit_validates_mesh_list():

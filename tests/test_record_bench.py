@@ -1,0 +1,70 @@
+"""tools/record_bench.py against stand-in checkouts whose perfbench/run.py
+prints a fixed result, so no workload runs."""
+import json
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+
+import record_bench  # noqa: E402
+
+# peak_rss_mb is the seed plus an offset per checkout; the run order goes to a log
+FAKE_RUN = '''
+import json, os, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+seed, offset = int(args["--seed"]), float(open("offset").read())
+with open("../order.log", "a") as fh:
+    fh.write(os.path.basename(os.getcwd()) + "\\n")
+work = os.path.join(".perfbench_work", args["--workload"])
+os.makedirs(work, exist_ok=True)
+with open(os.path.join(work, "result.json"), "w") as fh:
+    json.dump({"workload": args["--workload"], "nproc": 2, "metrics": {}, "ops": [],
+               "file": os.path.join(os.getcwd(), "src", "x.py")}, fh)
+print("perfbench ...")
+print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": {
+    "setup_s": {"value": 1.0, "unit": "s"}, "stage_s": {"value": 2.0, "unit": "s"},
+    "peak_rss_mb": {"value": seed + offset, "unit": "MB"}}}))
+'''
+
+
+def _checkout(root, offset):
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(FAKE_RUN)
+    (root / "offset").write_text(str(offset))
+    return root
+
+
+def test_summarize_gives_median_and_inclusive_quartiles():
+    assert record_bench.summarize([4.0, 1.0, 3.0, 2.0, 5.0]) == \
+        {"median": 3.0, "q1": 2.0, "q3": 4.0, "n": 5}
+
+
+def test_pairs_alternate_and_each_side_is_summarized(tmp_path):
+    parent = _checkout(tmp_path / "parent", 0.5)
+    change = _checkout(tmp_path / "change", -0.5)
+    out = tmp_path / "BENCH.json"
+    assert record_bench.main(["--parent", str(parent), "--change", str(change),
+                              "--workload", "track-mesh:3", "--first-seed", "7",
+                              "--out", str(out)]) == 0
+    assert (tmp_path / "order.log").read_text().split() == \
+        ["parent", "change", "change", "parent", "parent", "change"]
+    w = json.loads(out.read_text())["workloads"]["track-mesh"]
+    assert w["seeds"] == [7, 8, 9]
+    assert w["parent"]["runs"]["peak_rss_mb"] == [7.5, 8.5, 9.5]
+    assert w["change"]["summary"]["peak_rss_mb"] == \
+        {"median": 7.5, "q1": 7.0, "q3": 8.0, "n": 3}
+    assert w["pairs_change_lower"] == {"setup_s": 0, "stage_s": 0, "peak_rss_mb": 3}
+    assert w["change"]["failed_operations"] == [0, 0, 0]
+    assert w["parent"]["env"] == {"workload": "track-mesh", "nproc": 2,
+                                  "file": os.path.join("src", "x.py")}
+
+
+def test_a_run_that_prints_nothing_is_an_error(tmp_path):
+    root = tmp_path / "empty"
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text("import sys; sys.exit(2)\n")
+    with pytest.raises(RuntimeError, match="printed nothing"):
+        record_bench.run_once(root, "track-mesh", 1, 12)

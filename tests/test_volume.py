@@ -6,9 +6,11 @@ import pytest
 import cycleflow.autodiff as ad
 from cycleflow.errors import FormatError, ValidationError
 from cycleflow.mesh import mesh_volume
+import cycleflow.volume as volume_module
 from cycleflow.volume import (DomainNormalizer, GrowthPattern, Volume4D,
-                              gather_trilinear, make_sphere_series, radius_at,
-                              read_v4d, sample_trilinear, write_v4d)
+                              VolumeGrid, gather_trilinear, make_sphere_series,
+                              radius_at, read_v4d, read_v4d_grid,
+                              sample_trilinear, write_v4d)
 from conftest import BAD_VOLUMES, dot, mean_square, rel_err, rewrite_container
 
 
@@ -328,3 +330,90 @@ def test_v4d_malformed_header_or_voxels(tmp_path, case):
     error = ValidationError if case.endswith("voxel") else FormatError
     with pytest.raises(error):
         read_v4d(path)
+
+
+def _grid_fields(vol):
+    return (vol.grid_shape, vol.spacing, vol.origin, vol.frame_times.tolist(),
+            vol.n_frames, vol.period, [b.tolist() for b in vol.world_bounds()])
+
+
+def _refusal(reader, path):
+    with pytest.raises((FormatError, ValidationError)) as info:
+        reader(path)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VOLUMES))
+def test_grid_reader_refuses_each_bad_volume_as_read_v4d_does(tmp_path, case):
+    path = tmp_path / "v.v4d"
+    write_v4d(make_volume(), path)
+    rewrite_container(path, path, **BAD_VOLUMES[case])
+    assert _refusal(read_v4d_grid, path) == _refusal(read_v4d, path)
+
+
+def test_grid_reader_reads_the_grid_and_holds_no_frames(tmp_path):
+    vol = Volume4D(make_volume().frames, (0.5, 1.0, 2.0), (-3.0, 1.0, 7.5),
+                   [0.0, 0.25, 1.0])
+    path = tmp_path / "v.v4d"
+    write_v4d(vol, path)
+    grid = read_v4d_grid(path)
+    assert isinstance(grid, VolumeGrid) and not isinstance(grid, Volume4D)
+    assert _grid_fields(grid) == _grid_fields(read_v4d(path)) == _grid_fields(vol)
+    with pytest.raises(AttributeError):
+        grid.frames
+
+
+# voxel 0, the last of chunk 0, the first of chunk 1, the last of the file
+# (3 frames of 4x5x6 = 360 voxels, read in chunks of 7)
+@pytest.mark.parametrize("index", [0, 6, 7, 359])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_both_readers_find_a_bad_voxel_at_each_chunk_edge(tmp_path, monkeypatch,
+                                                          index, bad):
+    monkeypatch.setattr(volume_module, "_CHUNK_VOXELS", 7)
+    path = tmp_path / "v.v4d"
+    write_v4d(make_volume(), path)
+    rewrite_container(path, path, payload=lambda p: np.where(
+        np.arange(p.size) == index, np.float32(bad), p))
+    refusal = _refusal(read_v4d_grid, path)
+    assert refusal == _refusal(read_v4d, path)
+    assert refusal == (ValidationError, "frames must be finite (no NaN or inf voxels)")
+
+
+def test_grid_reader_reads_a_clean_file_of_many_chunks(tmp_path, monkeypatch):
+    monkeypatch.setattr(volume_module, "_CHUNK_VOXELS", 7)  # 360 = 51 * 7 + 3
+    path = tmp_path / "v.v4d"
+    write_v4d(make_volume(), path)
+    assert _grid_fields(read_v4d_grid(path)) == _grid_fields(read_v4d(path))
+
+
+def test_flat_corner_gather_keeps_the_bits_of_per_axis_indexing():
+    rng = np.random.default_rng(3)
+    frame = rng.uniform(-1, 1, size=(4, 5, 7)).astype(np.float32)
+    pts = np.concatenate([rng.uniform(-1.2, 1.2, size=(500, 3)),
+                          [[-1, -1, -1], [1, 1, 1], [1, -1, 1]]])
+    values, grads = volume_module._trilinear_kernel(frame, pts, want_grad=True)
+    # the gather as eight three-array indexes, and the kernel's arithmetic
+    n = np.array([7, 5, 4], dtype=np.float64)
+    u = (pts + 1.0) * 0.5 * (n - 1.0)
+    uc = np.clip(u, 0.0, n - 1.0)
+    i0 = np.minimum(uc.astype(np.int64), (n - 2.0).astype(np.int64))
+    f = uc - i0
+    ix, iy, iz = i0.T
+    fx, fy, fz = f.T
+    c = {(a, b, e): frame[iz + e, iy + b, ix + a]
+         for a in (0, 1) for b in (0, 1) for e in (0, 1)}
+    c00 = c[0, 0, 0] * (1 - fx) + c[1, 0, 0] * fx
+    c10 = c[0, 1, 0] * (1 - fx) + c[1, 1, 0] * fx
+    c01 = c[0, 0, 1] * (1 - fx) + c[1, 0, 1] * fx
+    c11 = c[0, 1, 1] * (1 - fx) + c[1, 1, 1] * fx
+    c0 = c00 * (1 - fy) + c10 * fy
+    c1 = c01 * (1 - fy) + c11 * fy
+    assert np.array_equal(values, c0 * (1 - fz) + c1 * fz)
+    dvdx = ((c[1, 0, 0] - c[0, 0, 0]) * (1 - fy) + (c[1, 1, 0] - c[0, 1, 0]) * fy) \
+        * (1 - fz) + ((c[1, 0, 1] - c[0, 0, 1]) * (1 - fy)
+                      + (c[1, 1, 1] - c[0, 1, 1]) * fy) * fz
+    expected = np.stack([dvdx, (c10 - c00) * (1 - fz) + (c11 - c01) * fz,
+                         c1 - c0], axis=1)
+    expected *= (n - 1.0) * 0.5
+    expected *= (u >= 0.0) & (u <= n - 1.0)
+    assert np.array_equal(grads, expected)

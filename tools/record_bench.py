@@ -1,0 +1,119 @@
+"""Record perfbench's end-to-end metrics for a parent and a change checkout.
+
+Run from anywhere::
+
+    python3 tools/record_bench.py --parent ../parent --change . \\
+        --workload track-mesh:10 --workload fit-accept:6 --first-seed 201 \\
+        --out BENCH_22.json
+
+Each ``--workload NAME:PAIRS`` runs ``perfbench/run.py --trace 0`` PAIRS
+times on each side, in alternating pairs: pair k runs the parent first when k
+is even and the change first when it is odd, both with seed first-seed + k.
+The last stdout line of every run is its JSON result.  The output file holds,
+per workload and side, the median and q1-q3 of setup_s, stage_s and
+peak_rss_mb, every run's values, the failed-operation counts, how many pairs
+the change ran lower, and each side's environment from
+``.perfbench_work/<workload>/result.json``, with paths relative to the checkout.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+METRICS = ("setup_s", "stage_s", "peak_rss_mb")
+SIDES = ("parent", "change")
+RUN_TIMEOUT_S = 600
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+    """One untraced perfbench run in ``checkout``; its last-line JSON and the
+    environment part of its result.json."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    lines = proc.stdout.strip().splitlines()
+    if not lines:
+        raise RuntimeError(f"{checkout}: {workload} seed {seed} printed nothing "
+                           f"(exit {proc.returncode}): {proc.stderr[-2000:]}")
+    result = json.loads(lines[-1])
+    record = json.loads((checkout / ".perfbench_work" / workload
+                         / "result.json").read_text())
+    env = {k: v for k, v in record.items() if k not in ("metrics", "ops")}
+    # paths inside the checkout are kept relative to it
+    result["env"] = json.loads(json.dumps(env).replace(f"{checkout}{os.sep}", ""))
+    result["exit"] = proc.returncode
+    return result
+
+
+def summarize(values) -> dict:
+    """Median and inclusive quartiles of a list of numbers."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
+
+
+def record_workload(parent: Path, change: Path, workload: str, pairs: int,
+                    first_seed: int, seconds: int) -> dict:
+    runs = {side: [] for side in SIDES}
+    for k in range(pairs):
+        order = SIDES if k % 2 == 0 else SIDES[::-1]
+        for side in order:
+            checkout = parent if side == "parent" else change
+            result = run_once(checkout, workload, first_seed + k, seconds)
+            runs[side].append(result)
+            print(f"{workload} pair {k} {side}: " + ", ".join(
+                f"{m}={result['metrics'][m]['value']:.4g}" for m in METRICS
+                if m in result["metrics"]) + f", failed={result['failed']}",
+                flush=True)
+    out = {"pairs": pairs, "seeds": [first_seed + k for k in range(pairs)]}
+    for side in SIDES:
+        values = {m: [r["metrics"][m]["value"] for r in runs[side]
+                      if m in r["metrics"]] for m in METRICS}
+        out[side] = {
+            "summary": {m: summarize(v) for m, v in values.items() if len(v) >= 2},
+            "runs": values,
+            "failed_operations": [r["failed"] for r in runs[side]],
+            "env": runs[side][0]["env"],
+        }
+    out["pairs_change_lower"] = {
+        m: sum(c < p for p, c in zip(out["parent"]["runs"][m],
+                                     out["change"]["runs"][m]))
+        for m in METRICS}
+    return out
+
+
+def parse_workload(spec: str):
+    name, _, pairs = spec.partition(":")
+    return name, int(pairs or 10)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", required=True, type=Path,
+                        help="checkout of the parent commit")
+    parser.add_argument("--change", required=True, type=Path,
+                        help="checkout of the change")
+    parser.add_argument("--workload", action="append", required=True,
+                        type=parse_workload, help="NAME:PAIRS, repeatable")
+    parser.add_argument("--first-seed", type=int, default=1)
+    parser.add_argument("--seconds", type=int, default=12)
+    parser.add_argument("--out", required=True, type=Path)
+    args = parser.parse_args(argv)
+
+    bench = {"tool": "tools/record_bench.py", "seconds": args.seconds,
+             "trace": 0, "workloads": {}}
+    for name, pairs in args.workload:
+        bench["workloads"][name] = record_workload(
+            args.parent.resolve(), args.change.resolve(), name, pairs,
+            args.first_seed, args.seconds)
+        args.out.write_text(json.dumps(bench, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
