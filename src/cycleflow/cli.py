@@ -17,6 +17,7 @@ available.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -65,6 +66,9 @@ def _finish(args, command, config, seed, inputs, writers, started):
     then write manifest.json hashing the inputs and outputs; returns the
     output paths."""
     os.makedirs(args.out_dir, exist_ok=True)
+    manifest_path = os.path.join(args.out_dir, "manifest.json")
+    with contextlib.suppress(FileNotFoundError):  # so a failed run leaves none
+        os.remove(manifest_path)
     outputs = []
     for name, write in writers:
         outputs.append(os.path.join(args.out_dir, name))
@@ -80,7 +84,7 @@ def _finish(args, command, config, seed, inputs, writers, started):
         "outputs": {p: _sha256(p) for p in outputs},
         "wall_time_s": time.perf_counter() - started,
     }
-    with open(os.path.join(args.out_dir, "manifest.json"), "w") as fh:
+    with open(manifest_path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return outputs

@@ -4,9 +4,8 @@ The model maps a batch of positions in the normalized cube plus one time
 value to one 3-D velocity per position.  With time encoding enabled the
 time enters as a point on the unit circle, which makes the field exactly
 periodic; with encoding disabled the raw time is appended instead (the
-non-periodic ablation mode).  A taped call, and an untaped call of
-2 * _HALF rows or more, runs as two row parts, which use a second thread
-when BLAS runs one.
+non-periodic ablation mode).  Every call, taped or not, runs as two row
+parts cut by one rule, which use a second thread when BLAS runs one.
 """
 from __future__ import annotations
 
@@ -30,7 +29,6 @@ CHECKPOINT_DTYPES = {"f32le": "<f4", "f64le": "<f8"}
 # positions may drift past the nominal [-1,1] cube during integration; the
 # MLP is defined everywhere, so evaluation proceeds with a logged warning
 DOMAIN_SLACK = 1.5
-_HALF = 4096  # least rows per half of a split untaped call; flow.inverse_map says why
 # rows per weight-gradient product in a taped backward, whose chunks are then
 # added left to right: a 256-row reduction fits one OpenBLAS K block, so the
 # BLAS thread count cannot reorder its sum, and fit bytes depend on the row
@@ -118,11 +116,11 @@ class VelocityFieldModel:
         Under a tape the whole network records as one node whose parents
         are the points and the parameters.  It saves the input and each hidden
         phase omega*z, from which its backward rebuilds each sine and slope.
-        A taped call runs as the row parts [:k] and [k:], k = 256 *
-        round(B / 512), forward and backward; the caller adds part 2's
-        parameter gradients to part 1's, so their bits depend on B alone.
-        Untaped, 2 * _HALF rows or more split at B // 2.  See _in_parts for
-        where each part runs.
+        Every call runs as the row parts [:k] and [k:], k = 256 *
+        round(B / 512), or whole when k is 0.  Taped, both parts run forward
+        and backward, and part 2's parameter gradients add to part 1's, so
+        their bits depend on B alone; untaped, they save nothing.  See
+        _in_parts for where each part runs.
         """
         pts = points if isinstance(points, ad.Node) else ad.constant(points, self.dtype)
         if pts.value.ndim != 2 or pts.value.shape[1] != 3:
@@ -145,11 +143,10 @@ class VelocityFieldModel:
             tcols = np.full((n, 1), t, dtype=dt)
         h = np.concatenate([pts.value, tcols], axis=1)
         out = np.empty((n, 3), dtype=dt)
-        if not ad.recording():
-            _in_parts(lambda a, b: self._layers(h[a:b], out[a:b]),
-                      n // 2 if n >= 2 * _HALF else 0, n)
-            return ad.constant(out)
         k = _CHUNK * round(n / (2 * _CHUNK))
+        if not ad.recording():
+            _in_parts(lambda a, b: self._layers(h[a:b], out[a:b]), k, n)
+            return ad.constant(out)
         saved = _in_parts(lambda a, b: self._layers(h[a:b], out[a:b], []), k, n)
 
         def backward(g):

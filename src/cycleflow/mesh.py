@@ -84,26 +84,20 @@ def _unit_icosphere(subdivisions: int):
     verts /= np.linalg.norm(verts, axis=1, keepdims=True)
 
     for _ in range(subdivisions):
-        verts_list = list(verts)
-        midpoint_cache = {}
-
-        def midpoint(i, j):
-            key = (i, j) if i < j else (j, i)
-            if key in midpoint_cache:
-                return midpoint_cache[key]
-            m = verts_list[i] + verts_list[j]
-            m /= np.linalg.norm(m)
-            verts_list.append(m)
-            idx = len(verts_list) - 1
-            midpoint_cache[key] = idx
-            return idx
-
-        new_faces = []
-        for i, j, k in faces:
-            ij, jk, ki = midpoint(i, j), midpoint(j, k), midpoint(k, i)
-            new_faces.extend([[i, ij, ki], [j, jk, ij], [k, ki, jk], [ij, jk, ki]])
-        verts = np.array(verts_list)
-        faces = np.array(new_faces, dtype=np.int64)
+        # edges (i,j), (j,k), (k,i) of each face, in order; each new vertex
+        # is an edge midpoint, numbered in the order the edges first appear
+        edges = np.stack([faces, np.roll(faces, -1, axis=1)], axis=2).reshape(-1, 2)
+        keys = edges.min(axis=1) * len(verts) + edges.max(axis=1)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        rank = np.argsort(np.argsort(first))  # of each edge's first appearance
+        a, b = edges[np.sort(first)].T
+        m = verts[a] + verts[b]
+        m /= np.sqrt(m[:, None, :] @ m[:, :, None])[:, 0]  # np.linalg.norm(row)'s bits
+        ij, jk, ki = (len(verts) + rank[inverse]).reshape(-1, 3).T
+        i, j, k = faces.T
+        faces = np.stack([i, ij, ki, j, jk, ij, k, ki, jk, ij, jk, ki],
+                         axis=1).reshape(-1, 3)
+        verts = np.concatenate([verts, m])
 
     verts.flags.writeable = False
     faces.flags.writeable = False

@@ -24,7 +24,7 @@ from .mesh import TriangleMesh, icosphere
 
 V4D_MAGIC = b"V4DVOL01"
 _SAMPLE_BLOCK = 16384  # rows per trilinear kernel call in sample_trilinear
-_CHUNK_VOXELS = 1 << 18  # read_v4d_grid's one read buffer: 1 MiB of float32
+_CHUNK_VOXELS = 1 << 18  # voxels per finiteness check: 1 MiB of float32
 
 
 class VolumeGrid:
@@ -94,11 +94,14 @@ class Volume4D(VolumeGrid):
     frame_times: np.ndarray  # (N,) normalized, strictly increasing, 0 .. 1
 
     def __post_init__(self):
-        self.frames = np.asarray(self.frames, dtype=np.float32)
+        self.frames = np.ascontiguousarray(self.frames, dtype=np.float32)
         self.validate()
 
     def validate(self):
-        self._validate(self.frames.shape, lambda: np.isfinite(self.frames).all())
+        flat = self.frames.reshape(-1)  # a view, checked _CHUNK_VOXELS at a time
+        self._validate(self.frames.shape, lambda: all(
+            np.isfinite(flat[s:s + _CHUNK_VOXELS]).all()
+            for s in range(0, flat.size, _CHUNK_VOXELS)))
 
     @property
     def grid_shape(self):

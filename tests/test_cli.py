@@ -184,6 +184,20 @@ def test_fit_summary_and_hashes_repeat_in_one_out_dir(tmp_path):
     assert "wall_time_s" not in json.loads(runs[0][0])
 
 
+def test_a_fit_that_fails_partway_leaves_no_stale_manifest(tmp_path):
+    # the second fit writes model.ckpt, then fails on loss.csv: the first
+    # run's manifest would no longer match the checkpoint beside it
+    gen = run_gen(tmp_path)
+    out = run_fit(tmp_path, gen)
+    (out / "loss.csv").unlink()
+    (out / "loss.csv").mkdir()
+    proc = run_cli(["fit", gen / "volume.v4d", *FIT_ARGS, "--seed", "2",
+                    "--out-dir", out])
+    assert proc.returncode == 3
+    assert [line.split(":")[0] for line in proc.stderr.splitlines()] == ["error"]
+    assert not (out / "manifest.json").exists()
+
+
 # ----------------------------------------------------------------- deform
 
 def test_deform_writes_meshes_and_trajectories(tmp_path):

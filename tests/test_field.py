@@ -279,7 +279,7 @@ _SPLIT_MODELS = {"f32": dict(dtype=np.float32), "f64": dict(dtype=np.float64),
 
 
 @pytest.mark.parametrize("kind", list(_SPLIT_MODELS))
-@pytest.mark.parametrize("rows", [8191, 8192, 8193, 16383, 110592])
+@pytest.mark.parametrize("rows", [500, 2562, 8191, 8192, 8193, 16383, 110592])
 def test_untaped_call_is_bit_equal_to_the_never_split_taped_call(rows, kind,
                                                                   pool_on):
     # the reference is one plain pass over the whole batch; 128 wide, as the
@@ -313,11 +313,12 @@ def test_split_calls_submit_to_the_pool_only_with_one_blas_thread(monkeypatch):
     rng = np.random.default_rng(13)
 
     def calls():
-        for rows in (255, 256, 512, 2000):  # taped: split at 256*round(rows/512)
+        # every call splits at 256*round(rows/512)
+        for rows in (255, 256, 512, 2000):
             with ad.Tape() as tape:
                 out = model(rng.uniform(-1, 1, size=(rows, 3)), 0.1)
                 tape.backward(dot(out, 1.0))
-        for rows in (8191, 8192, 9001):  # untaped: split at rows//2 from 8192
+        for rows in (2562, 8191, 8192, 9001):
             velocity(model, rng.uniform(-1, 1, size=(rows, 3)), 0.1)
 
     monkeypatch.setattr(field, "_PARALLEL", False)
@@ -326,7 +327,7 @@ def test_split_calls_submit_to_the_pool_only_with_one_blas_thread(monkeypatch):
     monkeypatch.setattr(field, "_PARALLEL", True)
     calls()
     # each taped call submits its forward part, then its backward part
-    assert spy.submitted == [256, 256, 976, 976, 4096, 4501]
+    assert spy.submitted == [256, 256, 976, 976, 1282, 4095, 4096, 4393]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

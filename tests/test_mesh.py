@@ -125,6 +125,40 @@ def test_cached_icosphere_equals_a_fresh_build():
     assert not cached[0].flags.writeable and not cached[1].flags.writeable
 
 
+def loop_subdivide(verts, faces, subdivisions):
+    """The subdivision as a loop over faces with a midpoint cache: the
+    reference _unit_icosphere's array version must match bit for bit."""
+    for _ in range(subdivisions):
+        verts_list = list(verts)
+        midpoint_cache = {}
+
+        def midpoint(i, j):
+            key = (i, j) if i < j else (j, i)
+            if key in midpoint_cache:
+                return midpoint_cache[key]
+            m = verts_list[i] + verts_list[j]
+            m /= np.linalg.norm(m)
+            verts_list.append(m)
+            midpoint_cache[key] = len(verts_list) - 1
+            return midpoint_cache[key]
+
+        new_faces = []
+        for i, j, k in faces:
+            ij, jk, ki = midpoint(i, j), midpoint(j, k), midpoint(k, i)
+            new_faces.extend([[i, ij, ki], [j, jk, ij], [k, ki, jk], [ij, jk, ki]])
+        verts = np.array(verts_list)
+        faces = np.array(new_faces, dtype=np.int64)
+    return verts, faces
+
+
+@pytest.mark.parametrize("subdivisions", range(6))
+def test_icosphere_subdivision_matches_the_face_loop(subdivisions):
+    want = loop_subdivide(*_unit_icosphere(0), subdivisions)
+    got = _unit_icosphere(subdivisions)
+    assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 def test_icosphere_meshes_do_not_share_arrays():
     first = icosphere(1.0, subdivisions=2)
     first.vertices[:] = 0.0

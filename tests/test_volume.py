@@ -44,6 +44,20 @@ def test_volume_validation():
             Volume4D(frames, (1, 1, 1), (0, 0, 0), good_times)
 
 
+def test_validating_an_acceptance_volume_peaks_under_1_mib():
+    # the finiteness check holds one chunk's bool temporary, not a quarter
+    # of the 11 MB payload
+    vol = Volume4D(np.full((25, 48, 48, 48), 0.5, dtype=np.float32),
+                   (1.0, 1.0, 1.0), (0.0, 0.0, 0.0), np.linspace(0, 1, 25))
+    tracemalloc.start()
+    try:
+        vol.validate()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_world_bounds():
     vol = make_volume(d=4, h=5, w=6)
     lo, hi = vol.world_bounds()
