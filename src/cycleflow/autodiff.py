@@ -5,7 +5,8 @@ motion-estimation graph, recorded through ``record`` with its backward next
 to its forward: the whole sine MLP (field module), the Euler step (flow
 module), the trilinear gather (volume module) and the objective (training
 module).  The tape, not the nodes, holds the graph's edges, and
-``Tape.backward`` spends them.
+``Tape.backward`` spends them.  It also keeps the arrays a backward has spent
+(``take``/``give``), so a tape reused over a fit's epochs allocates them once.
 """
 from __future__ import annotations
 
@@ -41,9 +42,9 @@ def constant(value, dtype=None) -> Node:
     return Node(np.asarray(value, dtype=dtype))
 
 
-def recording() -> bool:
-    """Whether a tape is recording in this thread."""
-    return _active_tape.get() is not None
+def active_tape():
+    """The tape recording in this thread, or None."""
+    return _active_tape.get()
 
 
 def record(value, parents, backward) -> Node:
@@ -70,17 +71,31 @@ class Tape:
     """The graph: one (node, parents, backward) record per executed kernel.
 
     Single-owner: only one tape may record at a time in a thread (enforced
-    on entry); other threads never record onto it.
-    Backward traversal walks the records in reverse execution order, which
-    is a valid topological order by construction.
+    on entry); other threads never record onto it.  Each entry starts a new
+    graph, but a tape keeps its spare arrays.  Backward traversal walks the
+    records in reverse execution order, a topological order by construction.
     """
 
     def __init__(self):
         self._records = []
+        self._spare = {}  # (shape, dtype) -> arrays handed back by give
+
+    def take(self, shape, dtype):
+        """A spare array of that shape and dtype, else a new one; thread-safe."""
+        try:
+            return self._spare[shape, np.dtype(dtype)].pop()
+        except (KeyError, IndexError):
+            return np.empty(shape, dtype)
+
+    def give(self, arrays):
+        """Keep arrays nothing reads again for later takes, while the tape lives."""
+        for a in arrays:
+            self._spare.setdefault((a.shape, a.dtype), []).append(a)
 
     def __enter__(self):
         if _active_tape.get() is not None:
             raise RuntimeError("a tape is already recording; tapes are single-owner")
+        self._records = []  # what an earlier entry left, had its backward not run or failed
         self._token = _active_tape.set(self)
         return self
 
@@ -94,8 +109,8 @@ class Tape:
     def backward(self, root: Node):
         """Accumulate d(root)/d(leaf) into ``grad`` of every leaf on the tape.
 
-        The sweep pops each record as it reaches it, so the arrays a record
-        saved are freed once its gradient has passed, and the tape is empty
+        The sweep pops each record as it reaches it, so what a record saved is
+        freed or given back once its gradient has passed, and the tape is empty
         on return.  Gradients are created on first write: a recorded node
         the root does not depend on never gets one and is skipped, and each
         drops its gradient once passed on.  Unreached leaves get exact zeros.

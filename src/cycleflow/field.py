@@ -116,6 +116,8 @@ class VelocityFieldModel:
         Under a tape the whole network records as one node whose parents
         are the points and the parameters.  It saves the input and each hidden
         phase omega*z, from which its backward rebuilds each sine and slope.
+        These phases and the sines' scratch come from the tape's spare arrays,
+        and go back to it once both parts of the backward are done.
         Every call runs as the row parts [:k] and [k:], k = 256 *
         round(B / 512), or whole when k is 0.  Taped, both parts run forward
         and backward, and part 2's parameter gradients add to part 1's, so
@@ -144,14 +146,17 @@ class VelocityFieldModel:
         h = np.concatenate([pts.value, tcols], axis=1)
         out = np.empty((n, 3), dtype=dt)
         k = _CHUNK * round(n / (2 * _CHUNK))
-        if not ad.recording():
+        tape = ad.active_tape()
+        if tape is None:
             _in_parts(lambda a, b: self._layers(h[a:b], out[a:b]), k, n)
             return ad.constant(out)
-        saved = _in_parts(lambda a, b: self._layers(h[a:b], out[a:b], []), k, n)
+        saved = _in_parts(lambda a, b: self._layers(h[a:b], out[a:b], tape.take), k, n)
+        tape.give(part.pop() for part in saved)  # the sines' flat arrays
 
         def backward(g):
-            parts = _in_parts(lambda a, b: self._backward(
-                h[a:b], saved[a > 0], g[a:b]), k, n)  # part 2 starts past row 0
+            parts = _in_parts(lambda a, b: self._backward(  # part 2 starts past row 0
+                h[a:b], saved[a > 0], g[a:b], tape.take), k, n)
+            tape.give(buf for part in saved for buf in part)  # both parts are done
             g_pts, grads = parts[0]
             if len(parts) == 2:
                 g_pts = np.concatenate([g_pts, parts[1][0]])
@@ -161,33 +166,42 @@ class VelocityFieldModel:
 
         return ad.record(out, (pts, *self.parameters), backward)
 
-    def _layers(self, h, out, saved=None):
-        """Velocities of rows h into out; returns saved with each hidden phase
-        appended, for a taped call.  Plain NumPy only (nothing a profiler
-        wraps), so the pool thread may run it."""
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            phase = h @ w.value
+    def _layers(self, h, out, take=None):
+        """Velocities of rows h into out.  A taped call passes its tape's take,
+        and gets back the arrays from it that hold each hidden phase and, last,
+        the one flat array every sine went into.  Plain NumPy only (nothing a
+        profiler wraps), so the pool thread may run it."""
+        if take is not None:
+            saved = [take((len(h), w.value.shape[1]), h.dtype) for w in self.weights[:-1]]
+            saved.append(take((max(p.size for p in saved),), h.dtype))
+        for i, (w, b) in enumerate(zip(self.weights[:-1], self.biases[:-1])):
+            phase = h @ w.value if take is None else np.matmul(h, w.value, out=saved[i])
             phase += b.value
             phase *= self.omega
-            if saved is not None:
-                saved.append(phase)  # so the sine gets an array of its own
-            h = np.sin(phase, out=phase if saved is None else None)
+            h = np.sin(phase, out=phase if take is None else
+                       saved[-1][:phase.size].reshape(phase.shape))
         np.add(h @ self.weights[-1].value, self.biases[-1].value, out=out)
-        return saved
+        return None if take is None else saved
 
-    def _backward(self, h, saved, g):
+    def _backward(self, h, saved, g, take):
         """Point and parameter gradients of rows h, whose hidden phases _layers
-        saved, for the output gradient g of those rows; plain NumPy, like
-        _layers.  Bias gradients sum these rows, weight gradients go by _xtg."""
+        saved, for the output gradient g of those rows; plain NumPy, like _layers.
+        Each phase gives its slope to a flat array from take (appended to saved),
+        then becomes its sine, then its layer input's gradient.  Bias gradients
+        sum rows, weight gradients go by _xtg."""
+        flat = take((max(p.size for p in saved),), h.dtype)
         grads = []  # parameter grads, last first
         for i in reversed(range(len(self.weights))):
             if i < len(saved):
-                g *= slope  # g is a fresh matmul result
-            if i:  # one read of the phase below gives the input and slope
-                x, slope = np.sin(saved[i - 1]), np.cos(saved[i - 1])
+                g *= slope  # g is held in saved[i]
+            if i:  # one read of the phase below gives the slope, then the input
+                x = saved[i - 1]
+                slope = np.cos(x, out=flat[:x.size].reshape(x.shape))
                 slope *= self.omega
+                np.sin(x, out=x)
             grads += [g.sum(axis=0), _xtg(x if i else h, g)]
-            g = g @ self.weights[i].value.T
+            g = np.matmul(g, self.weights[i].value.T, out=x if i else None)
+        saved.append(flat)
         return g[:, :3], grads[::-1]
 
 

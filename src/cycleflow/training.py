@@ -238,13 +238,14 @@ def fit(volume: Volume4D, config: FitConfig):
     params = model.parameters
     state = AdamState.for_params([p.value for p in params])
     data_hist, cycle_hist, total_hist = [], [], []
+    tape = ad.Tape()  # every epoch's field calls reuse the arrays of the last
     for epoch in range(config.epochs):
         pts = sample_points(volume, config.points_per_epoch, config.sampling,
                             seed=(config.seed, epoch))
         # a wild omega, cycle weight or learning rate overflows somewhere in
         # the step; the checks on the velocities, the loss and the weights
         # report it, so the overflow itself need not warn
-        with ad.Tape() as tape, np.errstate(over="ignore", invalid="ignore"):
+        with tape, np.errstate(over="ignore", invalid="ignore"):
             total, data, cyc = total_loss(
                 model, volume, pts, config.cycle_weight, config.cycle_enabled,
                 config.steps_per_frame)

@@ -206,7 +206,7 @@ def gather_trilinear(frame, points: ad.Node) -> ad.Node:
     """Differentiable gather at euler_path's positions, checked finite there:
     a (B,) node whose gradient flows to the points, not to the frame (data)."""
     values, grads = _trilinear_kernel(frame, points.value,
-                                      want_grad=ad.recording())
+                                      want_grad=ad.active_tape() is not None)
     return ad.record(values, (points,), lambda g: (g[:, None] * grads,))
 
 

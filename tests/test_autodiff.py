@@ -127,6 +127,25 @@ def test_tape_clear_drops_nodes():
     assert np.array_equal(x.grad, np.ones(3))
 
 
+def test_a_tape_hands_back_given_arrays_by_shape_and_dtype():
+    tape = ad.Tape()
+    a32, a64 = np.ones((4, 3), np.float32), np.ones((4, 3))
+    tape.give([a32, a64])
+    assert tape.take((4, 3), np.float64) is a64
+    assert tape.take((4, 3), np.float32) is a32
+    fresh = tape.take((4, 3), np.float32)  # none spare: a new array
+    assert fresh is not a32 and fresh.shape == (4, 3) and fresh.dtype == np.float32
+    assert tape.take((3, 4), np.float64).shape == (3, 4)
+    # the arrays outlive an exit and serve the tape when it records again,
+    # while each entry starts a new graph
+    with tape:
+        double(ad.constant(np.ones(2)))
+    tape.give([a32])
+    with tape:
+        assert len(tape) == 0
+        assert tape.take((4, 3), "float32") is a32
+
+
 def test_repeated_backward_is_reproducible():
     # a spent tape refuses a second backward; recording again reproduces it
     def grad_on_a_fresh_tape():

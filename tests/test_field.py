@@ -17,6 +17,7 @@ from cycleflow.errors import FormatError
 from cycleflow.field import (VelocityFieldModel, default_layer_sizes,
                              encode_time, init_weights, load_checkpoint,
                              save_checkpoint, velocity)
+from cycleflow.flow import euler_path
 from conftest import (BAD_CHECKPOINTS, dot, fd_grad, mean_square, rel_err,
                       rewrite_container)
 
@@ -347,6 +348,89 @@ def test_a_taped_call_has_the_same_bits_on_the_pool_and_in_turn(dtype, monkeypat
             tape.backward(dot(out, up))
         runs.append([out.value, points.grad, *(p.grad for p in model.parameters)])
     assert all(np.array_equal(a, b) for a, b in zip(*runs))
+
+
+# --- a taped call's arrays, reused from its tape -----------------------------
+
+
+def _taped_step(model, tape, pts, up):
+    """End positions and every gradient of three taped Euler steps on tape,
+    as plain arrays: each step's call takes its arrays while the earlier
+    calls still hold theirs."""
+    points = ad.constant(pts)
+    with tape:
+        end = euler_path(model, points, np.linspace(0.0, 0.3, 4))[-1]
+        tape.backward(dot(end, up))
+    return [end.value, points.grad, *(p.grad for p in model.parameters)]
+
+
+def _spare_ids(tape):
+    return {id(a) for arrays in tape._spare.values() for a in arrays}
+
+
+def _unequal_widths(dtype):
+    """A 5 -> 16 -> 24 -> 3 model with nonzero biases, a 700-row batch (split
+    as 256 + 444 rows) and an output gradient."""
+    rng = np.random.default_rng(21)
+    sizes = [(5, 16), (16, 24), (24, 3)]
+    model = VelocityFieldModel([rng.uniform(-0.5, 0.5, s).astype(dtype) for s in sizes],
+                               [rng.uniform(-0.5, 0.5, s[1]).astype(dtype) for s in sizes],
+                               omega=6.0)
+    pts = rng.uniform(-1, 1, size=(700, 3)).astype(dtype)
+    return model, pts, rng.normal(size=(700, 3)).astype(dtype)
+
+
+def _same_bits(a, b):
+    return len(a) == len(b) and all(
+        x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_warm_tape_gives_a_cold_tapes_bits_at_unequal_widths(dtype, pool_on):
+    model, pts, up = _unequal_widths(dtype)
+    cold = _taped_step(model, ad.Tape(), pts, up)
+    tape = ad.Tape()
+    _taped_step(model, tape, pts[::-1].copy(), up)  # other values, same shapes
+    spare = _spare_ids(tape)
+    # per call and part, one array per hidden phase; per part, one flat array
+    assert len(spare) == 3 * 2 * 2 + 2
+    assert _same_bits(_taped_step(model, tape, pts, up), cold)
+    assert _spare_ids(tape) == spare  # the warm call allocated none of its own
+
+
+def test_a_tape_entered_again_after_a_call_without_its_backward_gives_cold_bits(pool_on):
+    model, pts, up = _unequal_widths(np.float32)
+    cold = _taped_step(model, ad.Tape(), pts, up)
+    tape = ad.Tape()
+    _taped_step(model, tape, pts, up)
+    with tape:  # an epoch that ends before its backward
+        model(ad.constant(pts[::-1].copy()), 0.7)
+    assert _same_bits(_taped_step(model, tape, pts, up), cold)
+
+
+def test_a_failed_backward_gives_nothing_back(pool_on, monkeypatch):
+    model, pts, up = _unequal_widths(np.float32)
+    cold = _taped_step(model, ad.Tape(), pts, up)
+    tape = ad.Tape()
+    _taped_step(model, tape, pts, up)
+    taken = []
+    take = tape.take
+    monkeypatch.setattr(tape, "take", lambda *a: taken.append(take(*a)) or taken[-1])
+
+    def xtg_failing_on_the_pool_thread(x, g):
+        if threading.current_thread().name.startswith("cycleflow-field"):
+            raise FloatingPointError("backward part failed")
+        return xtg(x, g)
+
+    xtg = field._xtg
+    monkeypatch.setattr(field, "_xtg", xtg_failing_on_the_pool_thread)
+    with pytest.raises(FloatingPointError, match="part failed"):
+        _taped_step(model, tape, pts[::-1].copy(), up)
+    # every array the failed call wrote, in its forward or its backward,
+    # left the tape's spares for good
+    assert not _spare_ids(tape) & {id(a) for a in taken}
+    monkeypatch.setattr(field, "_xtg", xtg)
+    assert _same_bits(_taped_step(model, tape, pts, up), cold)
 
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

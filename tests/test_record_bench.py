@@ -11,22 +11,27 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 import record_bench  # noqa: E402
 
-# peak_rss_mb is the seed plus an offset per checkout; the run order goes to a log
+# peak_rss_mb, or a traced run's epoch time, is the seed plus an offset per
+# checkout; the run order and trace flag go to a log
 FAKE_RUN = '''
 import json, os, sys
 args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
 seed, offset = int(args["--seed"]), float(open("offset").read())
 with open("../order.log", "a") as fh:
-    fh.write(os.path.basename(os.getcwd()) + "\\n")
+    fh.write(os.path.basename(os.getcwd()) + ":" + args["--trace"] + "\\n")
 work = os.path.join(".perfbench_work", args["--workload"])
 os.makedirs(work, exist_ok=True)
 with open(os.path.join(work, "result.json"), "w") as fh:
     json.dump({"workload": args["--workload"], "nproc": 2, "metrics": {}, "ops": [],
                "file": os.path.join(os.getcwd(), "src", "x.py")}, fh)
+metrics = {"setup_s": {"value": 1.0, "unit": "s"}, "stage_s": {"value": 2.0, "unit": "s"},
+           "peak_rss_mb": {"value": seed + offset, "unit": "MB"}}
+if args["--trace"] == "1":
+    metrics = {"training.epoch_ms.p50": {"value": seed + offset, "unit": "ms"},
+               "field.busy_s": {"value": 0.5, "unit": "s"}}
 print("perfbench ...")
-print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": {
-    "setup_s": {"value": 1.0, "unit": "s"}, "stage_s": {"value": 2.0, "unit": "s"},
-    "peak_rss_mb": {"value": seed + offset, "unit": "MB"}}}))
+print(json.dumps({"correct": True, "attempted": 3, "failed": int(offset < 0),
+                  "metrics": metrics}))
 '''
 
 
@@ -50,14 +55,23 @@ def test_pairs_alternate_and_each_side_is_summarized(tmp_path):
                               "--workload", "track-mesh:3", "--first-seed", "7",
                               "--out", str(out)]) == 0
     assert (tmp_path / "order.log").read_text().split() == \
-        ["parent", "change", "change", "parent", "parent", "change"]
+        ["parent:0", "change:0", "change:0", "parent:0", "parent:0", "change:0",
+         "parent:1", "change:1"]
     w = json.loads(out.read_text())["workloads"]["track-mesh"]
     assert w["seeds"] == [7, 8, 9]
     assert w["parent"]["runs"]["peak_rss_mb"] == [7.5, 8.5, 9.5]
     assert w["change"]["summary"]["peak_rss_mb"] == \
         {"median": 7.5, "q1": 7.0, "q3": 8.0, "n": 3}
     assert w["pairs_change_lower"] == {"setup_s": 0, "stage_s": 0, "peak_rss_mb": 3}
-    assert w["change"]["failed_operations"] == [0, 0, 0]
+    assert w["change"]["failed_operations"] == [1, 1, 1]
+    # one traced run per side, on the seed after the pairs', kept apart from
+    # the untraced medians
+    assert w["traced_seed"] == 10
+    assert w["parent"]["traced"] == {"training.epoch_ms.p50": 10.5, "field.busy_s": 0.5}
+    assert w["change"]["traced"]["training.epoch_ms.p50"] == 9.5
+    assert w["parent"]["traced_failed_operations"] == 0
+    assert w["change"]["traced_failed_operations"] == 1
+    assert w["parent"]["runs"]["stage_s"] == [2.0, 2.0, 2.0]
     assert w["parent"]["env"] == {"workload": "track-mesh", "nproc": 2,
                                   "file": os.path.join("src", "x.py")}
 

@@ -9,10 +9,13 @@ Run from anywhere::
 Each ``--workload NAME:PAIRS`` runs ``perfbench/run.py --trace 0`` PAIRS
 times on each side, in alternating pairs: pair k runs the parent first when k
 is even and the change first when it is odd, both with seed first-seed + k.
-The last stdout line of every run is its JSON result.  The output file holds,
-per workload and side, the median and q1-q3 of setup_s, stage_s and
-peak_rss_mb, every run's values, the failed-operation counts, how many pairs
-the change ran lower, and each side's environment from
+Then each side runs once with ``--trace 1``, parent first, with seed
+first-seed + PAIRS.  The last stdout line of every run is its JSON result.
+The output file holds, per workload and side, the median and q1-q3 of
+setup_s, stage_s and peak_rss_mb, every run's values, the failed-operation
+counts, how many pairs the change ran lower, the traced run's per-layer
+metrics (single samples: training.epoch_ms.p50, field.busy_s, ...) and its
+failed operations, and each side's environment from
 ``.perfbench_work/<workload>/result.json``, with paths relative to the checkout.
 """
 from __future__ import annotations
@@ -30,12 +33,13 @@ SIDES = ("parent", "change")
 RUN_TIMEOUT_S = 600
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One untraced perfbench run in ``checkout``; its last-line JSON and the
-    environment part of its result.json."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: int,
+             trace: int = 0) -> dict:
+    """One perfbench run in ``checkout``, untraced unless trace is 1; its
+    last-line JSON and the environment part of its result.json."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     lines = proc.stdout.strip().splitlines()
     if not lines:
@@ -59,18 +63,25 @@ def summarize(values) -> dict:
 
 def record_workload(parent: Path, change: Path, workload: str, pairs: int,
                     first_seed: int, seconds: int) -> dict:
+    checkouts = dict(zip(SIDES, (parent, change)))
     runs = {side: [] for side in SIDES}
     for k in range(pairs):
         order = SIDES if k % 2 == 0 else SIDES[::-1]
         for side in order:
-            checkout = parent if side == "parent" else change
-            result = run_once(checkout, workload, first_seed + k, seconds)
+            result = run_once(checkouts[side], workload, first_seed + k, seconds)
             runs[side].append(result)
             print(f"{workload} pair {k} {side}: " + ", ".join(
                 f"{m}={result['metrics'][m]['value']:.4g}" for m in METRICS
                 if m in result["metrics"]) + f", failed={result['failed']}",
                 flush=True)
-    out = {"pairs": pairs, "seeds": [first_seed + k for k in range(pairs)]}
+    traced = {}
+    for side in SIDES:
+        traced[side] = run_once(checkouts[side], workload, first_seed + pairs,
+                                seconds, trace=1)
+        print(f"{workload} traced {side}: {len(traced[side]['metrics'])} metrics, "
+              f"failed={traced[side]['failed']}", flush=True)
+    out = {"pairs": pairs, "seeds": [first_seed + k for k in range(pairs)],
+           "traced_seed": first_seed + pairs}
     for side in SIDES:
         values = {m: [r["metrics"][m]["value"] for r in runs[side]
                       if m in r["metrics"]] for m in METRICS}
@@ -78,6 +89,8 @@ def record_workload(parent: Path, change: Path, workload: str, pairs: int,
             "summary": {m: summarize(v) for m, v in values.items() if len(v) >= 2},
             "runs": values,
             "failed_operations": [r["failed"] for r in runs[side]],
+            "traced": {m: v["value"] for m, v in traced[side]["metrics"].items()},
+            "traced_failed_operations": traced[side]["failed"],
             "env": runs[side][0]["env"],
         }
     out["pairs_change_lower"] = {
