@@ -110,8 +110,8 @@ class Tape:
         """Accumulate d(root)/d(leaf) into ``grad`` of every leaf on the tape.
 
         The sweep pops each record as it reaches it, so what a record saved is
-        freed or given back once its gradient has passed, and the tape is empty
-        on return.  Gradients are created on first write: a recorded node
+        freed or given back once its gradient has passed; the tape is empty on
+        return or raise.  Gradients are created on first write: a recorded node
         the root does not depend on never gets one and is skipped, and each
         drops its gradient once passed on.  Unreached leaves get exact zeros.
         """
@@ -126,13 +126,16 @@ class Tape:
             leaf.grad = None
 
         root.grad = np.ones_like(root.value)
-        while self._records:
-            node, parents, backward = self._records.pop()
-            if node.grad is None:
-                continue
-            for p, c in zip(parents, backward(node.grad)):
-                _accumulate(p, c)
-            node.grad = None
+        try:
+            while self._records:
+                node, parents, backward = self._records.pop()
+                if node.grad is None:
+                    continue
+                for p, c in zip(parents, backward(node.grad)):
+                    _accumulate(p, c)
+                node.grad = None
+        finally:  # if a backward raised, what it left must not reach the next
+            self._records.clear()
         for leaf in leaves.values():
             if leaf.grad is None:
                 leaf.grad = np.zeros_like(leaf.value)

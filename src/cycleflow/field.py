@@ -113,11 +113,11 @@ class VelocityFieldModel:
         """Velocity at a batch of positions (B,3) at one time value, in the
         model's dtype; plain-array points are converted to it and checked finite.
 
-        Under a tape the whole network records as one node whose parents
-        are the points and the parameters.  It saves the input and each hidden
-        phase omega*z, from which its backward rebuilds each sine and slope.
-        These phases and the sines' scratch come from the tape's spare arrays,
-        and go back to it once both parts of the backward are done.
+        Under a tape the whole network records as one node whose parents are
+        the points and the parameters.  It saves the input and the phase omega*z
+        of each hidden layer but the first; its backward rebuilds that one from
+        the input, and each sine and slope from the phases.  These and the sines'
+        scratch come from the tape's spares, and go back once the backward is done.
         Every call runs as the row parts [:k] and [k:], k = 256 *
         round(B / 512), or whole when k is 0.  Taped, both parts run forward
         and backward, and part 2's parameter gradients add to part 1's, so
@@ -168,27 +168,35 @@ class VelocityFieldModel:
 
     def _layers(self, h, out, take=None):
         """Velocities of rows h into out.  A taped call passes its tape's take,
-        and gets back the arrays from it that hold each hidden phase and, last,
-        the one flat array every sine went into.  Plain NumPy only (nothing a
-        profiler wraps), so the pool thread may run it."""
+        and gets back the arrays from it that hold each hidden phase past layer
+        1's and, last, the flat array that took layer 1's phase and every sine.
+        Plain NumPy only (nothing a profiler wraps), so the pool thread may run it."""
         if take is not None:
-            saved = [take((len(h), w.value.shape[1]), h.dtype) for w in self.weights[:-1]]
-            saved.append(take((max(p.size for p in saved),), h.dtype))
+            shapes = [(len(h), w.value.shape[1]) for w in self.weights[:-1]]
+            saved = [take(s, h.dtype) for s in shapes[1:]]
+            saved.append(take((max(r * c for r, c in shapes),), h.dtype))
         for i, (w, b) in enumerate(zip(self.weights[:-1], self.biases[:-1])):
-            phase = h @ w.value if take is None else np.matmul(h, w.value, out=saved[i])
+            if take is None:
+                phase = h @ w.value
+            else:  # layer 1's phase goes into the flat array, so is not kept
+                flat = saved[-1][:len(h) * w.value.shape[1]].reshape(len(h), -1)
+                phase = np.matmul(h, w.value, out=saved[i - 1] if i else flat)
             phase += b.value
             phase *= self.omega
-            h = np.sin(phase, out=phase if take is None else
-                       saved[-1][:phase.size].reshape(phase.shape))
+            h = np.sin(phase, out=phase if take is None or not i else flat)
         np.add(h @ self.weights[-1].value, self.biases[-1].value, out=out)
         return None if take is None else saved
 
     def _backward(self, h, saved, g, take):
-        """Point and parameter gradients of rows h, whose hidden phases _layers
-        saved, for the output gradient g of those rows; plain NumPy, like _layers.
-        Each phase gives its slope to a flat array from take (appended to saved),
-        then becomes its sine, then its layer input's gradient.  Bias gradients
-        sum rows, weight gradients go by _xtg."""
+        """Point and parameter gradients of rows h for their output gradient g;
+        plain NumPy, like _layers.  Layer 1's phase is rebuilt first, by the
+        forward's ops, into an array from take, put before the phases _layers
+        saved.  Each phase gives its slope to a flat array from take (appended),
+        then becomes its sine, then its input's gradient; weights' go by _xtg."""
+        w = self.weights[0].value
+        saved.insert(0, np.matmul(h, w, out=take((len(h), w.shape[1]), h.dtype)))
+        saved[0] += self.biases[0].value
+        saved[0] *= self.omega
         flat = take((max(p.size for p in saved),), h.dtype)
         grads = []  # parameter grads, last first
         for i in reversed(range(len(self.weights))):

@@ -316,17 +316,22 @@ def periodicity_error(model, normalizer: DomainNormalizer, steps: int,
     return float(np.linalg.norm(end - start, axis=1).mean())
 
 
-def _warped_first_frame(model, volume: Volume4D, frame_index: int,
+def _voxel_centers(shape) -> np.ndarray:
+    """(x, y, z) rows of a (d, h, w) grid's voxel centers in [-1, 1]^3, z slowest."""
+    grid = np.empty((*shape, 3))
+    grid[..., 0] = np.linspace(-1.0, 1.0, shape[2])
+    grid[..., 1] = np.linspace(-1.0, 1.0, shape[1])[:, None]
+    grid[..., 2] = np.linspace(-1.0, 1.0, shape[0])[:, None, None]
+    return grid.reshape(-1, 3)
+
+
+def _warped_first_frame(model, volume: Volume4D, grid, frame_index: int,
                         steps_per_frame: int) -> np.ndarray:
-    """Frame 0 warped onto frame i's grid by backward-mapping voxel centers."""
-    d, h, w = volume.grid_shape
-    gz, gy, gx = np.meshgrid(*(np.linspace(-1.0, 1.0, k) for k in (d, h, w)),
-                             indexing="ij")
-    grid = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
+    """Frame 0 warped onto frame i's grid by backward-mapping the voxel centers."""
     t = float(volume.frame_times[frame_index])
     src = inverse_map(model, grid, t, steps=max(1, frame_index * steps_per_frame))
     vals = sample_trilinear(volume.frames[0], src)
-    return vals.reshape(d, h, w).astype(np.float32)
+    return vals.reshape(volume.grid_shape).astype(np.float32)
 
 
 def _bounded(mesh: TriangleMesh, what: str) -> TriangleMesh:
@@ -365,6 +370,7 @@ def evaluate_fit(model, volume: VolumeGrid, gt_meshes, steps_per_frame: int = 1,
     hsd = np.full(n, math.nan)
     vols = np.empty(n)
     psnrs = np.full(n, math.nan)
+    grid = _voxel_centers(volume.grid_shape) if with_psnr else None
     for i in range(n):
         deformed = _bounded(TriangleMesh(normalizer.to_world(track[:, i, :]),
                                          base.faces.copy()),
@@ -374,7 +380,7 @@ def evaluate_fit(model, volume: VolumeGrid, gt_meshes, steps_per_frame: int = 1,
             hsd[i] = hausdorff(deformed, gt_meshes[i])
         if with_psnr:
             warped = (volume.frames[0] if i == 0 else
-                      _warped_first_frame(model, volume, i, steps_per_frame))
+                      _warped_first_frame(model, volume, grid, i, steps_per_frame))
             psnrs[i] = psnr(warped, volume.frames[i])
 
     period_err = periodicity_error(model, normalizer, steps=(n - 1) * steps_per_frame)

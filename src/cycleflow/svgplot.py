@@ -6,7 +6,6 @@ avoids a plotting dependency and makes the output byte-deterministic.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -14,6 +13,10 @@ _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _MARGIN = dict(left=64, right=16, top=34, bottom=44)
 _WIDTH, _HEIGHT = 640, 420  # figure size in px
 _N_TICKS = 5  # at most this many ticks per axis
+
+
+def _escape(text: str) -> str:  # as xml.sax.saxutils.escape, which imports urllib
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _fmt(x: float) -> str:
@@ -94,7 +97,7 @@ def line_plot(series, path, title="", xlabel="", ylabel=""):
     if title:
         parts.append(
             f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{escape(title)}</text>')
+            f'font-family="sans-serif" font-size="14">{_escape(title)}</text>')
 
     # axes
     parts.append(f'<line x1="{px0}" y1="{py0}" x2="{px1}" y2="{py0}" '
@@ -116,12 +119,12 @@ def line_plot(series, path, title="", xlabel="", ylabel=""):
     if xlabel:
         parts.append(f'<text x="{(px0 + px1) / 2:.1f}" y="{_HEIGHT - 8}" '
                      'text-anchor="middle" font-family="sans-serif" '
-                     f'font-size="12">{escape(xlabel)}</text>')
+                     f'font-size="12">{_escape(xlabel)}</text>')
     if ylabel:
         cy = (py0 + py1) / 2
         parts.append(f'<text x="16" y="{cy:.1f}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="12" '
-                     f'transform="rotate(-90 16 {cy:.1f})">{escape(ylabel)}</text>')
+                     f'transform="rotate(-90 16 {cy:.1f})">{_escape(ylabel)}</text>')
 
     # data series + legend
     for idx, (label, xs, ys) in enumerate(clean):
@@ -134,7 +137,7 @@ def line_plot(series, path, title="", xlabel="", ylabel=""):
         parts.append(f'<line x1="{px1 - 110}" y1="{ly:.1f}" x2="{px1 - 88}" '
                      f'y2="{ly:.1f}" stroke="{color}" stroke-width="1.5"/>')
         parts.append(f'<text x="{px1 - 84}" y="{ly + 4:.1f}" '
-                     f'font-family="sans-serif" font-size="11">{escape(label)}</text>')
+                     f'font-family="sans-serif" font-size="11">{_escape(label)}</text>')
 
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:

@@ -146,6 +146,28 @@ def test_a_tape_hands_back_given_arrays_by_shape_and_dtype():
         assert tape.take((4, 3), "float32") is a32
 
 
+def test_a_failed_backward_leaves_no_records_for_the_next_in_the_same_entry():
+    # a failed sweep must not leave the graph it did not reach, whose nodes
+    # may hold a gradient that a later backward would pass into the weights
+    model, x = tiny_model(2), ad.constant(np.linspace(-0.5, 0.5, 12).reshape(4, 3))
+
+    def grads(tape):
+        tape.backward(dot(model(x, 0.3), 1.0))
+        return [p.grad for p in model.parameters]
+
+    with ad.Tape() as tape:
+        want = grads(tape)
+    with ad.Tape() as tape:
+        y = model(x, 0.3)
+        f = ad.record(np.asarray(0.0), (y,), lambda g: 1 / 0)
+        root = ad.record(np.asarray(y.value.sum()), (y, f),
+                         lambda g: (np.ones_like(y.value), g))
+        with pytest.raises(ZeroDivisionError):
+            tape.backward(root)  # y holds a gradient when f's backward raises
+        got = grads(tape)
+    assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_repeated_backward_is_reproducible():
     # a spent tape refuses a second backward; recording again reproduces it
     def grad_on_a_fresh_tape():

@@ -392,10 +392,21 @@ def test_a_warm_tape_gives_a_cold_tapes_bits_at_unequal_widths(dtype, pool_on):
     tape = ad.Tape()
     _taped_step(model, tape, pts[::-1].copy(), up)  # other values, same shapes
     spare = _spare_ids(tape)
-    # per call and part, one array per hidden phase; per part, one flat array
-    assert len(spare) == 3 * 2 * 2 + 2
+    # per call and part, one array per hidden phase past layer 1's; per part,
+    # one flat array and one for layer 1's phase, which the backward rebuilds
+    assert len(spare) == 3 * 2 * 1 + 2 + 2
     assert _same_bits(_taped_step(model, tape, pts, up), cold)
     assert _spare_ids(tape) == spare  # the warm call allocated none of its own
+
+
+def test_a_taped_call_spares_no_first_layer_phase_but_the_rebuilt_one(pool_on):
+    # the forward keeps no (rows, 16) phase of layer 1; the backward rebuilds
+    # it into one array per part, which each later call's backward takes again
+    model, pts, up = _unequal_widths(np.float32)
+    tape = ad.Tape()
+    _taped_step(model, tape, pts, up)
+    shapes = [a.shape for arrays in tape._spare.values() for a in arrays]
+    assert sorted(s for s in shapes if s[1:] == (16,)) == [(256, 16), (444, 16)]
 
 
 def test_a_tape_entered_again_after_a_call_without_its_backward_gives_cold_bits(pool_on):

@@ -82,3 +82,35 @@ def test_a_run_that_prints_nothing_is_an_error(tmp_path):
     (root / "perfbench" / "run.py").write_text("import sys; sys.exit(2)\n")
     with pytest.raises(RuntimeError, match="printed nothing"):
         record_bench.run_once(root, "track-mesh", 1, 12)
+
+
+def test_a_drop_is_resolved_by_nine_tenths_of_ten_pairs_and_a_gap_past_the_spread():
+    parent = record_bench.summarize([10.0, 11.0, 12.0, 13.0, 14.0])  # q1-q3 is 2
+    assert record_bench.resolved(parent, {"median": 9.9}, 9, 10)
+    assert record_bench.resolved(parent, {"median": 9.9}, 18, 20)
+    assert not record_bench.resolved(parent, {"median": 9.9}, 8, 10)  # 8 of 10
+    assert not record_bench.resolved(parent, {"median": 9.9}, 17, 19)  # under 9/10
+    assert not record_bench.resolved(parent, {"median": 10.0}, 10, 10)  # gap = spread
+    assert not record_bench.resolved(parent, {"median": 0.0}, 6, 6)  # too few pairs
+
+
+def test_each_metric_of_a_workload_gets_a_resolved_flag(tmp_path):
+    # peak_rss_mb: parent seed + 0.5, change seed - 20, lower in 10 of 10
+    # pairs by 20.5 MB, past the parent's q1-q3 width of 4.5; equal times tie
+    parent = _checkout(tmp_path / "parent", 0.5)
+    change = _checkout(tmp_path / "change", -20.0)
+    out = tmp_path / "BENCH.json"
+    assert record_bench.main(["--parent", str(parent), "--change", str(change),
+                              "--workload", "fit-accept:10", "--first-seed", "7",
+                              "--out", str(out)]) == 0
+    w = json.loads(out.read_text())["workloads"]["fit-accept"]
+    assert w["pairs_change_lower"] == {"setup_s": 0, "stage_s": 0, "peak_rss_mb": 10}
+    assert w["resolved"] == {"setup_s": False, "stage_s": False, "peak_rss_mb": True}
+    # lower in every pair by less than the parent's spread is not resolved
+    change.joinpath("offset").write_text("-0.5")
+    assert record_bench.main(["--parent", str(parent), "--change", str(change),
+                              "--workload", "fit-accept:10", "--first-seed", "7",
+                              "--out", str(out)]) == 0
+    w = json.loads(out.read_text())["workloads"]["fit-accept"]
+    assert w["pairs_change_lower"]["peak_rss_mb"] == 10
+    assert w["resolved"]["peak_rss_mb"] is False

@@ -96,3 +96,11 @@ def test_plot_handles_ranges_at_the_ends_of_the_float_range(tmp_path, xs, ys):
     # read inf
     labels = [t.text for t in ET.parse(path).getroot().iter(f"{SVG_NS}text")]
     assert all(np.isfinite(float(v)) for v in labels if v != "s")
+
+
+def test_labels_are_escaped_as_xml_sax_saxutils_escapes_them():
+    from xml.sax.saxutils import escape
+
+    from cycleflow.svgplot import _escape
+    for text in ("a<b&c", "&lt;>&amp;", "x > y >= z", "", "plain"):
+        assert _escape(text) == escape(text)

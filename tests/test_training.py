@@ -422,6 +422,26 @@ def test_one_acceptance_scale_step_peaks_under_100_mb():
     assert peak <= 100e6
 
 
+def test_one_acceptance_scale_step_peaks_under_60_mb():
+    # of the three hidden phases per field call only layers 2 and 3's are
+    # saved; the backward rebuilds layer 1's from the 5-wide input (79.9 MB
+    # when all three were kept)
+    pattern = GrowthPattern("periodic", 19.0, amplitude_mm=0.75)
+    vol, _ = make_sphere_series(pattern, 48, 1.0, 25, smoothing_mm=4.0)
+    model = field.init_weights(1, field.default_layer_sizes(3, 128), omega=6.0,
+                               dtype=np.float32)
+    pts = sample_points(vol, 2000, "band", seed=(1, 0))
+    tracemalloc.start()
+    try:
+        with ad.Tape() as tape:
+            total, _, _ = total_loss(model, vol, pts, 2.0, True)
+            tape.backward(total)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 60e6
+
+
 def test_a_steady_epoch_on_one_tape_allocates_under_10_mb():
     # a fit's tape keeps every taped field call's phases for the next epoch,
     # which writes into them instead of allocating 72 MB of fresh arrays;

@@ -13,10 +13,11 @@ Then each side runs once with ``--trace 1``, parent first, with seed
 first-seed + PAIRS.  The last stdout line of every run is its JSON result.
 The output file holds, per workload and side, the median and q1-q3 of
 setup_s, stage_s and peak_rss_mb, every run's values, the failed-operation
-counts, how many pairs the change ran lower, the traced run's per-layer
-metrics (single samples: training.epoch_ms.p50, field.busy_s, ...) and its
-failed operations, and each side's environment from
-``.perfbench_work/<workload>/result.json``, with paths relative to the checkout.
+counts, the traced run's per-layer metrics (single samples:
+training.epoch_ms.p50, field.busy_s, ...) and its failed operations, and each
+side's environment from ``.perfbench_work/<workload>/result.json``, with paths
+relative to the checkout.  Per workload and metric it holds how many pairs
+the change ran lower and whether that drop is resolved (see ``resolved``).
 """
 from __future__ import annotations
 
@@ -61,6 +62,15 @@ def summarize(values) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
+def resolved(parent: dict, change: dict, lower: int, pairs: int) -> bool:
+    """Whether a lower change is shown by pairs of runs: at least ten pairs,
+    the change lower in at least nine tenths of them (a tie counts for
+    neither side), and its median below the parent's by more than the
+    parent's q1-q3 width.  parent and change are ``summarize`` results."""
+    return (pairs >= 10 and 10 * lower >= 9 * pairs
+            and parent["median"] - change["median"] > parent["q3"] - parent["q1"])
+
+
 def record_workload(parent: Path, change: Path, workload: str, pairs: int,
                     first_seed: int, seconds: int) -> dict:
     checkouts = dict(zip(SIDES, (parent, change)))
@@ -96,6 +106,11 @@ def record_workload(parent: Path, change: Path, workload: str, pairs: int,
     out["pairs_change_lower"] = {
         m: sum(c < p for p, c in zip(out["parent"]["runs"][m],
                                      out["change"]["runs"][m]))
+        for m in METRICS}
+    out["resolved"] = {
+        m: m in out["parent"]["summary"] and m in out["change"]["summary"]
+        and resolved(out["parent"]["summary"][m], out["change"]["summary"][m],
+                     out["pairs_change_lower"][m], pairs)
         for m in METRICS}
     return out
 
