@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
+import glob
 import hashlib
 import json
 import math
@@ -55,10 +57,30 @@ def _sha256(path) -> str:
 
 
 def _blas() -> str:
-    """Name and version of the BLAS NumPy was built with: with the NumPy
-    version, what the bytes of a fit depend on."""
-    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
-    return f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip()
+    """The BLAS NumPy was built with, then the kernels chosen for this CPU:
+    OpenBLAS's core and NumPy's highest x86 SIMD level.  With the NumPy
+    version, what the bytes of every command depend on."""
+    config = np.show_config(mode="dicts")
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    simd = config.get("SIMD Extensions", {})
+    level = max((f for f in simd.get("baseline", []) + simd.get("found", [])
+                 if f.startswith("X86_V")), default="unknown")
+    return (f"{blas.get('name', 'unknown')} {blas.get('version', '')} "
+            f"(core {_blas_core()}; NumPy SIMD {level})")
+
+
+def _blas_core() -> str:
+    """OpenBLAS's kernel set for this CPU (or OPENBLAS_CORETYPE), read from
+    the scipy-openblas library a NumPy wheel bundles (ILP64 or not)."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        with contextlib.suppress(OSError):
+            lib = ctypes.CDLL(path)  # NumPy has it loaded: the same handle
+            for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename"):
+                if hasattr(lib, name):
+                    getattr(lib, name).restype = ctypes.c_char_p
+                    return getattr(lib, name)().decode()
+    return "unknown"
 
 
 def _finish(args, command, config, seed, inputs, writers, started):

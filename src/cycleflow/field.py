@@ -34,6 +34,7 @@ DOMAIN_SLACK = 1.5
 # BLAS thread count cannot reorder its sum, and fit bytes depend on the row
 # count alone (512-row chunks lost the bits in 42 of 72 shapes tried)
 _CHUNK = 256
+_SLICE = 1024  # rows per slice of an untaped part, which stays in cache through all layers
 # the first of these that is set is what BLAS read when NumPy loaded (see
 # cycleflow/__init__.py); the parts of a call run at once only with one BLAS
 # thread, since two BLAS threads and the pool thread oversubscribe two cores
@@ -120,9 +121,10 @@ class VelocityFieldModel:
         scratch come from the tape's spares, and go back once the backward is done.
         Every call runs as the row parts [:k] and [k:], k = 256 *
         round(B / 512), or whole when k is 0.  Taped, both parts run forward
-        and backward, and part 2's parameter gradients add to part 1's, so
-        their bits depend on B alone; untaped, they save nothing.  See
-        _in_parts for where each part runs.
+        and backward, and part 2's parameter gradients add to part 1's;
+        untaped, each part runs in _SLICE-row slices and saves nothing.  So
+        a call's bits depend on B alone.  See _in_parts for where each part
+        runs.
         """
         pts = points if isinstance(points, ad.Node) else ad.constant(points, self.dtype)
         if pts.value.ndim != 2 or pts.value.shape[1] != 3:
@@ -148,7 +150,8 @@ class VelocityFieldModel:
         k = _CHUNK * round(n / (2 * _CHUNK))
         tape = ad.active_tape()
         if tape is None:
-            _in_parts(lambda a, b: self._layers(h[a:b], out[a:b]), k, n)
+            _in_parts(lambda a, b: [self._layers(h[a:b][s:s + _SLICE], out[a:b][s:s + _SLICE])
+                                    for s in range(0, b - a, _SLICE)], k, n)
             return ad.constant(out)
         saved = _in_parts(lambda a, b: self._layers(h[a:b], out[a:b], tape.take), k, n)
         tape.give(part.pop() for part in saved)  # the sines' flat arrays

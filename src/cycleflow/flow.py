@@ -13,8 +13,7 @@ returned to callers are float64, and their row 0 is the caller's seeds
 bit for bit.
 
 inverse_map, the PSNR warp's backward map, runs blocks of 8192-16383 rows,
-each split into two parts by the field's one rule, and keeps only endpoints;
-it says why bits hold.
+each split into two parts by the field's one rule, and keeps only endpoints.
 """
 from __future__ import annotations
 
@@ -157,12 +156,9 @@ def inverse_map(model, targets, t: float, steps: int) -> np.ndarray:
 
     The rows run through euler_path in max(1, B // _BLOCK) near-equal blocks
     of _BLOCK to 2*_BLOCK - 1 rows (a shorter batch stays whole), each
-    keeping only its endpoints; the field runs each as two parts of 4096 rows
-    or more, on two threads when BLAS runs one.  For 128- and 256-wide
-    networks the result is bit-equal to one whole-batch pass: parts this
-    long take the whole batch's BLAS kernels (OpenBLAS 0.3.31).  Other
-    widths, such as 64 or a float64 250, can take other kernels per block
-    and round apart.
+    keeping only its endpoints; the field runs each as two parts, on two
+    threads when BLAS runs one.  Every block's bits depend on its row count
+    alone, so the result's bits depend on B alone.
     """
     targets = np.asarray(targets)
     if not np.isfinite(targets).all():

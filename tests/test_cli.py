@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 import shutil
 import tracemalloc
 from pathlib import Path
@@ -53,7 +54,8 @@ def test_gen_writes_volume_meshes_manifest(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["tool"] == "cycleflow"
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    assert manifest["blas"] == f"{blas['name']} {blas['version']}"
+    assert re.fullmatch(rf"{re.escape(blas['name'])} {re.escape(blas['version'])} "
+                        r"\(core \w+; NumPy SIMD \w+\)", manifest["blas"])
     assert manifest["command"] == "gen"
     assert manifest["config"]["frames"] == 3
     # recorded output hashes match the files on disk
@@ -64,6 +66,21 @@ def test_gen_writes_volume_meshes_manifest(tmp_path, capsys):
     assert vol.n_frames == 3
     assert vol.grid_shape == (12, 12, 12)
     assert "wrote" in capsys.readouterr().out
+
+
+def test_the_manifest_names_the_blas_kernels_the_run_took(tmp_path):
+    # OpenBLAS takes an AVX2-only CPU's kernels under OPENBLAS_CORETYPE, and
+    # the bytes can move with them, so the manifest names the core
+    cores = {}
+    for core in ("", "Haswell"):
+        proc = run_cli(GEN_ARGS + ["--out-dir", tmp_path / f"gen{core}"],
+                       env={"OPENBLAS_CORETYPE": core})
+        assert proc.returncode == 0, proc.stderr
+        blas = json.loads((tmp_path / f"gen{core}" / "manifest.json").read_text())["blas"]
+        cores[core] = re.search(r"\(core (\w+);", blas).group(1)
+    if cores[""] == "unknown":
+        pytest.skip("NumPy's BLAS has no OpenBLAS get_corename export")
+    assert cores["Haswell"] == "Haswell"
 
 
 def test_gen_rejects_bad_arguments(tmp_path):

@@ -29,7 +29,7 @@ def tiny_model(seed=0, time_encoding=True, dtype=np.float64, width=8, layers=2):
 
 
 def one_pass(model, pts, t):
-    """The untaped forward as plain expressions over the whole batch."""
+    """The untaped forward as plain expressions, in one pass over pts."""
     dt = model.dtype
     tcols = (np.array(encode_time(t, model.period), dt) if model.time_encoding
              else np.array([t], dt))
@@ -280,19 +280,26 @@ _SPLIT_MODELS = {"f32": dict(dtype=np.float32), "f64": dict(dtype=np.float64),
 
 
 @pytest.mark.parametrize("kind", list(_SPLIT_MODELS))
-@pytest.mark.parametrize("rows", [500, 2562, 8191, 8192, 8193, 16383, 110592])
+@pytest.mark.parametrize("rows", [500, 1024, 1025, 2048, 2049, 2562, 8191, 8192,
+                                  8193, 16383, 110592])
 def test_untaped_call_is_bit_equal_to_the_never_split_taped_call(rows, kind,
-                                                                  pool_on):
-    # the reference is one plain pass over the whole batch; 128 wide, as the
-    # acceptance networks are (some widths, such as 64, do round apart when
-    # split); one hidden layer keeps the 110592-row float64 reference small
+                                                                  monkeypatch):
+    # a call's bits depend on its row count alone: the reference is one plain
+    # pass over each 1024-row slice of the parts [:k] and [k:], k = 256 *
+    # round(rows / 512), with the pool thread on and off; 128 wide, as the
+    # acceptance networks are; one hidden layer keeps the 110592-row float64
+    # reference small
     layers = 1 if rows == 110592 else 2
     model = tiny_model(seed=12, width=128, layers=layers, **_SPLIT_MODELS[kind])
     pts = np.random.default_rng(rows).uniform(-1, 1, size=(rows, 3))
-    want = one_pass(model, pts, 0.4)
-    got = velocity(model, pts, 0.4)
-    assert got.dtype == want.dtype == model.dtype
-    assert np.array_equal(got, want)
+    k = 256 * round(rows / 512)
+    want = np.concatenate([one_pass(model, part[s:s + 1024], 0.4)
+                           for part in (pts[:k], pts[k:]) for s in range(0, len(part), 1024)])
+    for parallel in (False, True):
+        monkeypatch.setattr(field, "_PARALLEL", parallel)
+        got = velocity(model, pts, 0.4)
+        assert got.dtype == want.dtype == model.dtype
+        assert np.array_equal(got, want)
 
 
 class SpyPool:

@@ -327,14 +327,21 @@ def _acceptance_model():
 
 @pytest.mark.parametrize("rows,steps", [(110592, 1), (9000, 2), (4097, 2)],
                          ids=["grid-48", "9000", "4097"])
-def test_inverse_map_blocks_equal_one_unblocked_pass(rows, steps):
+def test_inverse_map_equals_one_euler_path_per_block(rows, steps, monkeypatch):
+    # a field call's bits depend on its row count alone, so each block of
+    # max(1, rows // 8192) near-equal ones gets the bits of its own pass,
+    # with the pool thread on or off
     model = _acceptance_model()
     targets = (_grid_centres(48) if rows == 110592 else
                np.random.default_rng(rows).uniform(-1.0, 1.0, (rows, 3)))
-    ref = euler_path(model, targets, np.linspace(0.75, 0.0, steps + 1))[-1].value
-    got = inverse_map(model, targets, 0.75, steps)
-    assert got.dtype == np.float64
-    assert np.array_equal(got, ref)
+    times = np.linspace(0.75, 0.0, steps + 1)
+    ref = np.concatenate([euler_path(model, block, times)[-1].value for block
+                          in np.array_split(targets, max(1, rows // 8192))])
+    for parallel in (False, True):
+        monkeypatch.setattr(field, "_PARALLEL", parallel)
+        got = inverse_map(model, targets, 0.75, steps)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("rows", [1, 8191, 8192, 16383, 16384, 24575, 110592])
@@ -352,7 +359,8 @@ def test_inverse_map_calls_the_field_on_blocks_of_8192_to_16383_rows(rows):
         assert stub.rows == [rows] * 3
 
 
-def test_inverse_map_of_a_48_grid_peaks_under_20_mb():
+def _inverse_map_peak_of_a_48_grid():
+    """tracemalloc's peak, in bytes, over one inverse_map step of a 48^3 grid."""
     model = _acceptance_model()
     targets = _grid_centres(48)
     tracemalloc.start()
@@ -361,7 +369,17 @@ def test_inverse_map_of_a_48_grid_peaks_under_20_mb():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 20e6
+    return peak
+
+
+def test_inverse_map_of_a_48_grid_peaks_under_20_mb():
+    assert _inverse_map_peak_of_a_48_grid() <= 20e6
+
+
+def test_inverse_map_of_a_48_grid_peaks_under_8_mb():
+    # each untaped part runs in 1024-row slices, so no layer holds the phase
+    # of a whole 4096-8191-row part (11.9 MB when parts ran whole)
+    assert _inverse_map_peak_of_a_48_grid() <= 8e6
 
 
 def test_inverse_map_is_safe_to_run_concurrently():

@@ -1,5 +1,7 @@
 """Every artifact of one small fixed gen -> fit -> deform -> eval chain against
-the SHA-256 digests recorded for this NumPy and BLAS build.
+the SHA-256 digests recorded for this NumPy and BLAS build and the CPU kernels
+they run (so it also runs under OPENBLAS_CORETYPE=Haswell, against that
+entry); a key with no entry skips, naming the key.
 
 A change that moves bits, on purpose or not, fails here; tools/record_hashes.py
 rerecords the digests when the move is meant.

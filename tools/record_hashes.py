@@ -6,11 +6,14 @@ Run from anywhere::
 
 It runs CHAIN, each command in a fresh ``python -m cycleflow.cli`` process on
 this checkout's ``src``, with relative paths from one temporary working
-directory, and stores the digests in tests/pipeline_hashes.json under this
-build's key (NumPy version and the BLAS build the manifests name); entries of
-other builds are kept.  tests/test_pipeline_hashes.py runs the same chain and
-compares.  A change that moves bits on purpose reruns this script and says
-which files moved and why.
+directory, and stores the digests in tests/pipeline_hashes.json under the
+run's key: the NumPy version and what the manifests' ``blas`` field names
+(the BLAS build, OpenBLAS's core and NumPy's SIMD level).  It runs the chain
+once with the core OpenBLAS picks for this CPU and once more for each of
+CORETYPES, so one x86-64 host with AVX-512 records the entries of an
+AVX2-only one too; entries of other keys are kept.
+tests/test_pipeline_hashes.py runs the same chain and compares.  A change that
+moves bits on purpose reruns this script and says which files moved and why.
 """
 from __future__ import annotations
 
@@ -42,9 +45,14 @@ CHAIN = [
 ]
 
 
-def run_chain(workdir) -> None:
-    """Run CHAIN in workdir; RuntimeError names a command that failed."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+# OPENBLAS_CORETYPE values recorded besides the CPU's own core
+CORETYPES = ["Haswell"]
+
+
+def run_chain(workdir, **env_vars) -> None:
+    """Run CHAIN in workdir, with env_vars set in each command's environment;
+    RuntimeError names a command that failed."""
+    env = {**os.environ, **env_vars, "PYTHONPATH": os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
     for argv in CHAIN:
         proc = subprocess.run([sys.executable, "-m", "cycleflow.cli", *argv],
@@ -74,20 +82,21 @@ def digests(workdir) -> dict:
 
 
 def build_key(workdir) -> str:
-    """The build the bytes depend on: NumPy's version and the BLAS build
-    that the fit manifest records."""
+    """What the bytes depend on: NumPy's version and the BLAS build and CPU
+    kernels that the fit manifest records."""
     blas = json.loads((Path(workdir) / "fit" / "manifest.json").read_text())["blas"]
     return f"numpy {np.__version__}, {blas}"
 
 
 def main() -> int:
-    with tempfile.TemporaryDirectory() as workdir:
-        run_chain(workdir)
-        key, files = build_key(workdir), digests(workdir)
     recorded = json.loads(HASHES.read_text()) if HASHES.exists() else {}
-    recorded[key] = files
+    for env_vars in [{}] + [{"OPENBLAS_CORETYPE": c} for c in CORETYPES]:
+        with tempfile.TemporaryDirectory() as workdir:
+            run_chain(workdir, **env_vars)
+            key, files = build_key(workdir), digests(workdir)
+        recorded[key] = files
+        print(f"recorded {len(files)} digests for {key}")
     HASHES.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n")
-    print(f"recorded {len(files)} digests for {key} in {HASHES}")
     return 0
 
 
