@@ -10,11 +10,13 @@ __version__ = "0.1.0"
 import os as _os
 import sys as _sys
 
-# BLAS reads its thread count once, when NumPy loads.  One BLAS thread leaves
-# the second core to the field's pool thread (field._PARALLEL); an explicit
-# setting wins, and a caller that loaded NumPy first keeps its BLAS threads.
+# BLAS reads its thread count once, when NumPy loads, from the first of these
+# that is set (OpenBLAS ignores MKL's).  One BLAS thread leaves the second core
+# to the field's pool thread (field._PARALLEL); an explicit setting wins, and
+# a caller that loaded NumPy first keeps its BLAS threads.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 if "numpy" not in _sys.modules:
-    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    for _var in BLAS_THREAD_VARS:
         _os.environ.setdefault(_var, "1")
 
 from .errors import (CycleflowError, ConfigError, FormatError,

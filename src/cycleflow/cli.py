@@ -228,7 +228,8 @@ def cmd_deform(args) -> int:
             write_trajectory_csv, normalizer.to_world(traj.points), traj.times)))
     inputs = [args.checkpoint, args.mesh] + ([args.volume] if args.volume else [])
     config = {"times": times, "steps": args.steps, "wrap": args.wrap,
-              "probes": args.probes}
+              "probes": args.probes, "bounds": None if args.volume else
+              [*normalizer.lo.tolist(), *normalizer.hi.tolist()]}
     outputs = _finish(args, "deform", config, None, inputs, writers, started)
     print(f"wrote {len(outputs)} files to {args.out_dir}")
     return 0

@@ -2,8 +2,8 @@
 
 Layout: 8-byte magic, u32-LE header length, a compact UTF-8 JSON object
 header, then the payload as little-endian float32 (float64 for a float64
-checkpoint).  Each format checks its own header keys and payload size on top
-of this framing.
+checkpoint).  Each format checks its header keys and the sizes they describe,
+then sizes its payload with check_payload before reading it with read_into.
 """
 from __future__ import annotations
 
@@ -52,6 +52,24 @@ def read_container(path, magic: bytes):
         if not isinstance(header, dict):
             raise FormatError(f"{path}: header is not a JSON object")
         yield header, fh
+
+
+def check_payload(path, fh, expected: int):
+    """FormatError unless the bytes after fh's position are exactly
+    ``expected``; the size comes from fstat, so nothing is read."""
+    offset = fh.tell()
+    size = os.fstat(fh.fileno()).st_size - offset
+    if size != expected:
+        raise FormatError(f"{path}: payload at offset {offset} is " + (
+            f"truncated to {size} of {expected} bytes" if size < expected else
+            f"{expected} bytes and {size - expected} trailing bytes"))
+
+
+def read_into(path, fh, array):
+    """array, filled from fh (whose payload check_payload sized)."""
+    if fh.readinto(array) != array.nbytes:  # a file that shrank
+        raise FormatError(f"{path}: payload shrank while being read")
+    return array
 
 
 def is_number(v) -> bool:

@@ -12,34 +12,29 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from . import BLAS_THREAD_VARS
 from . import autodiff as ad
-from .container import (check_header, is_count, is_number, list_of,
-                        read_container, write_container)
+from .container import (check_header, check_payload, is_count, is_number,
+                        list_of, read_container, read_into, write_container)
 from .errors import FormatError
 
 CHECKPOINT_MAGIC = b"NFCKPT01"
 # header "dtype" -> payload dtype; a model is saved in its own precision
 CHECKPOINT_DTYPES = {"f32le": "<f4", "f64le": "<f8"}
 
-# positions may drift past the nominal [-1,1] cube during integration; the
-# MLP is defined everywhere, so evaluation proceeds with a logged warning
-DOMAIN_SLACK = 1.5
 # rows per weight-gradient product in a taped backward, whose chunks are then
 # added left to right: a 256-row reduction fits one OpenBLAS K block, so the
 # BLAS thread count cannot reorder its sum, and fit bytes depend on the row
 # count alone (512-row chunks lost the bits in 42 of 72 shapes tried)
 _CHUNK = 256
 _SLICE = 1024  # rows per slice of an untaped part, which stays in cache through all layers
-# the first of these that is set is what BLAS read when NumPy loaded (see
-# cycleflow/__init__.py); the parts of a call run at once only with one BLAS
-# thread, since two BLAS threads and the pool thread oversubscribe two cores
-_PARALLEL = next((os.environ[v].strip() for v in
-                  ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+# the parts of a call run at once only with one BLAS thread, read as BLAS did (see
+# __init__.py): two BLAS threads and the pool thread oversubscribe two cores
+_PARALLEL = next((os.environ[v].strip() for v in BLAS_THREAD_VARS
                   if v in os.environ), None) == "1"
 
 
@@ -69,24 +64,13 @@ class VelocityFieldModel:
     """
 
     def __init__(self, weights, biases, omega, period=1.0, time_encoding=True):
-        if len(weights) != len(biases) or len(weights) < 2:
-            raise ValueError("need at least one hidden layer and one output layer")
-        expected_in = 5 if time_encoding else 4
-        if weights[0].shape[0] != expected_in:
-            raise ValueError(
-                f"first layer expects input width {expected_in}, got {weights[0].shape[0]}"
-            )
-        if weights[-1].shape[1] != 3:
-            raise ValueError("output layer must produce 3 velocity components")
-        for w, b in zip(weights, biases):
+        _check_layout([w.shape[0] for w in weights[:1]] + [w.shape[1] for w in weights],
+                      omega, period, time_encoding)
+        for w, b in zip(weights, biases, strict=True):
             if w.shape[1] != b.shape[0]:
                 raise ValueError("bias width must match layer output width")
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise ValueError("model weights must be finite")
-        if omega <= 0:
-            raise ValueError("omega must be positive")
-        if period <= 0:
-            raise ValueError("period must be positive")
         self.weights = [ad.Node(np.asarray(w)) for w in weights]
         self.biases = [ad.Node(np.asarray(b)) for b in biases]
         self.omega = float(omega)
@@ -131,11 +115,6 @@ class VelocityFieldModel:
             raise ValueError(f"points must have shape (B,3), got {pts.value.shape}")
         if pts is not points and not np.isfinite(pts.value).all():
             raise ValueError("non-finite input positions")
-        if np.abs(pts.value).max(initial=0.0) > DOMAIN_SLACK:
-            warnings.warn(
-                "evaluating velocity field outside the slack domain cube",
-                RuntimeWarning,
-            )
         n = pts.value.shape[0]
         dt = self.dtype
         if self.time_encoding:
@@ -214,6 +193,21 @@ class VelocityFieldModel:
             g = np.matmul(g, self.weights[i].value.T, out=x if i else None)
         saved.append(flat)
         return g[:, :3], grads[::-1]
+
+
+def _check_layout(layer_sizes, omega, period, time_encoding):
+    """ValueError unless a model of these layer sizes and settings can be built."""
+    if len(layer_sizes) < 3:
+        raise ValueError("need at least one hidden layer and one output layer")
+    expected_in = 5 if time_encoding else 4
+    if layer_sizes[0] != expected_in:
+        raise ValueError(f"first layer expects input width {expected_in}, got {layer_sizes[0]}")
+    if layer_sizes[-1] != 3:
+        raise ValueError("output layer must produce 3 velocity components")
+    if omega <= 0:
+        raise ValueError("omega must be positive")
+    if period <= 0:
+        raise ValueError("period must be positive")
 
 
 def _xtg(x, g):
@@ -304,32 +298,23 @@ def save_checkpoint(model: VelocityFieldModel, path):
 
 
 def load_checkpoint(path) -> VelocityFieldModel:
+    """Read a checkpoint: its header and the layers it describes are checked
+    before the payload's size, and the payload is read straight into the
+    weights and biases, whose values are checked last."""
     with read_container(path, CHECKPOINT_MAGIC) as (header, fh):
-        start = fh.tell()
-        data = fh.read()
-    check_header(path, header, {
-        "layer_sizes": list_of(is_count), "omega": is_number, "period": is_number,
-        "time_encoding": lambda v: type(v) is bool,
-        "dtype": lambda v: type(v) is str and v in CHECKPOINT_DTYPES,
-        "endian": lambda v: v == "little"})
-    sizes = header["layer_sizes"]
-    dtype = np.dtype(CHECKPOINT_DTYPES[header["dtype"]])
-    weights, biases = [], []
-    pos = 0  # into the payload, which starts at file offset ``start``
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        if pos + (fan_in + 1) * fan_out * dtype.itemsize > len(data):
-            raise FormatError(f"{path}: truncated weight payload at offset {start + pos}")
-        w = np.frombuffer(data, dtype=dtype, count=fan_in * fan_out, offset=pos)
-        pos += fan_in * fan_out * dtype.itemsize
-        b = np.frombuffer(data, dtype=dtype, count=fan_out, offset=pos)
-        pos += fan_out * dtype.itemsize
-        weights.append(w.reshape(fan_in, fan_out).copy())
-        biases.append(b.copy())
-    if pos != len(data):
-        raise FormatError(f"{path}: {len(data) - pos} trailing bytes after weights")
-    try:
-        return VelocityFieldModel(weights, biases, omega=header["omega"],
-                                  period=header["period"],
-                                  time_encoding=header["time_encoding"])
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+        check_header(path, header, {
+            "layer_sizes": list_of(is_count), "omega": is_number, "period": is_number,
+            "time_encoding": lambda v: type(v) is bool,
+            "dtype": lambda v: type(v) is str and v in CHECKPOINT_DTYPES,
+            "endian": lambda v: v == "little"})
+        sizes, dtype = header["layer_sizes"], np.dtype(CHECKPOINT_DTYPES[header["dtype"]])
+        settings = header["omega"], header["period"], header["time_encoding"]
+        layers = list(zip(sizes, sizes[1:]))  # (fan_in, fan_out): weights, then bias
+        try:  # check_payload's FormatError is no ValueError, so it passes as is
+            _check_layout(sizes, *settings)
+            check_payload(path, fh, dtype.itemsize * sum((i + 1) * o for i, o in layers))
+            arrays = [read_into(path, fh, np.empty(shape, dtype))
+                      for i, o in layers for shape in ((i, o), (o,))]
+            return VelocityFieldModel(arrays[::2], arrays[1::2], *settings)
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from exc

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ from .errors import ConfigError, NumericalError, ValidationError
 from .mesh import TriangleMesh
 
 _BLOCK = 8192  # least rows per inverse_map block: every block has 8192-16383
+DOMAIN_SLACK = 1.5  # |coordinate| past which a pass warns; the field is defined everywhere
 
 
 @dataclass
@@ -70,12 +72,14 @@ def euler_path(model, seeds, times) -> list:
     seeds is an (B,3) autodiff Node or array (converted to the model's
     dtype); times is the full array of step boundaries.  Returns the list
     of position Nodes at every boundary, seeds first, recorded only under an
-    active tape.  Each position is checked once, here, in the model's dtype:
-    non-finite seeds (a float32 model overflows past ~3.4e38) are a
-    ValidationError, and a non-finite step a NumericalError naming the step.
+    active tape.  Each position's largest |coordinate| is taken once, here,
+    in the model's dtype: non-finite seeds (a float32 model overflows past
+    ~3.4e38) are a ValidationError, a non-finite step a NumericalError naming
+    the step, and a pass that runs the field past DOMAIN_SLACK warns once.
     """
     x = seeds if isinstance(seeds, ad.Node) else ad.constant(seeds, model.dtype)
-    if not np.isfinite(x.value).all():
+    reach = np.abs(x.value).max(initial=0.0)
+    if not math.isfinite(reach):
         raise ValidationError(f"seed positions overflow {x.value.dtype}: they lie "
                               "far outside the normalized domain")
     times = np.asarray(times, dtype=np.float64)
@@ -84,12 +88,17 @@ def euler_path(model, seeds, times) -> list:
     d = np.diff(times)
     if not (np.all(d > 0) or np.all(d < 0)):
         raise ValueError("time boundaries must be strictly monotonic")
-    path = [x]
+    path, warn = [x], True
     for k in range(times.size - 1):
+        if reach > DOMAIN_SLACK and warn:
+            warnings.warn("evaluating velocity field outside the slack domain cube",
+                          RuntimeWarning)
+            warn = False
         h = float(times[k + 1] - times[k])
         v = model(x, float(times[k]))
         x = ad.record(x.value + v.value * h, (x, v), lambda g, h=h: (g, g * h))
-        if not np.isfinite(x.value).all():  # so is x wherever v is not finite
+        reach = np.abs(x.value).max(initial=0.0)
+        if not math.isfinite(reach):  # so is x wherever v is not finite
             what = "position" if np.isfinite(v.value).all() else "velocity"
             raise NumericalError(f"non-finite {what} at step {k} (t={times[k]})")
         path.append(x)
@@ -195,7 +204,6 @@ def deform_mesh(model, mesh: TriangleMesh, times, steps: int,
         return [mesh.copy() for _ in times]
     norm_verts = normalizer.to_normalized(mesh.vertices)
     if np.abs(norm_verts).max() > 1.0:
-        import warnings
         warnings.warn("mesh vertices outside the volume's world bounds",
                       RuntimeWarning, stacklevel=2)
     counts = np.maximum(1, np.rint(steps * np.diff(knots))).astype(int)

@@ -10,17 +10,16 @@ cycle spans [0, 1].
 from __future__ import annotations
 
 import math
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .container import (check_header, is_count, is_number, list_of,
-                        read_container, write_container)
-from .errors import ConfigError, FormatError, NumericalError, ValidationError
-from .mesh import TriangleMesh, icosphere
+from .container import (check_header, check_payload, is_count, is_number,
+                        list_of, read_container, read_into, write_container)
+from .errors import ConfigError, NumericalError, ValidationError
+from .mesh import icosphere
 
 V4D_MAGIC = b"V4DVOL01"
 _SAMPLE_BLOCK = 16384  # rows per trilinear kernel call in sample_trilinear
@@ -29,16 +28,15 @@ _CHUNK_VOXELS = 1 << 18  # voxels per finiteness check: 1 MiB of float32
 
 class VolumeGrid:
     """A 4D volume's grid geometry and frame times without voxels, as
-    read_v4d_grid returns them; a Volume4D is one with frames.  Both run the
-    same checks in one order, ``voxels_finite()`` at the voxel check."""
+    read_v4d_grid returns them, checked in one order on construction; a
+    Volume4D is one with frames, whose voxels are checked after the grid."""
 
-    def __init__(self, grid_shape, spacing, origin, frame_times,
-                 voxels_finite=lambda: True):
+    def __init__(self, grid_shape, spacing, origin, frame_times):
         self.grid_shape, self.spacing, self.origin = tuple(grid_shape), spacing, origin
         self.frame_times = frame_times
-        self._validate((len(frame_times), *grid_shape), voxels_finite)
+        self._validate((len(frame_times), *grid_shape))
 
-    def _validate(self, shape, voxels_finite):
+    def _validate(self, shape):
         self.spacing = tuple(float(s) for s in self.spacing)
         self.origin = tuple(float(o) for o in self.origin)
         self.frame_times = np.asarray(self.frame_times, dtype=np.float64)
@@ -49,8 +47,6 @@ class VolumeGrid:
             raise ValidationError("need at least 2 frames")
         if min(d, h, w) < 2:
             raise ValidationError("each grid axis needs at least 2 voxels")
-        if not voxels_finite():
-            raise ValidationError("frames must be finite (no NaN or inf voxels)")
         if len(self.spacing) != 3 or any(s <= 0 for s in self.spacing):
             raise ValidationError(f"spacing must be 3 positive values, got {self.spacing}")
         if len(self.origin) != 3:
@@ -98,15 +94,20 @@ class Volume4D(VolumeGrid):
         self.validate()
 
     def validate(self):
+        self._validate(self.frames.shape)
         flat = self.frames.reshape(-1)  # a view, checked _CHUNK_VOXELS at a time
-        self._validate(self.frames.shape, lambda: all(
-            np.isfinite(flat[s:s + _CHUNK_VOXELS]).all()
-            for s in range(0, flat.size, _CHUNK_VOXELS)))
+        _check_voxels(flat[s:s + _CHUNK_VOXELS] for s in range(0, flat.size, _CHUNK_VOXELS))
 
     @property
     def grid_shape(self):
         """(D, H, W) voxel counts."""
         return self.frames.shape[1:]
+
+
+def _check_voxels(chunks):
+    """ValidationError unless every voxel of every chunk is finite."""
+    if not all(np.isfinite(c).all() for c in chunks):
+        raise ValidationError("frames must be finite (no NaN or inf voxels)")
 
 
 class DomainNormalizer:
@@ -342,45 +343,30 @@ def write_v4d(volume: Volume4D, path):
 
 @contextmanager
 def _open_v4d(path):
-    """Check a V4D header and payload size; yields (header, file, (N, D, H, W))."""
+    """Check a V4D header, its grid, then its payload size; yields (grid, file, voxel count)."""
     with read_container(path, V4D_MAGIC) as (header, fh):
         numbers = list_of(is_number)
         check_header(path, header, {
             "shape": list_of(is_count, 3), "spacing_mm": numbers, "origin_mm": numbers,
             "frame_times": numbers, "dtype": lambda v: v == "f32le"})
-        shape = (len(header["frame_times"]), *header["shape"])
-        expected = 4 * math.prod(shape)
-        offset = fh.tell()
-        size = os.fstat(fh.fileno()).st_size - offset
-        if size != expected:
-            raise FormatError(f"{path}: payload is {size} bytes at offset {offset}, "
-                              f"expected {expected}")
-        yield header, fh, shape
+        grid = VolumeGrid(header["shape"], header["spacing_mm"], header["origin_mm"],
+                          header["frame_times"])
+        count = grid.n_frames * math.prod(grid.grid_shape)
+        check_payload(path, fh, 4 * count)
+        yield grid, fh, count
 
 
 def read_v4d(path) -> Volume4D:
     """Read a V4D volume, its payload straight into the frames (read_v4d_grid: none)."""
-    with _open_v4d(path) as (header, fh, shape):
-        frames = np.empty(shape, dtype="<f4")
-        if fh.readinto(frames) != frames.nbytes:  # a file that shrank
-            raise FormatError(f"{path}: payload shrank while being read")
-    return Volume4D(frames, header["spacing_mm"], header["origin_mm"],
-                    header["frame_times"])
+    with _open_v4d(path) as (grid, fh, _):
+        frames = read_into(path, fh, np.empty((grid.n_frames, *grid.grid_shape), "<f4"))
+    return Volume4D(frames, grid.spacing, grid.origin, grid.frame_times)
 
 
 def read_v4d_grid(path) -> VolumeGrid:
     """read_v4d's checks and first error without holding the voxels: the
     payload is checked finite through one buffer of _CHUNK_VOXELS voxels."""
-    with _open_v4d(path) as (header, fh, shape):
-        def voxels_finite():
-            buf = np.empty(min(_CHUNK_VOXELS, math.prod(shape)), dtype="<f4")
-            for start in range(0, math.prod(shape), buf.size):
-                chunk = buf[:math.prod(shape) - start]
-                if fh.readinto(chunk) != chunk.nbytes:
-                    raise FormatError(f"{path}: payload shrank while being read")
-                if not np.isfinite(chunk).all():
-                    return False
-            return True
-
-        return VolumeGrid(shape[1:], header["spacing_mm"], header["origin_mm"],
-                          header["frame_times"], voxels_finite)
+    with _open_v4d(path) as (grid, fh, count):
+        buf = np.empty(min(_CHUNK_VOXELS, count), dtype="<f4")
+        _check_voxels(read_into(path, fh, buf[:count - s]) for s in range(0, count, buf.size))
+    return grid

@@ -186,6 +186,10 @@ BAD_VOLUMES = {
     "inf-voxel": dict(payload=lambda p: np.r_[np.inf, p[1:]]),
     "nan-last-voxel": dict(payload=lambda p: np.r_[p[:-1], np.nan]),
 }
+# the cases above whose error a reader finds before the payload's size
+HEADER_ONLY = {"header-not-object", "missing-omega", "ill-typed-layer-sizes",
+               "zero-period", "unknown-dtype", "dtype-not-a-string",
+               "shape-not-ints", "shape-of-two-axes"}
 _TRIANGLE = b"v 0 0 0\nv 1 0 0\nv 0 1 0\n"
 BAD_MESHES = {
     "not-utf8": _TRIANGLE + b"# \xff\xfe\nf 1 2 3\n",

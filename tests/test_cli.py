@@ -247,6 +247,27 @@ def test_deform_accepts_explicit_bounds(tmp_path):
     assert (out / "deformed_000_t0.250000.obj").exists()
 
 
+def test_deform_manifest_records_the_world_domain(tmp_path):
+    # two runs that differ only in --bounds write different meshes, so their
+    # manifests differ too; --volume records null, its hash being an input
+    gen = run_gen(tmp_path)
+    fit_dir = run_fit(tmp_path, gen)
+    deform = ["deform", str(fit_dir / "model.ckpt"), str(gen / "mesh_000.obj"),
+              "--times", "0.5"]
+    configs, meshes = [], []
+    for i, domain in enumerate([["--bounds", "0,0,0,11,11,11"],
+                                ["--bounds", "-1, 0,0, 1_2,11,11"],
+                                ["--volume", str(gen / "volume.v4d")]]):
+        out = tmp_path / f"def{i}"
+        assert main(deform + domain + ["--out-dir", str(out)]) == 0
+        configs.append(json.loads((out / "manifest.json").read_text())["config"])
+        meshes.append((out / "deformed_000_t0.500000.obj").read_bytes())
+    assert [c.pop("bounds") for c in configs] == [
+        [0.0, 0.0, 0.0, 11.0, 11.0, 11.0], [-1.0, 0.0, 0.0, 12.0, 11.0, 11.0], None]
+    assert configs[0] == configs[1] == configs[2]
+    assert meshes[0] != meshes[1]
+
+
 def test_deform_time_wrapping(tmp_path):
     gen = run_gen(tmp_path)
     fit_dir = run_fit(tmp_path, gen)

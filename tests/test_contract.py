@@ -8,6 +8,7 @@ import io
 import itertools
 import json
 import math
+import os
 import shutil
 from dataclasses import fields
 
@@ -16,15 +17,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cycleflow.cli import _bounds_from_args, _parse_times, main
+from cycleflow.container import write_container
 from cycleflow.errors import ConfigError, FormatError, ValidationError
-from cycleflow.field import (VelocityFieldModel, init_weights, load_checkpoint,
-                             save_checkpoint)
+from cycleflow.field import (CHECKPOINT_MAGIC, VelocityFieldModel, init_weights,
+                             load_checkpoint, save_checkpoint)
 from cycleflow.mesh import icosphere, read_obj, write_obj
 from cycleflow.training import FitConfig, load_fit_config
-from cycleflow.volume import Volume4D, read_v4d, read_v4d_grid, write_v4d
+from cycleflow.volume import V4D_MAGIC, Volume4D, read_v4d, read_v4d_grid, write_v4d
 
-from conftest import (BAD_CHECKPOINTS, BAD_MESHES, BAD_VOLUMES, make_cube_mesh,
-                      rewrite_container, run_cli)
+from conftest import (BAD_CHECKPOINTS, BAD_MESHES, BAD_VOLUMES, CHILD_ADDRESS_CAP,
+                      make_cube_mesh, rewrite_container, run_cli)
 
 GEN_ARGS = ["gen", "--grid", "12", "--frames", "3", "--spacing", "1.0",
             "--radius", "3.0", "--amplitude", "0.5"]
@@ -303,6 +305,34 @@ def test_an_oversize_request_exits_2_with_one_error_line(good, tmp_path, case):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == "error: the options ask for more memory than is available\n"
     assert not out.exists()
+
+
+# a bad header field over the sparse payload that the rest of the header
+# implies, past the child's 4 GiB address space: 4.4 GB of weights for a
+# 5-33000-33000-3 checkpoint, 8 GiB of voxels for 2 frames of 1024^3
+SPARSE = {
+    "ckpt": (CHECKPOINT_MAGIC, {"layer_sizes": [5, 33000, 33000, 3], "omega": "six",
+                                "period": 1.0, "time_encoding": True,
+                                "endian": "little", "dtype": "f32le"},
+             4 * (6 * 33000 + 33001 * 33000 + 33001 * 3), "omega"),
+    "v4d": (V4D_MAGIC, {"shape": [1024, 1024, 1024], "spacing_mm": [-1, 1, 1],
+                        "origin_mm": [0, 0, 0], "frame_times": [0.0, 1.0],
+                        "dtype": "f32le"}, 4 * 2 * 1024 ** 3, "spacing"),
+}
+
+
+@pytest.mark.parametrize("kind,command", [("ckpt", "deform"), ("v4d", "fit"),
+                                          ("v4d", "deform")])
+def test_a_bad_header_over_a_huge_payload_exits_3_naming_its_field(good, tmp_path,
+                                                                   kind, command):
+    magic, header, payload, field = SPARSE[kind]
+    assert payload > CHILD_ADDRESS_CAP
+    path = tmp_path / f"huge.{kind}"
+    write_container(path, magic, header, [])
+    os.truncate(path, path.stat().st_size + payload)  # sparse: no block written
+    proc = run_cli(_command(command, {**good, kind: path}, tmp_path / "out"))
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: ") and field in proc.stderr
 
 
 # ---------------------------------------------------------------- fuzzing

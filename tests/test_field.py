@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from cycleflow.field import (VelocityFieldModel, default_layer_sizes,
                              encode_time, init_weights, load_checkpoint,
                              save_checkpoint, velocity)
 from cycleflow.flow import euler_path
-from conftest import (BAD_CHECKPOINTS, dot, fd_grad, mean_square, rel_err,
+from conftest import (BAD_CHECKPOINTS, HEADER_ONLY, dot, fd_grad, mean_square, rel_err,
                       rewrite_container)
 
 
@@ -245,9 +246,16 @@ def test_rejects_nonfinite_points():
 
 
 def test_warns_outside_slack_domain():
+    # an Euler pass scans each position it evaluates the field at, and warns
+    # once per pass, though all four of them lie past the slack
     model = tiny_model()
-    with pytest.warns(RuntimeWarning):
-        model(np.array([[2.0, 0.0, 0.0]]), 0.0)
+    outside = np.array([[2.0, 0.0, 0.0]])
+    with pytest.warns(RuntimeWarning, match="slack domain") as record:
+        euler_path(model, outside, np.linspace(0.0, 1.0, 5))
+    assert len(record) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model(outside, 0.0)  # a field call alone scans nothing
 
 
 def test_other_threads_do_not_record_on_an_active_tape():
@@ -475,6 +483,14 @@ def test_importing_cycleflow_first_pins_one_blas_thread_unless_one_is_set():
         [False, ["2", "1", "1"]]
 
 
+def test_the_field_reads_the_blas_thread_variables_in_openblas_order():
+    # OpenBLAS takes OMP_NUM_THREADS=2 and ignores MKL_NUM_THREADS, so the
+    # parts of a call must not add the pool thread to its two threads
+    assert cycleflow.BLAS_THREAD_VARS == _THREAD_VARS
+    assert _fresh_interpreter("numpy", {"MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}) \
+        == [False, [None, "2", "1"]]
+
+
 def test_importing_numpy_first_leaves_the_environment_alone():
     # a setting made after NumPy loaded would not reach its BLAS, only the
     # processes this one starts
@@ -655,3 +671,15 @@ def test_checkpoint_malformed_header_or_weights(tmp_path, case):
     with pytest.raises(FormatError):
         load_checkpoint(path)
 
+
+@pytest.mark.parametrize("case", sorted(HEADER_ONLY & BAD_CHECKPOINTS.keys()))
+def test_a_bad_checkpoint_header_is_reported_before_a_short_payload(tmp_path, case):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(tiny_model(seed=21, dtype=np.float32), path)
+    rewrite_container(path, path, **BAD_CHECKPOINTS[case])
+    with pytest.raises(FormatError) as whole:
+        load_checkpoint(path)
+    path.write_bytes(path.read_bytes()[:-10])
+    with pytest.raises(FormatError) as short:
+        load_checkpoint(path)
+    assert str(short.value) == str(whole.value)

@@ -24,7 +24,4 @@ def test_pipeline_artifacts_match_the_recorded_hashes(tmp_path):
     if key not in recorded:
         pytest.skip(f"no pipeline hashes recorded for {key}; "
                     "tools/record_hashes.py records them")
-    got = record_hashes.digests(tmp_path)
-    moved = sorted(p for p in got.keys() | recorded[key].keys()
-                   if got.get(p) != recorded[key].get(p))
-    assert moved == []
+    assert record_hashes.moved(record_hashes.digests(tmp_path), recorded[key]) == []

@@ -11,7 +11,8 @@ from cycleflow.volume import (DomainNormalizer, GrowthPattern, Volume4D,
                               VolumeGrid, gather_trilinear, make_sphere_series,
                               radius_at, read_v4d, read_v4d_grid,
                               sample_trilinear, write_v4d)
-from conftest import BAD_VOLUMES, dot, mean_square, rel_err, rewrite_container
+from conftest import (BAD_VOLUMES, HEADER_ONLY, dot, mean_square, rel_err,
+                      rewrite_container)
 
 
 def make_volume(n=3, d=4, h=5, w=6, seed=0):
@@ -363,6 +364,24 @@ def test_grid_reader_refuses_each_bad_volume_as_read_v4d_does(tmp_path, case):
     write_v4d(make_volume(), path)
     rewrite_container(path, path, **BAD_VOLUMES[case])
     assert _refusal(read_v4d_grid, path) == _refusal(read_v4d, path)
+
+
+# a header or grid error comes before the payload's size, so each is found
+# in a file whose payload is cut short, and the payload is not read
+SHORT_PAYLOAD = {**{c: BAD_VOLUMES[c] for c in sorted(HEADER_ONLY & BAD_VOLUMES.keys())},
+                 "negative-spacing": dict(header=lambda h: {**h, "spacing_mm": [-1, 1, 1]})}
+
+
+@pytest.mark.parametrize("case", sorted(SHORT_PAYLOAD))
+@pytest.mark.parametrize("reader", [read_v4d, read_v4d_grid], ids=["v4d", "v4d-grid"])
+def test_a_bad_header_or_grid_is_reported_before_a_short_payload(tmp_path, case, reader):
+    path = tmp_path / "v.v4d"
+    write_v4d(make_volume(), path)
+    rewrite_container(path, path, **SHORT_PAYLOAD[case])
+    whole = _refusal(reader, path)
+    path.write_bytes(path.read_bytes()[:-8])
+    assert _refusal(reader, path) == whole
+    assert whole[0] is FormatError or "spacing" in whole[1]
 
 
 def test_grid_reader_reads_the_grid_and_holds_no_frames(tmp_path):

@@ -11,7 +11,8 @@ run's key: the NumPy version and what the manifests' ``blas`` field names
 (the BLAS build, OpenBLAS's core and NumPy's SIMD level).  It runs the chain
 once with the core OpenBLAS picks for this CPU and once more for each of
 CORETYPES, so one x86-64 host with AVX-512 records the entries of an
-AVX2-only one too; entries of other keys are kept.
+AVX2-only one too; entries of other keys are kept.  For each key it prints
+the files whose digest differs from the stored entry, or that the key is new.
 tests/test_pipeline_hashes.py runs the same chain and compares.  A change that
 moves bits on purpose reruns this script and says which files moved and why.
 """
@@ -81,6 +82,12 @@ def digests(workdir) -> dict:
             for p in sorted(workdir.rglob("*")) if p.is_file()}
 
 
+def moved(got: dict, stored: dict) -> list:
+    """The paths whose digest differs between two {path: digest} maps,
+    including those that only one of them holds."""
+    return sorted(p for p in got.keys() | stored.keys() if got.get(p) != stored.get(p))
+
+
 def build_key(workdir) -> str:
     """What the bytes depend on: NumPy's version and the BLAS build and CPU
     kernels that the fit manifest records."""
@@ -94,8 +101,13 @@ def main() -> int:
         with tempfile.TemporaryDirectory() as workdir:
             run_chain(workdir, **env_vars)
             key, files = build_key(workdir), digests(workdir)
+        if key in recorded:
+            paths = moved(files, recorded[key])
+            print(f"recorded {len(files)} digests for {key}; {len(paths)} moved:",
+                  *paths, sep="\n  ")
+        else:
+            print(f"recorded {len(files)} digests for {key}, a new key")
         recorded[key] = files
-        print(f"recorded {len(files)} digests for {key}")
     HASHES.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n")
     return 0
 
