@@ -10,14 +10,12 @@ __version__ = "0.1.0"
 import os as _os
 import sys as _sys
 
-# BLAS reads its thread count once, when NumPy loads, from the first of these
-# that is set (OpenBLAS ignores MKL's).  One BLAS thread leaves the second core
-# to the field's pool thread (field._PARALLEL); an explicit setting wins, and
-# a caller that loaded NumPy first keeps its BLAS threads.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# OpenBLAS reads its thread count once, when NumPy loads it.  One thread
+# leaves the second core to the field's pool thread, which runs only when
+# OpenBLAS reports one (field._PARALLEL); a caller that set the variable, or
+# loaded NumPy first, keeps its BLAS threads.
 if "numpy" not in _sys.modules:
-    for _var in BLAS_THREAD_VARS:
-        _os.environ.setdefault(_var, "1")
+    _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import (CycleflowError, ConfigError, FormatError,
                      NumericalError, ValidationError)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
-import glob
 import hashlib
 import json
 import math
@@ -34,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, CycleflowError, FormatError
-from .field import load_checkpoint, save_checkpoint
+from .field import load_checkpoint, openblas, save_checkpoint, wrap_time
 from .flow import deform_mesh, integrate, write_trajectory_csv
 from .mesh import read_obj, write_obj
 from .metrics import evaluate_fit, write_eval_csv, write_eval_summary
@@ -65,22 +64,9 @@ def _blas() -> str:
     simd = config.get("SIMD Extensions", {})
     level = max((f for f in simd.get("baseline", []) + simd.get("found", [])
                  if f.startswith("X86_V")), default="unknown")
+    core = openblas("get_corename", ctypes.c_char_p)
     return (f"{blas.get('name', 'unknown')} {blas.get('version', '')} "
-            f"(core {_blas_core()}; NumPy SIMD {level})")
-
-
-def _blas_core() -> str:
-    """OpenBLAS's kernel set for this CPU (or OPENBLAS_CORETYPE), read from
-    the scipy-openblas library a NumPy wheel bundles (ILP64 or not)."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "*openblas*")):
-        with contextlib.suppress(OSError):
-            lib = ctypes.CDLL(path)  # NumPy has it loaded: the same handle
-            for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename"):
-                if hasattr(lib, name):
-                    getattr(lib, name).restype = ctypes.c_char_p
-                    return getattr(lib, name)().decode()
-    return "unknown"
+            f"(core {core.decode() if core else 'unknown'}; NumPy SIMD {level})")
 
 
 def _finish(args, command, config, seed, inputs, writers, started):
@@ -178,9 +164,7 @@ def _parse_times(spec: str, wrap: bool):
         if not math.isfinite(t):
             raise ConfigError(f"--times: {tok!r} is not a finite time")
         if wrap:
-            t = math.fmod(t, 1.0)
-            if t < 0.0:
-                t += 1.0
+            t = wrap_time(t, 1.0)
         elif not 0.0 <= t <= 1.0:
             raise ConfigError(
                 f"--times: {t} outside [0,1]; pass --wrap for periodic wrapping")

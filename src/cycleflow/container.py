@@ -15,7 +15,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, ValidationError
 
 
 def write_container(path, magic: bytes, header, arrays, dtype="<f4"):
@@ -35,6 +35,7 @@ def read_container(path, magic: bytes):
 
     The header length is checked against the file size before it is read,
     and the payload is left for the format to read straight into its arrays.
+    A ValidationError of the values read, raised in the with block, gets the path.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -51,7 +52,10 @@ def read_container(path, magic: bytes):
             raise FormatError(f"{path}: unreadable header: {exc}") from exc
         if not isinstance(header, dict):
             raise FormatError(f"{path}: header is not a JSON object")
-        yield header, fh
+        try:
+            yield header, fh
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
 
 
 def check_payload(path, fh, expected: int):

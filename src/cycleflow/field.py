@@ -5,18 +5,20 @@ value to one 3-D velocity per position.  With time encoding enabled the
 time enters as a point on the unit circle, which makes the field exactly
 periodic; with encoding disabled the raw time is appended instead (the
 non-periodic ablation mode).  Every call, taped or not, runs as two row
-parts cut by one rule, which use a second thread when BLAS runs one.
+parts cut by one rule, which use a second thread when OpenBLAS runs one.
 """
 from __future__ import annotations
 
+import contextlib
 import contextvars
+import ctypes
+import glob
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import BLAS_THREAD_VARS
 from . import autodiff as ad
 from .container import (check_header, check_payload, is_count, is_number,
                         list_of, read_container, read_into, write_container)
@@ -32,25 +34,47 @@ CHECKPOINT_DTYPES = {"f32le": "<f4", "f64le": "<f8"}
 # count alone (512-row chunks lost the bits in 42 of 72 shapes tried)
 _CHUNK = 256
 _SLICE = 1024  # rows per slice of an untaped part, which stays in cache through all layers
-# the parts of a call run at once only with one BLAS thread, read as BLAS did (see
-# __init__.py): two BLAS threads and the pool thread oversubscribe two cores
-_PARALLEL = next((os.environ[v].strip() for v in BLAS_THREAD_VARS
-                  if v in os.environ), None) == "1"
+
+
+def openblas(name, restype=ctypes.c_int):
+    """What NumPy's OpenBLAS export ``name`` (get_num_threads, get_corename) returns,
+    or None without OpenBLAS.  Looked up on NumPy's linalg extension, whose handle
+    searches its linked libraries (POSIX), then in numpy.libs (Windows does not)."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+    for path in [np.linalg._umath_linalg.__file__, *glob.glob(libs)]:
+        with contextlib.suppress(OSError):
+            lib = ctypes.CDLL(path)  # NumPy has it loaded: the same handle
+            for export in (f"scipy_openblas_{name}64_", f"scipy_openblas_{name}",
+                           f"openblas_{name}64_", f"openblas_{name}"):
+                if hasattr(lib, export):
+                    call = getattr(lib, export)
+                    call.argtypes, call.restype = [], restype
+                    return call()
+    return None
+
+
+_PARALLEL = openblas("get_num_threads") == 1  # else the pool oversubscribes BLAS's cores
+
+
+def wrap_time(t: float, period: float) -> float:
+    """t mod period by fmod, in [0, period): never -0.0, nor a tiny negative
+    rest that adding period rounds up to period."""
+    frac = math.fmod(float(t), period)
+    if frac < 0.0:
+        frac += period
+    return 0.0 if frac in (0.0, period) else frac
 
 
 def encode_time(t: float, period: float) -> tuple[float, float]:
     """Map a time value onto the unit circle: (cos, sin) of 2*pi*t/period.
 
-    The time is wrapped by ``fmod`` before the angle is formed, so t and
-    t mod period produce bit-identical output and t = period lands exactly
-    on (1, 0).
+    The time is wrapped by ``wrap_time`` before the angle is formed, so t
+    and t mod period produce bit-identical output and t = period lands
+    exactly on (1, 0).
     """
     if period <= 0:
         raise ValueError("period must be positive")
-    frac = math.fmod(float(t), period)
-    if frac < 0.0:
-        frac += period
-    angle = 2.0 * math.pi * frac / period
+    angle = 2.0 * math.pi * wrap_time(t, period) / period
     return math.cos(angle), math.sin(angle)
 
 
@@ -219,7 +243,7 @@ def _xtg(x, g):
 
 
 def _in_parts(run, k, n):
-    """[run(0, k), run(k, n)], or [run(0, n)] when k is 0 or n.  With one BLAS
+    """[run(0, k), run(k, n)], or [run(0, n)] when k is 0 or n.  With one OpenBLAS
     thread run(k, n) goes to the pool thread, under the caller's np.errstate;
     otherwise both parts run here in turn.  The bits are the same either way."""
     if k in (0, n):

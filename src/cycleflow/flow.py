@@ -30,6 +30,7 @@ from .mesh import TriangleMesh
 
 _BLOCK = 8192  # least rows per inverse_map block: every block has 8192-16383
 DOMAIN_SLACK = 1.5  # |coordinate| past which a pass warns; the field is defined everywhere
+_MAX_BOUNDARIES = np.iinfo(np.intp).max // 8  # float64 step times one array can hold
 
 
 @dataclass
@@ -129,7 +130,7 @@ def frame_step_times(frame_times, steps_per_frame) -> np.ndarray:
 
     steps_per_frame is one step count for every gap between consecutive
     frame times, or one count per gap; each gap is cut into that many equal
-    steps.
+    steps.  MemoryError when no array can hold that many boundaries.
     """
     frame_times = np.asarray(frame_times, dtype=np.float64)
     if frame_times.ndim != 1 or frame_times.size < 2:
@@ -139,6 +140,9 @@ def frame_step_times(frame_times, steps_per_frame) -> np.ndarray:
     counts = np.broadcast_to(steps_per_frame, (frame_times.size - 1,))
     if not np.all(counts >= 1):
         raise ConfigError("steps_per_frame must be >= 1")
+    # in Python ints, so no count wraps or overflows its cast (a float count may be inf)
+    if 1 + sum(int(min(n, _MAX_BOUNDARIES)) for n in counts) > _MAX_BOUNDARIES:
+        raise MemoryError(f"more than {_MAX_BOUNDARIES} step boundaries")
     pieces = [frame_times[:1]]
     for a, b, n in zip(frame_times[:-1], frame_times[1:], counts):
         pieces.append(np.linspace(a, b, int(n) + 1)[1:])
@@ -194,8 +198,8 @@ def deform_mesh(model, mesh: TriangleMesh, times, steps: int,
     requested time, in the given order and duplicates included.  Face
     topology is untouched; t=0 returns an identical copy.
     """
-    if steps < 1:
-        raise ConfigError("steps must be >= 1")
+    if not 1 <= steps <= np.iinfo(np.intp).max:
+        raise ConfigError(f"steps must be between 1 and {np.iinfo(np.intp).max}")
     times = [float(t) for t in times]
     if not all(math.isfinite(t) and t >= 0.0 for t in times):
         raise ValueError("times must be finite and non-negative")
@@ -206,7 +210,7 @@ def deform_mesh(model, mesh: TriangleMesh, times, steps: int,
     if np.abs(norm_verts).max() > 1.0:
         warnings.warn("mesh vertices outside the volume's world bounds",
                       RuntimeWarning, stacklevel=2)
-    counts = np.maximum(1, np.rint(steps * np.diff(knots))).astype(int)
+    counts = np.maximum(1, np.rint(steps * np.diff(knots)))  # frame_step_times casts them
     track = flow_at_frames(model, norm_verts, knots, counts)
     out = []
     for t in times:

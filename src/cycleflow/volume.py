@@ -360,7 +360,7 @@ def read_v4d(path) -> Volume4D:
     """Read a V4D volume, its payload straight into the frames (read_v4d_grid: none)."""
     with _open_v4d(path) as (grid, fh, _):
         frames = read_into(path, fh, np.empty((grid.n_frames, *grid.grid_shape), "<f4"))
-    return Volume4D(frames, grid.spacing, grid.origin, grid.frame_times)
+        return Volume4D(frames, grid.spacing, grid.origin, grid.frame_times)
 
 
 def read_v4d_grid(path) -> VolumeGrid:

@@ -279,8 +279,10 @@ def test_deform_time_wrapping(tmp_path):
     assert (tmp_path / "def" / "deformed_000_t0.500000.obj").exists()
 
 
-@pytest.mark.parametrize("times", [["--times=-0"], ["--times=-1", "--wrap"]],
-                         ids=["minus-zero", "wrapped-minus-one"])
+# -1e-20 wraps to 0, not to the 1.0 that -1e-20 + 1.0 rounds to
+@pytest.mark.parametrize("times", [["--times=-0"], ["--times=-1", "--wrap"],
+                                   ["--times=-1e-20", "--wrap"]],
+                         ids=["minus-zero", "wrapped-minus-one", "wrapped-tiny-negative"])
 def test_deform_writes_no_negative_zero_time(tmp_path, times):
     gen = run_gen(tmp_path)
     fit_dir = run_fit(tmp_path, gen)

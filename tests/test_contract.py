@@ -76,7 +76,9 @@ def test_cli_rejects_malformed_input_with_an_exit_code(good, tmp_path, kind, cas
         bad = {"v4d": BAD_VOLUMES, "ckpt": BAD_CHECKPOINTS}[kind][case]
         files[kind] = rewrite_container(good[kind], tmp_path / f"bad.{kind}", **bad)
     assert main(_command(command, files, tmp_path / "out")) == 3
-    assert capsys.readouterr().err.startswith("error: ")
+    # a command reads several files, so its error names the bad one
+    name = files["meshes"] / "mesh_000.obj" if kind == "obj" else files[kind]
+    assert capsys.readouterr().err.startswith(f"error: {name}:")
 
 
 _LOSS_HEADER = b"epoch,data_loss,cycle_loss,total_loss\n"
@@ -143,6 +145,7 @@ BAD_OPTION_VALUES = {
     "deform-underflowing-bounds": ("deform-bounds", ["--bounds=0,0,0,5e-324,5e-324,5e-324"]),
     "fit-oversize-hidden-width": ("fit", ["--hidden-width=" + "9" * 400]),
     "fit-oversize-points": ("fit", ["--points=" + "9" * 400]),
+    "deform-oversize-steps": ("deform", ["--steps=" + "9" * 400]),
 }
 
 
@@ -287,20 +290,32 @@ def test_fit_refuses_a_config_file_that_is_not_utf8(good, tmp_path, capsys):
     assert not out.exists()
 
 
-# each asks NumPy for far more than the child's 4 GiB address space:
-# 74.5 GiB, 745 GiB, 21.8 TiB and 37.3 GiB in its first large allocation
+# the first four ask NumPy for far more than the child's 4 GiB address space:
+# 74.5 GiB, 745 GiB, 21.8 TiB and 37.3 GiB in its first large allocation; the
+# rest ask for more Euler step times than any array can hold, in step counts
+# that wrap int64 or overflow its cast
+_EVAL = ["eval", "{ckpt}", "{v4d}", "--meshes", "{meshes}", "--no-psnr"]
+_DEFORM = ["deform", "{ckpt}", "{mesh}", "--volume", "{v4d}"]
 OVERSIZE = {
     "gen-grid": ["gen", "--grid", "100000", "--frames", "2"],
     "gen-frames": ["gen", "--grid", "12", "--frames", "100000000000"],
     "fit-points": ["fit", "{v4d}", "--points", "1000000000000"],
     "fit-hidden-width": ["fit", "{v4d}", "--hidden-width", "1000000000"],
+    "fit-steps-per-frame": ["fit", "{v4d}", "--steps-per-frame", "9223372036854775807"],
+    "eval-steps-per-frame": _EVAL + ["--steps-per-frame", "9223372036854775807"],
+    "eval-400-digit-steps-per-frame": _EVAL + ["--steps-per-frame", "9" * 400],
+    "deform-steps": _DEFORM + ["--times", "0.5", "--steps", "4611686018427387904"],
+    "deform-steps-past-the-cast": _DEFORM + ["--times", "1", "--steps",
+                                             "9223372036854775807"],
 }
 
 
 @pytest.mark.parametrize("case", sorted(OVERSIZE))
 def test_an_oversize_request_exits_2_with_one_error_line(good, tmp_path, case):
     out = tmp_path / "out"
-    argv = [str(good["v4d"]) if a == "{v4d}" else a for a in OVERSIZE[case]]
+    files = {"{v4d}": good["v4d"], "{ckpt}": good["ckpt"], "{meshes}": good["meshes"],
+             "{mesh}": good["meshes"] / "mesh_000.obj"}
+    argv = [str(files.get(a, a)) for a in OVERSIZE[case]]
     proc = run_cli(argv + ["--out-dir", out])
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == "error: the options ask for more memory than is available\n"
@@ -314,7 +329,7 @@ SPARSE = {
     "ckpt": (CHECKPOINT_MAGIC, {"layer_sizes": [5, 33000, 33000, 3], "omega": "six",
                                 "period": 1.0, "time_encoding": True,
                                 "endian": "little", "dtype": "f32le"},
-             4 * (6 * 33000 + 33001 * 33000 + 33001 * 3), "omega"),
+             4 * (6 * 33000 + 33001 * 33000 + 33001 * 3), "bad header value omega"),
     "v4d": (V4D_MAGIC, {"shape": [1024, 1024, 1024], "spacing_mm": [-1, 1, 1],
                         "origin_mm": [0, 0, 0], "frame_times": [0.0, 1.0],
                         "dtype": "f32le"}, 4 * 2 * 1024 ** 3, "spacing"),
@@ -332,7 +347,7 @@ def test_a_bad_header_over_a_huge_payload_exits_3_naming_its_field(good, tmp_pat
     os.truncate(path, path.stat().st_size + payload)  # sparse: no block written
     proc = run_cli(_command(command, {**good, kind: path}, tmp_path / "out"))
     assert proc.returncode == 3, proc.stderr
-    assert proc.stderr.startswith("error: ") and field in proc.stderr
+    assert proc.stderr.startswith(f"error: {path}: {field}")
 
 
 # ---------------------------------------------------------------- fuzzing

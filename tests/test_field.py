@@ -59,6 +59,15 @@ def test_encode_time_wraps_bit_identically():
         assert encode_time(t, 1.0) == encode_time(t - 1.0, 1.0)
 
 
+@pytest.mark.parametrize("period", [1.0, 0.5])
+@pytest.mark.parametrize("t", [-5e-324, -1e-20, -0.25, -1.0, -3.0])
+def test_encode_time_wraps_negative_times_into_the_period_exactly(t, period):
+    # a negative t whose wrap rounds up to the period, or lands on -0.0,
+    # still gives the bytes of t + period: angle +0.0 for both
+    assert np.array(encode_time(t, period)).tobytes() == \
+        np.array(encode_time(t + period, period)).tobytes()
+
+
 def test_encode_time_on_unit_circle():
     rng = np.random.default_rng(5)
     for t in rng.uniform(-3, 3, size=200):
@@ -459,15 +468,17 @@ def test_a_failed_backward_gives_nothing_back(pool_on, monkeypatch):
     assert _same_bits(_taped_step(model, tape, pts, up), cold)
 
 
-_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+                "MKL_NUM_THREADS")
 
 
 def _fresh_interpreter(first_import, env):
-    """BLAS thread settings and field._PARALLEL seen by a fresh interpreter
-    that imports first_import, then cycleflow, with only env's BLAS thread
-    variables set."""
-    code = (f"import json, os, {first_import}, cycleflow.field; print(json.dumps("
-            f"[cycleflow.field._PARALLEL, [os.environ.get(v) for v in {_THREAD_VARS}]]))")
+    """field._PARALLEL, the thread count OpenBLAS reports and the BLAS thread
+    variables seen by a fresh interpreter that imports first_import, then
+    cycleflow, with only env's BLAS thread variables set."""
+    code = (f"import json, os, {first_import}, cycleflow.field as f; print(json.dumps("
+            f"[f._PARALLEL, f.openblas('get_num_threads'), "
+            f"[os.environ.get(v) for v in {_THREAD_VARS}]]))")
     base = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
     src = str(Path(cycleflow.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", code],
@@ -477,24 +488,58 @@ def _fresh_interpreter(first_import, env):
     return json.loads(proc.stdout)
 
 
+def _cores():
+    """The cores this process may run on, which cap OpenBLAS's thread count."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count()
+
+
 def test_importing_cycleflow_first_pins_one_blas_thread_unless_one_is_set():
-    assert _fresh_interpreter("cycleflow", {}) == [True, ["1", "1", "1"]]
-    assert _fresh_interpreter("cycleflow", {"OPENBLAS_NUM_THREADS": "2"}) == \
-        [False, ["2", "1", "1"]]
+    assert _fresh_interpreter("cycleflow", {})[2] == ["1", None, None, None]
+    assert _fresh_interpreter("cycleflow", {"OPENBLAS_NUM_THREADS": "2"})[2] == \
+        ["2", None, None, None]
 
 
 def test_the_field_reads_the_blas_thread_variables_in_openblas_order():
     # OpenBLAS takes OMP_NUM_THREADS=2 and ignores MKL_NUM_THREADS, so the
     # parts of a call must not add the pool thread to its two threads
-    assert cycleflow.BLAS_THREAD_VARS == _THREAD_VARS
-    assert _fresh_interpreter("numpy", {"MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}) \
-        == [False, [None, "2", "1"]]
+    parallel, threads, _ = _fresh_interpreter(
+        "numpy", {"MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"})
+    assert parallel == (threads == 1) == (_cores() == 1)
 
 
 def test_importing_numpy_first_leaves_the_environment_alone():
     # a setting made after NumPy loaded would not reach its BLAS, only the
     # processes this one starts
-    assert _fresh_interpreter("numpy", {}) == [False, [None, None, None]]
+    assert _fresh_interpreter("numpy", {})[2] == [None, None, None, None]
+
+
+# (module imported first, BLAS thread variables, whether OpenBLAS then runs
+# one thread on a machine with more than one core): OpenBLAS skips a variable
+# that reads as 0 and takes the first of OPENBLAS_, GOTO_ and OMP_NUM_THREADS
+THREAD_SETTINGS = {
+    "cycleflow-unset": ("cycleflow", {}, True),
+    "cycleflow-openblas-2": ("cycleflow", {"OPENBLAS_NUM_THREADS": "2"}, False),
+    "cycleflow-openblas-empty": ("cycleflow", {"OPENBLAS_NUM_THREADS": ""}, False),
+    "cycleflow-openblas-0": ("cycleflow", {"OPENBLAS_NUM_THREADS": "0"}, False),
+    "numpy-unset": ("numpy", {}, False),
+    "numpy-omp-1": ("numpy", {"OMP_NUM_THREADS": "1"}, True),
+    "numpy-openblas-0-omp-1": ("numpy", {"OPENBLAS_NUM_THREADS": "0",
+                                         "OMP_NUM_THREADS": "1"}, True),
+    "numpy-goto-1": ("numpy", {"GOTO_NUM_THREADS": "1"}, True),
+    "numpy-mkl-1-omp-2": ("numpy", {"MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"},
+                          False),
+}
+
+
+@pytest.mark.parametrize("setting", sorted(THREAD_SETTINGS))
+def test_the_parts_share_the_cores_exactly_when_openblas_runs_one_thread(setting):
+    first_import, env, one = THREAD_SETTINGS[setting]
+    parallel, threads, _ = _fresh_interpreter(first_import, env)
+    assert parallel == (threads == 1)
+    if threads is None:
+        pytest.skip("NumPy's BLAS is not OpenBLAS")
+    assert (threads == 1) == (one or _cores() == 1)
 
 
 def test_the_worker_half_runs_under_the_callers_errstate(pool_on):

@@ -35,10 +35,16 @@ print(json.dumps({"correct": True, "attempted": 3, "failed": int(offset < 0),
 '''
 
 
+BOUNDS = {"end_to_end": [{"name": "setup_s", "bound": 0.25},
+                         {"name": "stage_s", "bound": 0.25},
+                         {"name": "peak_rss_mb", "bound": 0.1}]}
+
+
 def _checkout(root, offset):
     (root / "perfbench").mkdir(parents=True)
     (root / "perfbench" / "run.py").write_text(FAKE_RUN)
     (root / "offset").write_text(str(offset))
+    (root / "BENCHMARK.json").write_text(json.dumps(BOUNDS))
     return root
 
 
@@ -114,3 +120,23 @@ def test_each_metric_of_a_workload_gets_a_resolved_flag(tmp_path):
     w = json.loads(out.read_text())["workloads"]["fit-accept"]
     assert w["pairs_change_lower"]["peak_rss_mb"] == 10
     assert w["resolved"]["peak_rss_mb"] is False
+
+
+def test_a_median_past_its_bound_is_flagged_and_printed(tmp_path, capsys):
+    # peak_rss_mb: parent seed + 0.5 has median 8.5 on seeds 7-9, so its
+    # bound of 0.1 allows up to 9.35; equal times stay inside theirs
+    parent = _checkout(tmp_path / "parent", 0.5)
+    change = _checkout(tmp_path / "change", 1.5)
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", str(parent), "--change", str(change),
+            "--workload", "fit-accept:3", "--first-seed", "7", "--out", str(out)]
+    assert record_bench.main(argv) == 0
+    w = json.loads(out.read_text())["workloads"]["fit-accept"]
+    assert w["over_bound"] == {"setup_s": False, "stage_s": False, "peak_rss_mb": True}
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "over bound: fit-accept peak_rss_mb median 8.5 -> 9.5 (+11.8%, bound 10%)"
+    change.joinpath("offset").write_text("1.0")  # median 9.0, inside the bound
+    assert record_bench.main(argv) == 0
+    w = json.loads(out.read_text())["workloads"]["fit-accept"]
+    assert w["over_bound"]["peak_rss_mb"] is False
+    assert "over bound" not in capsys.readouterr().out

@@ -409,7 +409,7 @@ def test_both_readers_find_a_bad_voxel_at_each_chunk_edge(tmp_path, monkeypatch,
         np.arange(p.size) == index, np.float32(bad), p))
     refusal = _refusal(read_v4d_grid, path)
     assert refusal == _refusal(read_v4d, path)
-    assert refusal == (ValidationError, "frames must be finite (no NaN or inf voxels)")
+    assert refusal == (ValidationError, f"{path}: frames must be finite (no NaN or inf voxels)")
 
 
 def test_grid_reader_reads_a_clean_file_of_many_chunks(tmp_path, monkeypatch):

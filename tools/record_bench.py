@@ -17,7 +17,10 @@ counts, the traced run's per-layer metrics (single samples:
 training.epoch_ms.p50, field.busy_s, ...) and its failed operations, and each
 side's environment from ``.perfbench_work/<workload>/result.json``, with paths
 relative to the checkout.  Per workload and metric it holds how many pairs
-the change ran lower and whether that drop is resolved (see ``resolved``).
+the change ran lower, whether that drop is resolved (see ``resolved``), and
+whether the change's median is over the bound that the parent's
+``BENCHMARK.json`` gives the metric in its ``end_to_end`` list (see
+``over_bound``); the run ends by printing each metric over its bound.
 """
 from __future__ import annotations
 
@@ -71,8 +74,15 @@ def resolved(parent: dict, change: dict, lower: int, pairs: int) -> bool:
             and parent["median"] - change["median"] > parent["q3"] - parent["q1"])
 
 
+def over_bound(parent: dict, change: dict, bound: float) -> bool:
+    """Whether the change's median exceeds the parent's by more than the
+    bound, a fraction of the parent's median.  parent and change are
+    ``summarize`` results."""
+    return change["median"] - parent["median"] > bound * parent["median"]
+
+
 def record_workload(parent: Path, change: Path, workload: str, pairs: int,
-                    first_seed: int, seconds: int) -> dict:
+                    first_seed: int, seconds: int, bounds: dict) -> dict:
     checkouts = dict(zip(SIDES, (parent, change)))
     runs = {side: [] for side in SIDES}
     for k in range(pairs):
@@ -112,6 +122,11 @@ def record_workload(parent: Path, change: Path, workload: str, pairs: int,
         and resolved(out["parent"]["summary"][m], out["change"]["summary"][m],
                      out["pairs_change_lower"][m], pairs)
         for m in METRICS}
+    out["over_bound"] = {
+        m: m in out["parent"]["summary"] and m in out["change"]["summary"]
+        and m in bounds and over_bound(out["parent"]["summary"][m],
+                                       out["change"]["summary"][m], bounds[m])
+        for m in METRICS}
     return out
 
 
@@ -133,13 +148,20 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
 
+    spec = json.loads((args.parent / "BENCHMARK.json").read_text())
+    bounds = {e["name"]: e["bound"] for e in spec["end_to_end"]}
     bench = {"tool": "tools/record_bench.py", "seconds": args.seconds,
              "trace": 0, "workloads": {}}
     for name, pairs in args.workload:
         bench["workloads"][name] = record_workload(
             args.parent.resolve(), args.change.resolve(), name, pairs,
-            args.first_seed, args.seconds)
+            args.first_seed, args.seconds, bounds)
         args.out.write_text(json.dumps(bench, indent=1) + "\n")
+    for name, w in bench["workloads"].items():
+        for m in (m for m in METRICS if w["over_bound"][m]):
+            p, c = (w[side]["summary"][m]["median"] for side in SIDES)
+            print(f"over bound: {name} {m} median {p:.4g} -> {c:.4g} "
+                  f"({c / p - 1:+.1%}, bound {bounds[m]:.0%})", flush=True)
     return 0
 
 
