@@ -45,6 +45,10 @@ from .volume import (DomainNormalizer, GrowthPattern, make_sphere_series,
                      read_v4d, read_v4d_grid, write_v4d)
 
 OUT_DIR_ENV = "CYCLEFLOW_OUT"
+# fit flags named other than their FitConfig field, and their help
+_FIT_FLAGS = {"points_per_epoch": ("points", "sample points per epoch"),
+              "cycle_enabled": ("cycle", "enable/disable the cycle-return penalty")}
+_FIT_CHOICES = {"sampling": SAMPLING_STRATEGIES, "precision": PRECISIONS}
 
 
 def _sha256(path) -> str:
@@ -224,12 +228,13 @@ def cmd_deform(args) -> int:
 
 
 def _load_gt_meshes(mesh_dir, n_frames):
-    """One mesh or None per frame (evaluate_fit refuses a missing mesh_000)
-    and the paths read."""
+    """One mesh or None per frame, and the paths read; a missing mesh_000
+    is an OSError naming its path."""
     if mesh_dir is None:
         raise ConfigError("eval needs --meshes pointing at mesh_NNN.obj files")
     paths = [os.path.join(mesh_dir, f"mesh_{i:03d}.obj") for i in range(n_frames)]
-    meshes = [read_obj(p) if os.path.exists(p) else None for p in paths]
+    meshes = [read_obj(p) if i == 0 or os.path.exists(p) else None
+              for i, p in enumerate(paths)]
     return meshes, [p for p, m in zip(paths, meshes) if m is not None]
 
 
@@ -240,7 +245,9 @@ def _read_loss_history(path):
         try:
             hist = np.genfromtxt(path, delimiter=",", names=True)
         except (ValueError, UserWarning) as exc:
-            raise FormatError(f"{path}: unreadable loss history: {exc}") from exc
+            # genfromtxt lists each bad row on a line of its own under a heading
+            why = str(exc).splitlines()[1:2] or [str(exc)]
+            raise FormatError(f"{path}: unreadable loss history: {why[0].strip()}") from exc
     if hist.dtype.names is None or not set(LOSS_COLUMNS) <= set(hist.dtype.names):
         raise FormatError(f"{path}: loss history needs the columns "
                           f"{','.join(LOSS_COLUMNS)}")
@@ -318,23 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a velocity field to a volume")
     p.add_argument("volume", help="input .v4d file")
     p.add_argument("--config", default=None, help="key = value config file")
-    p.add_argument("--cycle-weight", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--points", type=int, default=None, dest="points_per_epoch",
-                   metavar="POINTS", help="sample points per epoch")
-    p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--omega", type=float, default=None)
-    p.add_argument("--steps-per-frame", type=int, default=None)
-    p.add_argument("--sampling", choices=SAMPLING_STRATEGIES,
-                   default=None)
-    p.add_argument("--hidden-layers", type=int, default=None)
-    p.add_argument("--hidden-width", type=int, default=None)
-    p.add_argument("--precision", choices=PRECISIONS, default=None)
-    p.add_argument("--time-encoding", choices=("on", "off"), default=None)
-    p.add_argument("--cycle", choices=("on", "off"), default=None,
-                   dest="cycle_enabled",
-                   help="enable/disable the cycle-return penalty")
+    for f in fields(FitConfig):  # one flag per field, None where not given
+        flag, text = _FIT_FLAGS.get(f.name, (f.name.replace("_", "-"), None))
+        if type(f.default) in (int, float):
+            how = {"type": type(f.default), "metavar": flag.replace("-", "_").upper()}
+        else:  # a bool takes on or off, as in a config file
+            how = {"choices": _FIT_CHOICES.get(f.name, ("on", "off"))}
+        p.add_argument(f"--{flag}", dest=f.name, default=None, help=text, **how)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("deform", help="advect a mesh to requested times")

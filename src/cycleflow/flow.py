@@ -71,24 +71,19 @@ def euler_path(model, seeds, times) -> list:
     """Core unrolled Euler recursion x_{k+1} = x_k + h_k * H(x_k, t_k).
 
     seeds is an (B,3) autodiff Node or array (converted to the model's
-    dtype); times is the full array of step boundaries.  Returns the list
-    of position Nodes at every boundary, seeds first, recorded only under an
-    active tape.  Each position's largest |coordinate| is taken once, here,
-    in the model's dtype: non-finite seeds (a float32 model overflows past
-    ~3.4e38) are a ValidationError, a non-finite step a NumericalError naming
-    the step, and a pass that runs the field past DOMAIN_SLACK warns once.
+    dtype); times is the full array of step boundaries from
+    frame_step_times, not re-checked here.  Returns the list of position
+    Nodes at every boundary, seeds first, recorded only under an active
+    tape.  Each position's largest |coordinate| is taken once, here, in the
+    model's dtype: non-finite seeds (a float32 model overflows past ~3.4e38)
+    are a ValidationError, a non-finite step a NumericalError naming the
+    step, and a pass that runs the field past DOMAIN_SLACK warns once.
     """
     x = seeds if isinstance(seeds, ad.Node) else ad.constant(seeds, model.dtype)
     reach = np.abs(x.value).max(initial=0.0)
     if not math.isfinite(reach):
         raise ValidationError(f"seed positions overflow {x.value.dtype}: they lie "
                               "far outside the normalized domain")
-    times = np.asarray(times, dtype=np.float64)
-    if times.ndim != 1 or times.size < 2:
-        raise ValueError("need at least two time boundaries")
-    d = np.diff(times)
-    if not (np.all(d > 0) or np.all(d < 0)):
-        raise ValueError("time boundaries must be strictly monotonic")
     path, warn = [x], True
     for k in range(times.size - 1):
         if reach > DOMAIN_SLACK and warn:
@@ -115,45 +110,50 @@ def _stack_rows(seeds, nodes) -> np.ndarray:
 
 def integrate(model, seeds, t_start: float, t_end: float, steps: int) -> Trajectory:
     """Euler-integrate seed points from t_start to t_end in S uniform steps
-    (euler_path refuses S < 1 and t_start == t_end)."""
+    (frame_step_times refuses S < 1 and t_start == t_end)."""
     seeds = np.asarray(seeds)
     if not np.isfinite(seeds).all():
         raise ValueError("non-finite seed positions")
-    times = np.linspace(t_start, t_end, steps + 1)
+    times = frame_step_times([t_start, t_end], steps)
     path = euler_path(model, seeds, times)
     return Trajectory(_stack_rows(seeds, path), times)
 
 
 def frame_step_times(frame_times, steps_per_frame) -> np.ndarray:
-    """Step boundaries that pass exactly through every frame time, so frame
-    samples are free of interpolation.
+    """Step boundaries of every Euler pass, holding each frame time bit for
+    bit (increasing or decreasing), so frame samples are free of interpolation.
 
     steps_per_frame is one step count for every gap between consecutive
     frame times, or one count per gap; each gap is cut into that many equal
-    steps.  MemoryError when no array can hold that many boundaries.
+    steps.  ValueError unless the frame times are finite and the grid
+    strictly monotonic; MemoryError when no array can hold the grid.
     """
     frame_times = np.asarray(frame_times, dtype=np.float64)
-    if frame_times.ndim != 1 or frame_times.size < 2:
-        raise ValueError("need at least two frame times")
-    if not np.all(np.diff(frame_times) > 0):
-        raise ValueError("frame times must be strictly increasing")
+    if frame_times.ndim != 1 or frame_times.size < 2 or not np.isfinite(frame_times).all():
+        raise ValueError("need two or more finite frame times")
     counts = np.broadcast_to(steps_per_frame, (frame_times.size - 1,))
     if not np.all(counts >= 1):
         raise ConfigError("steps_per_frame must be >= 1")
     # in Python ints, so no count wraps or overflows its cast (a float count may be inf)
     if 1 + sum(int(min(n, _MAX_BOUNDARIES)) for n in counts) > _MAX_BOUNDARIES:
         raise MemoryError(f"more than {_MAX_BOUNDARIES} step boundaries")
-    pieces = [frame_times[:1]]
-    for a, b, n in zip(frame_times[:-1], frame_times[1:], counts):
-        pieces.append(np.linspace(a, b, int(n) + 1)[1:])
-    return np.concatenate(pieces)
+    # linspace ends exactly on its stop, so each frame time is a boundary
+    times = np.concatenate([frame_times[:1]] + [
+        np.linspace(a, b, int(n) + 1)[1:]
+        for a, b, n in zip(frame_times[:-1], frame_times[1:], counts)])
+    d = np.diff(times)
+    if not (np.all(d > 0) or np.all(d < 0)):
+        raise ConfigError("step times are not strictly monotonic: steps round to 0 "
+                          "or the frame times are unordered or repeated")
+    return times
 
 
 def flow_at_frames_nodes(model, seeds, frame_times, steps_per_frame=1) -> list:
-    """Positions at each frame time as autodiff Nodes (length N list)."""
+    """Positions at each increasing frame time as autodiff Nodes, length N."""
     times = frame_step_times(frame_times, steps_per_frame)
+    if times[0] > times[-1]:
+        raise ValueError("frame times must be increasing")
     path = euler_path(model, seeds, times)
-    # linspace ends exactly on its stop, so every frame time is a boundary
     return [path[k] for k in np.searchsorted(times, frame_times)]
 
 
@@ -178,7 +178,7 @@ def inverse_map(model, targets, t: float, steps: int) -> np.ndarray:
         raise ValueError("non-finite seed positions")
     if t == 0.0:
         return targets.astype(np.float64)
-    times = np.linspace(t, 0.0, steps + 1)
+    times = frame_step_times([t, 0.0], steps)
     out = np.empty(targets.shape)
     stop = 0
     for block in np.array_split(targets, max(1, len(targets) // _BLOCK)):

@@ -7,14 +7,16 @@ import math
 import re
 import shutil
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cycleflow.cli import main
+from cycleflow.cli import build_parser, main
 from cycleflow.field import save_checkpoint
 from cycleflow.mesh import icosphere, read_obj, write_obj
+from cycleflow.training import FitConfig
 from cycleflow.volume import GrowthPattern, radius_at, read_v4d
 
 from conftest import bias_model, rewrite_container, run_cli
@@ -156,6 +158,13 @@ def test_fit_band_sampling_flag(tmp_path):
     out = run_fit(tmp_path, gen, extra=["--sampling", "band"])
     summary = json.loads((out / "fit_summary.json").read_text())
     assert summary["config"]["sampling"] == "band"
+
+
+def test_every_fit_config_field_has_exactly_one_fit_flag():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    dests = [a.dest for a in sub.choices["fit"]._actions if a.option_strings]
+    assert {f.name: dests.count(f.name) for f in fields(FitConfig)} == \
+        {f.name: 1 for f in fields(FitConfig)}
 
 
 def test_fit_error_exit_codes(tmp_path):

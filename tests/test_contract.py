@@ -88,6 +88,8 @@ BAD_LOSS_CSVS = {
     "header-only": _LOSS_HEADER,
     "one-row": _LOSS_HEADER + b"0,1,2,3\n",
     "ragged": _LOSS_HEADER + b"0,1,2,3\n1,2\n",
+    "extra-column": _LOSS_HEADER + b"0,1,2,3\n1,2,3,4,5\n",
+    "comment-before-header": b"# losses\n" + _LOSS_HEADER + b"0,1,2,3\n1,2,3,4\n",
     "not-a-number": _LOSS_HEADER + b"0,x,2,3\n1,2,3,4\n",
     "not-utf8": b"\xff\xfe,a\n",
 }
@@ -99,7 +101,39 @@ def test_eval_rejects_a_malformed_loss_csv(good, tmp_path, case, capsys):
     loss_csv.write_bytes(BAD_LOSS_CSVS[case])
     argv = _command("eval", good, tmp_path / "out") + ["--loss-csv", str(loss_csv)]
     assert main(argv) == 3
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {loss_csv}:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("missing", ["mesh-000", "directory"])
+def test_eval_without_a_frame_0_mesh_names_the_file_it_looked_for(good, tmp_path,
+                                                               missing, capsys):
+    meshes = tmp_path / "meshes"
+    if missing == "mesh-000":
+        shutil.copytree(good["meshes"], meshes)
+        (meshes / "mesh_000.obj").unlink()
+    assert main(_command("eval", dict(good, meshes=meshes), tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(meshes / "mesh_000.obj") in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "eval"])
+def test_a_step_count_too_fine_for_a_frame_gap_exits_2(good, tmp_path, command, capsys):
+    # two steps from t = 0 to t = 5e-324 are each 0 long
+    v4d = tmp_path / "tiny-gap.v4d"
+    write_v4d(Volume4D(np.zeros((3, 8, 8, 8), np.float32), (1, 1, 1), (0, 0, 0),
+                       [0.0, 5e-324, 1.0]), v4d)
+    args = {"fit": ["fit", v4d] + FIT_ARGS,
+            "eval": ["eval", good["ckpt"], v4d, "--meshes", good["meshes"], "--no-psnr"]}
+    out = tmp_path / "out"
+    argv = [str(a) for a in args[command]] + ["--steps-per-frame", "2", "--out-dir", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: step times are not strictly monotonic") and \
+        err.count("\n") == 1, err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("wrap", [[], ["--wrap"]], ids=["plain", "wrap"])
@@ -307,6 +341,10 @@ OVERSIZE = {
     "deform-steps": _DEFORM + ["--times", "0.5", "--steps", "4611686018427387904"],
     "deform-steps-past-the-cast": _DEFORM + ["--times", "1", "--steps",
                                              "9223372036854775807"],
+    "deform-probe-steps": _DEFORM + ["--times", "0", "--steps", "9223372036854775807",
+                                     "--probes", "1"],
+    "deform-probe-steps-too-big": _DEFORM + ["--times", "0", "--steps",
+                                             "4611686018427387904", "--probes", "1"],
 }
 
 

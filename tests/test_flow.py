@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 import cycleflow.autodiff as ad
 from cycleflow import field
@@ -211,6 +212,99 @@ def test_frame_step_times_validation():
         frame_step_times([0.0, 0.5, 1.0], [2, 0])
     with pytest.raises(ValueError):
         frame_step_times([0.0, 0.5, 1.0], [2, 2, 2])
+
+
+# step counts 1..50: one for every gap, or one per gap
+_COUNT = st.integers(1, 50)
+
+
+@st.composite
+def _frame_grids(draw):
+    """Finite, strictly monotonic frame times in either direction, with gaps
+    wide enough for 50 steps, and their step counts."""
+    knots = np.array(sorted(draw(st.lists(st.floats(-1e3, 1e3), min_size=2,
+                                          max_size=6, unique=True))))
+    assume(np.all(np.diff(knots) > 1e-6 * (1.0 + np.abs(knots).max())))
+    if draw(st.booleans()):
+        knots = knots[::-1].copy()
+    gaps = knots.size - 1
+    return knots, draw(_COUNT | st.lists(_COUNT, min_size=gaps, max_size=gaps))
+
+
+@given(_frame_grids())
+def test_frame_step_times_holds_every_frame_time_at_its_step_count(grid):
+    knots, counts = grid
+    per_gap = np.broadcast_to(counts, (knots.size - 1,))
+    times = frame_step_times(knots, counts)
+    d = np.diff(times)
+    assert np.all(d > 0) or np.all(d < 0)
+    assert times.size == 1 + per_gap.sum()
+    at = np.concatenate([[0], np.cumsum(per_gap)])
+    assert times[at].tobytes() == knots.tobytes()
+
+
+@given(_frame_grids(), st.sampled_from(["repeated", "non-finite", "unordered",
+                                        "count-below-1"]), st.data())
+def test_frame_step_times_refuses_a_grid_that_is_not_strictly_monotonic(grid, fault,
+                                                                        data):
+    knots, counts = grid
+    per_gap = np.array(np.broadcast_to(counts, (knots.size - 1,)))
+    i = data.draw(st.integers(0, knots.size - 2))
+    if fault == "repeated":
+        knots = np.insert(knots, i, knots[i])
+        per_gap = np.insert(per_gap, i, per_gap[i])
+    elif fault == "non-finite":
+        knots[i] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif fault == "unordered":
+        assume(knots.size >= 3)
+        i = min(i, knots.size - 3)  # swap i and i + 1 against i + 2's order
+        knots[[i, i + 1]] = knots[[i + 1, i]]
+    else:
+        per_gap[i] = data.draw(st.integers(-5, 0))
+    with pytest.raises(ValueError):
+        frame_step_times(knots, per_gap)
+
+
+def test_a_two_time_grid_is_linspace_byte_for_byte():
+    # the grids of integrate ([t_start, t_end]) and inverse_map ([t, 0]),
+    # decreasing ones and the PSNR warp's from each frame of 25 back to 0
+    frames = np.linspace(0.0, 1.0, 25)
+    grids = [(0.0, 1.0, 24), (0.0, 0.75, 7), (0.0, 1.0, 1), (0.0, 3.0, 1000),
+             (-0.25, 0.5, 3), (1.0, 0.0, 8), (0.75, 0.0, 5), (1e-300, 0.0, 3)]
+    grids += [(frames[i], 0.0, i * k) for i in range(1, 25) for k in (1, 2, 3)]
+    for start, stop, steps in grids:
+        assert frame_step_times([start, stop], steps).tobytes() == \
+            np.linspace(start, stop, steps + 1).tobytes(), (start, stop, steps)
+
+
+# each is a ValueError before any step runs
+REFUSED_PASSES = {
+    "flow-at-decreasing-frames": lambda m, s: flow_at_frames(m, s, [1.0, 0.5, 0.0]),
+    "inverse-map-of-steps-that-round-to-zero": lambda m, s: inverse_map(m, s, 5e-324, 4),
+    "integrate-to-inf": lambda m, s: integrate(m, s, 0.0, math.inf, 1),
+    "inverse-map-from-inf": lambda m, s: inverse_map(m, s, math.inf, 1),
+    "integrate-to-nan": lambda m, s: integrate(m, s, 0.0, math.nan, 2),
+    "integrate-zero-steps": lambda m, s: integrate(m, s, 0.0, 1.0, 0),
+    "inverse-map-zero-steps": lambda m, s: inverse_map(m, s, 1.0, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_PASSES))
+def test_a_pass_on_a_bad_step_grid_raises_value_error(case):
+    model = CountingField(ConstantField([0.5, 0.25, 0.0]))
+    # only the refusal is checked, not whether building a grid through inf warns
+    with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+        REFUSED_PASSES[case](model, np.zeros((2, 3)))
+    assert model.calls == 0
+
+
+@pytest.mark.parametrize("steps", [2 ** 62, 2 ** 63 - 1])
+def test_a_pass_whose_step_grid_no_array_can_hold_raises_memory_error(steps):
+    seeds = np.zeros((2, 3))
+    with pytest.raises(MemoryError):
+        integrate(ConstantField([0.5, 0, 0]), seeds, 0.0, 1.0, steps)
+    with pytest.raises(MemoryError):
+        inverse_map(ConstantField([0.5, 0, 0]), seeds, 1.0, steps)
 
 
 def test_flow_at_frames_matches_manual_path():

@@ -40,9 +40,11 @@ BOUNDS = {"end_to_end": [{"name": "setup_s", "bound": 0.25},
                          {"name": "peak_rss_mb", "bound": 0.1}]}
 
 
-def _checkout(root, offset):
+def _checkout(root, offset, src_lines=2):
     (root / "perfbench").mkdir(parents=True)
     (root / "perfbench" / "run.py").write_text(FAKE_RUN)
+    (root / "src" / "pkg").mkdir(parents=True)
+    (root / "src" / "pkg" / "x.py").write_text("x = 1\n" * src_lines)
     (root / "offset").write_text(str(offset))
     (root / "BENCHMARK.json").write_text(json.dumps(BOUNDS))
     return root
@@ -140,3 +142,15 @@ def test_a_median_past_its_bound_is_flagged_and_printed(tmp_path, capsys):
     w = json.loads(out.read_text())["workloads"]["fit-accept"]
     assert w["over_bound"]["peak_rss_mb"] is False
     assert "over bound" not in capsys.readouterr().out
+
+
+def test_the_src_line_count_of_each_side_is_recorded_and_printed(tmp_path, capsys):
+    parent = _checkout(tmp_path / "parent", 0.5, src_lines=5)
+    change = _checkout(tmp_path / "change", 0.5, src_lines=3)
+    (change / "src" / "pkg" / "y.py").write_text("y = 2\n")
+    (change / "src" / "pkg" / "notes.txt").write_text("not counted\n")
+    out = tmp_path / "BENCH.json"
+    assert record_bench.main(["--parent", str(parent), "--change", str(change),
+                              "--workload", "track-mesh:2", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["src_lines"] == {"parent": 5, "change": 4}
+    assert capsys.readouterr().out.splitlines()[-1] == "src/ lines: parent 5, change 4"

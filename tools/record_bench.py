@@ -20,7 +20,9 @@ relative to the checkout.  Per workload and metric it holds how many pairs
 the change ran lower, whether that drop is resolved (see ``resolved``), and
 whether the change's median is over the bound that the parent's
 ``BENCHMARK.json`` gives the metric in its ``end_to_end`` list (see
-``over_bound``); the run ends by printing each metric over its bound.
+``over_bound``); and each side's line count of the ``.py`` files under
+``src/`` (``src_lines``).  The run ends by printing those counts, then each
+metric over its bound.
 """
 from __future__ import annotations
 
@@ -57,6 +59,12 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int,
     result["env"] = json.loads(json.dumps(env).replace(f"{checkout}{os.sep}", ""))
     result["exit"] = proc.returncode
     return result
+
+
+def src_lines(checkout: Path) -> int:
+    """Lines of the .py files under the checkout's src/."""
+    return sum(len(p.read_bytes().splitlines())
+               for p in (checkout / "src").rglob("*.py"))
 
 
 def summarize(values) -> dict:
@@ -151,12 +159,16 @@ def main(argv=None) -> int:
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     bounds = {e["name"]: e["bound"] for e in spec["end_to_end"]}
     bench = {"tool": "tools/record_bench.py", "seconds": args.seconds,
-             "trace": 0, "workloads": {}}
+             "trace": 0, "src_lines": {side: src_lines(checkout) for side, checkout
+                                       in zip(SIDES, (args.parent, args.change))},
+             "workloads": {}}
     for name, pairs in args.workload:
         bench["workloads"][name] = record_workload(
             args.parent.resolve(), args.change.resolve(), name, pairs,
             args.first_seed, args.seconds, bounds)
         args.out.write_text(json.dumps(bench, indent=1) + "\n")
+    print("src/ lines: " + ", ".join(f"{side} {n}" for side, n
+                                     in bench["src_lines"].items()), flush=True)
     for name, w in bench["workloads"].items():
         for m in (m for m in METRICS if w["over_bound"][m]):
             p, c = (w[side]["summary"][m]["median"] for side in SIDES)
