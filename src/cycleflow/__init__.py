@@ -7,16 +7,6 @@ and volumes along the learned trajectories.
 
 __version__ = "0.1.0"
 
-import os as _os
-import sys as _sys
-
-# OpenBLAS reads its thread count once, when NumPy loads it.  One thread
-# leaves the second core to the field's pool thread, which runs only when
-# OpenBLAS reports one (field._PARALLEL); a caller that set the variable, or
-# loaded NumPy first, keeps its BLAS threads.
-if "numpy" not in _sys.modules:
-    _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
 from .errors import (CycleflowError, ConfigError, FormatError,
                      NumericalError, ValidationError)
 from .field import (VelocityFieldModel, encode_time, init_weights,

@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import ctypes
+import csv
 import hashlib
 import json
 import math
 import os
 import sys
 import time
-import warnings
 from dataclasses import asdict, fields
 from functools import partial
 
@@ -34,7 +33,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, CycleflowError, FormatError
 from .field import load_checkpoint, openblas, save_checkpoint, wrap_time
-from .flow import deform_mesh, integrate, write_trajectory_csv
+from .flow import deform_mesh, frame_step_times, integrate, write_trajectory_csv
 from .mesh import read_obj, write_obj
 from .metrics import evaluate_fit, write_eval_csv, write_eval_summary
 from .svgplot import line_plot
@@ -68,7 +67,7 @@ def _blas() -> str:
     simd = config.get("SIMD Extensions", {})
     level = max((f for f in simd.get("baseline", []) + simd.get("found", [])
                  if f.startswith("X86_V")), default="unknown")
-    core = openblas("get_corename", ctypes.c_char_p)
+    core = openblas("get_corename")
     return (f"{blas.get('name', 'unknown')} {blas.get('version', '')} "
             f"(core {core.decode() if core else 'unknown'}; NumPy SIMD {level})")
 
@@ -135,6 +134,7 @@ def cmd_fit(args) -> int:
     overrides = {f.name: getattr(args, f.name) for f in fields(FitConfig)}
     config = load_fit_config(args.config, overrides)
     volume = read_v4d(args.volume)
+    frame_step_times(volume.frame_times, config.steps_per_frame)  # a bad grid exits here
     for key, val in sorted(asdict(config).items()):
         print(f"{key} = {val}")
     model, report = fit(volume, config)
@@ -239,22 +239,24 @@ def _load_gt_meshes(mesh_dir, n_frames):
 
 
 def _read_loss_history(path):
-    """The columns of a fit's loss.csv; FormatError for any other file."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # an empty file only warns
+    """The total, data and cycle loss series of a loss.csv as write_loss_csv
+    writes it: the LOSS_COLUMNS header, then 2 or more rows of 4 finite
+    numbers; FormatError naming the first line that is not."""
+    with open(path, encoding="utf-8", errors="replace", newline="") as fh:
+        reader, rows = csv.reader(fh), []
         try:
-            hist = np.genfromtxt(path, delimiter=",", names=True)
-        except (ValueError, UserWarning) as exc:
-            # genfromtxt lists each bad row on a line of its own under a heading
-            why = str(exc).splitlines()[1:2] or [str(exc)]
-            raise FormatError(f"{path}: unreadable loss history: {why[0].strip()}") from exc
-    if hist.dtype.names is None or not set(LOSS_COLUMNS) <= set(hist.dtype.names):
-        raise FormatError(f"{path}: loss history needs the columns "
-                          f"{','.join(LOSS_COLUMNS)}")
-    cols = {name: np.atleast_1d(hist[name]) for name in LOSS_COLUMNS}
-    if hist.size < 2 or not all(np.isfinite(c).all() for c in cols.values()):
-        raise FormatError(f"{path}: loss history needs 2 or more rows of numbers")
-    return cols
+            if next(reader, None) != list(LOSS_COLUMNS):
+                raise ValueError(f"not the header {','.join(LOSS_COLUMNS)}")
+            for row in reader:
+                rows.append([float(v) for v in row])
+                if len(row) != len(LOSS_COLUMNS) or not np.isfinite(rows[-1]).all():
+                    raise ValueError(f"need {len(LOSS_COLUMNS)} finite numbers")
+            if len(rows) < 2:
+                raise ValueError("a loss history needs 2 or more rows")
+        except (ValueError, csv.Error) as exc:
+            raise FormatError(f"{path}:{max(reader.line_num, 1)}: {exc}") from exc
+    epoch, data, cycle, total = np.array(rows).T
+    return [("total", epoch, total), ("data", epoch, data), ("cycle", epoch, cycle)]
 
 
 def cmd_eval(args) -> int:
@@ -278,11 +280,7 @@ def cmd_eval(args) -> int:
                    xlabel="t", ylabel="volume (mm^3)"))]
     if losses is not None:
         writers.append(("loss_history.svg", partial(
-            line_plot,
-            [("total", losses["epoch"], losses["total_loss"]),
-             ("data", losses["epoch"], losses["data_loss"]),
-             ("cycle", losses["epoch"], losses["cycle_loss"])],
-            title="Loss history", xlabel="epoch", ylabel="loss")))
+            line_plot, losses, title="Loss history", xlabel="epoch", ylabel="loss")))
     inputs = [args.checkpoint, args.volume, *mesh_paths] + \
         ([args.loss_csv] if args.loss_csv else [])
     config = {"meshes": args.meshes, "steps_per_frame": args.steps_per_frame,

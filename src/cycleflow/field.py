@@ -5,7 +5,7 @@ value to one 3-D velocity per position.  With time encoding enabled the
 time enters as a point on the unit circle, which makes the field exactly
 periodic; with encoding disabled the raw time is appended instead (the
 non-periodic ablation mode).  Every call, taped or not, runs as two row
-parts cut by one rule, which use a second thread when OpenBLAS runs one.
+parts cut by one rule, on two threads while OpenBLAS is pinned to one.
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ import ctypes
 import glob
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -36,10 +37,10 @@ _CHUNK = 256
 _SLICE = 1024  # rows per slice of an untaped part, which stays in cache through all layers
 
 
-def openblas(name, restype=ctypes.c_int):
-    """What NumPy's OpenBLAS export ``name`` (get_num_threads, get_corename) returns,
-    or None without OpenBLAS.  Looked up on NumPy's linalg extension, whose handle
-    searches its linked libraries (POSIX), then in numpy.libs (Windows does not)."""
+def _export(name, restype, *argtypes):
+    """NumPy's OpenBLAS export ``name`` as a ctypes function, or None without
+    OpenBLAS.  Looked up on NumPy's linalg extension, whose handle searches its
+    linked libraries (POSIX), then in numpy.libs (Windows does not)."""
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
     for path in [np.linalg._umath_linalg.__file__, *glob.glob(libs)]:
         with contextlib.suppress(OSError):
@@ -48,12 +49,39 @@ def openblas(name, restype=ctypes.c_int):
                            f"openblas_{name}64_", f"openblas_{name}"):
                 if hasattr(lib, export):
                     call = getattr(lib, export)
-                    call.argtypes, call.restype = [], restype
-                    return call()
+                    call.argtypes, call.restype = argtypes, restype
+                    return call
     return None
 
 
-_PARALLEL = openblas("get_num_threads") == 1  # else the pool oversubscribes BLAS's cores
+_EXPORTS = {"get_num_threads": _export("get_num_threads", ctypes.c_int),
+            "set_num_threads": _export("set_num_threads", None, ctypes.c_int),
+            "get_corename": _export("get_corename", ctypes.c_char_p)}
+_PARALLEL = _EXPORTS["set_num_threads"] is not None  # else (MKL, Accelerate) in turn
+
+
+def openblas(name, *args):
+    """What the OpenBLAS export ``name`` returns for args, or None without OpenBLAS."""
+    return _EXPORTS[name] and _EXPORTS[name](*args)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """OpenBLAS runs one thread inside, process-wide; the first of concurrent
+    holders saves the count, and the last to leave, raising or not, restores it."""
+    global _pins, _saved
+    with _pin_lock:
+        if not _pins:
+            _saved = openblas("get_num_threads")
+            openblas("set_num_threads", 1)
+        _pins += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pins -= 1
+            if not _pins:
+                openblas("set_num_threads", _saved)
 
 
 def wrap_time(t: float, period: float) -> float:
@@ -111,12 +139,8 @@ class VelocityFieldModel:
 
     @property
     def parameters(self):
-        """All trainable leaves, in a fixed order."""
-        params = []
-        for w, b in zip(self.weights, self.biases):
-            params.append(w)
-            params.append(b)
-        return params
+        """All trainable leaves, in a fixed order: each layer's weights, then its bias."""
+        return [p for pair in zip(self.weights, self.biases) for p in pair]
 
     def __call__(self, points, t: float) -> ad.Node:
         """Velocity at a batch of positions (B,3) at one time value, in the
@@ -142,10 +166,8 @@ class VelocityFieldModel:
         n = pts.value.shape[0]
         dt = self.dtype
         if self.time_encoding:
-            c, s = encode_time(t, self.period)
             tcols = np.empty((n, 2), dtype=dt)
-            tcols[:, 0] = c
-            tcols[:, 1] = s
+            tcols[:] = encode_time(t, self.period)
         else:
             tcols = np.full((n, 1), t, dtype=dt)
         h = np.concatenate([pts.value, tcols], axis=1)
@@ -243,29 +265,35 @@ def _xtg(x, g):
 
 
 def _in_parts(run, k, n):
-    """[run(0, k), run(k, n)], or [run(0, n)] when k is 0 or n.  With one OpenBLAS
-    thread run(k, n) goes to the pool thread, under the caller's np.errstate;
-    otherwise both parts run here in turn.  The bits are the same either way."""
+    """[run(0, k), run(k, n)], or [run(0, n)] when k is 0 or n.  With _PARALLEL
+    run(k, n) goes to the pool thread, under the caller's np.errstate and inside
+    _one_blas_thread; else both parts run here in turn, with the same bits."""
     if k in (0, n):
         return [run(0, n)]
     if not _PARALLEL:
         return [run(0, k), run(k, n)]
-    second = _pool.submit(contextvars.copy_context().run, run, k, n)
-    try:
-        first = run(0, k)
-    finally:
-        last = second.result()  # waits for the worker; re-raises its error here
+    with _one_blas_thread():
+        second = _pool.submit(contextvars.copy_context().run, run, k, n)
+        try:
+            first = run(0, k)
+        finally:
+            last = second.result()  # waits for the worker; re-raises its error here
     return [first, last]
 
 
-def _start_pool():  # one worker thread per process, started on the first submit
-    global _pool
+def _start(forked=False):
+    """The pool's one worker thread, started on the first submit, and the pin; a forked
+    child has neither the thread nor an open pin's holders, but the count it saved."""
+    global _pool, _pin_lock, _pins
+    if forked and _pins:
+        openblas("set_num_threads", _saved)
     _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="cycleflow-field")
+    _pin_lock, _pins = threading.Lock(), 0
 
 
-_start_pool()
-if hasattr(os, "register_at_fork"):  # a forked child has no copy of the thread
-    os.register_at_fork(after_in_child=_start_pool)
+_start()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=lambda: _start(forked=True))
 
 
 def init_weights(seed: int, layer_sizes, omega: float, period: float = 1.0,
@@ -280,10 +308,7 @@ def init_weights(seed: int, layer_sizes, omega: float, period: float = 1.0,
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-        if i == 0:
-            bound = 1.0 / fan_in
-        else:
-            bound = math.sqrt(6.0 / fan_in) / omega
+        bound = 1.0 / fan_in if i == 0 else math.sqrt(6.0 / fan_in) / omega
         w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
         weights.append(w.astype(dtype))
         biases.append(np.zeros(fan_out, dtype=dtype))
@@ -317,8 +342,8 @@ def save_checkpoint(model: VelocityFieldModel, path):
         "endian": "little",
         "dtype": code,
     }
-    arrays = [a.value for pair in zip(model.weights, model.biases) for a in pair]
-    write_container(path, CHECKPOINT_MAGIC, header, arrays, CHECKPOINT_DTYPES[code])
+    write_container(path, CHECKPOINT_MAGIC, header, [p.value for p in model.parameters],
+                    CHECKPOINT_DTYPES[code])
 
 
 def load_checkpoint(path) -> VelocityFieldModel:

@@ -125,12 +125,14 @@ def frame_step_times(frame_times, steps_per_frame) -> np.ndarray:
 
     steps_per_frame is one step count for every gap between consecutive
     frame times, or one count per gap; each gap is cut into that many equal
-    steps.  ValueError unless the frame times are finite and the grid
-    strictly monotonic; MemoryError when no array can hold the grid.
+    steps.  ValueError unless the frame times and their gaps are finite and
+    the grid strictly monotonic; MemoryError when no array can hold the grid.
     """
     frame_times = np.asarray(frame_times, dtype=np.float64)
-    if frame_times.ndim != 1 or frame_times.size < 2 or not np.isfinite(frame_times).all():
-        raise ValueError("need two or more finite frame times")
+    with np.errstate(over="ignore", invalid="ignore"):  # a gap past the float range
+        gaps = np.diff(frame_times.ravel())
+    if frame_times.ndim != 1 or gaps.size < 1 or not np.isfinite(gaps).all():
+        raise ValueError("need two or more finite frame times, with finite gaps")
     counts = np.broadcast_to(steps_per_frame, (frame_times.size - 1,))
     if not np.all(counts >= 1):
         raise ConfigError("steps_per_frame must be >= 1")
@@ -170,8 +172,8 @@ def inverse_map(model, targets, t: float, steps: int) -> np.ndarray:
     The rows run through euler_path in max(1, B // _BLOCK) near-equal blocks
     of _BLOCK to 2*_BLOCK - 1 rows (a shorter batch stays whole), each
     keeping only its endpoints; the field runs each as two parts, on two
-    threads when BLAS runs one.  Every block's bits depend on its row count
-    alone, so the result's bits depend on B alone.
+    threads with OpenBLAS pinned to one.  Every block's bits depend on its
+    row count alone, so the result's bits depend on B alone.
     """
     targets = np.asarray(targets)
     if not np.isfinite(targets).all():

@@ -157,13 +157,9 @@ def read_obj(path) -> TriangleMesh:
             verts.append((x, y, z))
         elif kind == "f":
             if len(tokens) != 4:
-                raise FormatError(
-                    f"{path}:{lineno}: only triangular faces are supported"
-                )
+                raise FormatError(f"{path}:{lineno}: only triangular faces are supported")
             try:
-                a, b, c = (int(tokens[1].partition("/")[0]),
-                           int(tokens[2].partition("/")[0]),
-                           int(tokens[3].partition("/")[0]))
+                a, b, c = (int(t.partition("/")[0]) for t in tokens[1:])
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: bad face index") from exc
             if a <= 0 or b <= 0 or c <= 0:

@@ -393,14 +393,10 @@ def write_eval_csv(report: EvalReport, path):
         writer = csv.writer(fh)
         writer.writerow(["frame", "t", "hsd_mm", "psnr_db", "volume_mm3",
                          "gt_volume_mm3"])
-        for i, t in enumerate(report.frame_times):
-            writer.writerow([
-                i, repr(float(t)),
-                repr(float(report.hsd_mm[i])),
-                repr(float(report.psnr_db[i])),
-                repr(float(report.volume_mm3[i])),
-                repr(float(report.gt_volume_mm3[i])),
-            ])
+        columns = (report.frame_times, report.hsd_mm, report.psnr_db, report.volume_mm3,
+                   report.gt_volume_mm3)
+        for i, row in enumerate(zip(*columns)):
+            writer.writerow([i, *(repr(float(x)) for x in row)])
 
 
 def _json_safe(x: float):

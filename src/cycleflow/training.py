@@ -103,12 +103,15 @@ class FitReport:
     cycle_loss: list
     total_loss: list
     config: FitConfig
-    cycle_weight_ignored: bool = False
     checkpoint_path: str | None = None
 
     @property
     def epochs(self) -> int:
         return len(self.total_loss)
+
+    @property
+    def cycle_weight_ignored(self) -> bool:
+        return not self.config.cycle_enabled and self.config.cycle_weight > 0
 
 
 def sample_points(volume: Volume4D, n: int, strategy: str = "uniform",
@@ -143,8 +146,7 @@ def sample_points(volume: Volume4D, n: int, strategy: str = "uniform",
     if idx.shape[0] == 0:
         raise ValidationError(empty)
     n_fg = n // 2
-    n_uni = n - n_fg
-    uni = rng.uniform(-1.0, 1.0, size=(n_uni, 3))
+    uni = rng.uniform(-1.0, 1.0, size=(n - n_fg, 3))
     rows = idx[rng.integers(0, idx.shape[0], size=n_fg)]
     jitter = rng.uniform(-0.5, 0.5, size=(n_fg, 3))
     d, h, w = volume.grid_shape
@@ -261,14 +263,7 @@ def fit(volume: Volume4D, config: FitConfig):
         data_hist.append(float(data.value))
         cycle_hist.append(float(cyc.value) if cyc is not None else 0.0)
         total_hist.append(tv)
-    report = FitReport(
-        data_loss=data_hist,
-        cycle_loss=cycle_hist,
-        total_loss=total_hist,
-        config=config,
-        cycle_weight_ignored=(not config.cycle_enabled and config.cycle_weight > 0),
-    )
-    return model, report
+    return model, FitReport(data_hist, cycle_hist, total_hist, config)
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +331,8 @@ def write_loss_csv(report: FitReport, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(LOSS_COLUMNS)
-        for e in range(report.epochs):
-            writer.writerow([e, repr(report.data_loss[e]),
-                             repr(report.cycle_loss[e]),
-                             repr(report.total_loss[e])])
+        for e, row in enumerate(zip(report.data_loss, report.cycle_loss, report.total_loss)):
+            writer.writerow([e, *map(repr, row)])
 
 
 def write_fit_summary(report: FitReport, path):

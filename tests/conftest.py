@@ -44,15 +44,24 @@ def run_cli(argv, env=None):
     Never run an oversize option value without it: under overcommit, a
     request that fits in virtual memory but not in RAM gets the process
     killed, and it takes memory from everything else on the machine.
-    ``env`` adds or replaces environment variables of the child.
+    ``env`` adds or replaces environment variables of the child; a None
+    value removes one.
     """
     src = str(Path(cycleflow.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "cycleflow.cli", *map(str, argv)],
-        env={**os.environ, "PYTHONPATH": path, **(env or {})},
+        env={k: v for k, v in {**os.environ, "PYTHONPATH": path, **(env or {})}.items()
+             if v is not None},
         preexec_fn=_cap_address_space, capture_output=True, text=True,
         timeout=300)
+
+
+# the environment variables that set a BLAS thread count
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+# run_cli env of a child with no BLAS thread variable set
+NO_BLAS_THREAD_VARS = dict.fromkeys(BLAS_THREAD_VARS)
 
 
 def fd_grad(f, x, eps=1e-6):

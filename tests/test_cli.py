@@ -19,7 +19,7 @@ from cycleflow.mesh import icosphere, read_obj, write_obj
 from cycleflow.training import FitConfig
 from cycleflow.volume import GrowthPattern, radius_at, read_v4d
 
-from conftest import bias_model, rewrite_container, run_cli
+from conftest import NO_BLAS_THREAD_VARS, bias_model, rewrite_container, run_cli
 
 GEN_ARGS = ["gen", "--grid", "12", "--frames", "3", "--spacing", "1.0",
             "--radius", "3.0", "--pattern", "periodic", "--amplitude", "0.5"]
@@ -527,6 +527,12 @@ def test_each_out_dir_holds_exactly_what_its_manifest_lists(tmp_path):
         out, [ckpt, vol, loss_csv, *(gen / f"mesh_{i:03d}.obj" for i in range(3))])
 
 
+# run_cli environments of the BLAS thread byte tests: OpenBLAS told 1 or 2
+# threads, or left at its default
+THREAD_ENVS = {"1": {"OPENBLAS_NUM_THREADS": "1"}, "2": {"OPENBLAS_NUM_THREADS": "2"},
+               "unset": NO_BLAS_THREAD_VARS}
+
+
 def test_deform_and_eval_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # a 64-wide network on a 16^3 grid gives GEMMs large enough for
     # OpenBLAS to split them across threads
@@ -537,36 +543,35 @@ def test_deform_and_eval_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
                            "0.3,0.8", "--probes", "50", "--volume", vol],
                 "eval": ["eval", ckpt, vol, "--meshes", gen]}
     digests = []
-    for threads in ("1", "2"):
+    for threads, env in THREAD_ENVS.items():
         out = tmp_path / f"threads{threads}"
         for name, argv in commands.items():
-            proc = run_cli(argv + ["--out-dir", out / name],
-                           env={"OPENBLAS_NUM_THREADS": threads})
+            proc = run_cli(argv + ["--out-dir", out / name], env=env)
             assert proc.returncode == 0, proc.stderr
         digests.append({p.relative_to(out).as_posix(): sha256(p)
                         for p in out.rglob("*")
                         if p.is_file() and p.name != "manifest.json"})
     assert len(digests[0]) == 2 + 1 + 3  # 2 meshes, trajectories, eval's 3 files
-    assert digests[0] == digests[1]
+    assert digests[0] == digests[1] == digests[2]
 
 
 def test_fit_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # 2000 points on a 128-wide network: a whole-batch weight-gradient GEMM
-    # reduces differently at 1 and 2 OpenBLAS threads.  At 1 thread the two
-    # row parts of each field call also run on two threads, at 2 in turn
+    # reduces differently at 1 and 2 OpenBLAS threads.  The two row parts of
+    # each field call run on two threads, with OpenBLAS pinned to one
     gen = run_gen(tmp_path, extra=["--grid", "24", "--frames", "9"])
     digests = []
     out = tmp_path / "fit"  # fit_summary.json names the checkpoint's path
-    for threads in ("1", "2"):
+    for env in THREAD_ENVS.values():
         proc = run_cli(["fit", gen / "volume.v4d", "--epochs", "3",
                         "--points", "2000", "--hidden-width", "128",
                         "--sampling", "band", "--seed", "1", "--out-dir", out],
-                       env={"OPENBLAS_NUM_THREADS": threads})
+                       env=env)
         assert proc.returncode == 0, proc.stderr
         digests.append([sha256(out / name) for name in
                         ("model.ckpt", "loss.csv", "fit_summary.json")])
         shutil.rmtree(out)
-    assert digests[0] == digests[1]
+    assert digests[0] == digests[1] == digests[2]
 
 
 def test_psnr_eval_bytes_do_not_depend_on_blas_threads_or_hash_seed(tmp_path):
@@ -575,11 +580,11 @@ def test_psnr_eval_bytes_do_not_depend_on_blas_threads_or_hash_seed(tmp_path):
     gen = run_gen(tmp_path, extra=["--grid", "24"])
     fit_dir = run_fit(tmp_path, gen, extra=["--hidden-width", "128"])
     digests = set()
-    for threads, seed in itertools.product("12", "01"):
+    for threads, seed in itertools.product(THREAD_ENVS, "01"):
         out = tmp_path / f"eval-{threads}-{seed}"
         proc = run_cli(["eval", fit_dir / "model.ckpt", gen / "volume.v4d",
                         "--meshes", gen, "--out-dir", out],
-                       env={"OPENBLAS_NUM_THREADS": threads, "PYTHONHASHSEED": seed})
+                       env={**THREAD_ENVS[threads], "PYTHONHASHSEED": seed})
         assert proc.returncode == 0, proc.stderr
         digests.add((sha256(out / "eval.csv"), sha256(out / "eval_summary.json")))
     with open(out / "eval.csv", newline="") as fh:

@@ -82,27 +82,30 @@ def test_cli_rejects_malformed_input_with_an_exit_code(good, tmp_path, kind, cas
 
 
 _LOSS_HEADER = b"epoch,data_loss,cycle_loss,total_loss\n"
+# case -> (the line its error names, the file)
 BAD_LOSS_CSVS = {
-    "wrong-columns": b"a,b\n1,2\n3,4\n",
-    "empty": b"",
-    "header-only": _LOSS_HEADER,
-    "one-row": _LOSS_HEADER + b"0,1,2,3\n",
-    "ragged": _LOSS_HEADER + b"0,1,2,3\n1,2\n",
-    "extra-column": _LOSS_HEADER + b"0,1,2,3\n1,2,3,4,5\n",
-    "comment-before-header": b"# losses\n" + _LOSS_HEADER + b"0,1,2,3\n1,2,3,4\n",
-    "not-a-number": _LOSS_HEADER + b"0,x,2,3\n1,2,3,4\n",
-    "not-utf8": b"\xff\xfe,a\n",
+    "wrong-columns": (1, b"a,b\n1,2\n3,4\n"),
+    "empty": (1, b""),
+    "header-only": (1, _LOSS_HEADER),
+    "one-row": (2, _LOSS_HEADER + b"0,1,2,3\n"),
+    "ragged": (3, _LOSS_HEADER + b"0,1,2,3\n1,2\n"),
+    "extra-column": (3, _LOSS_HEADER + b"0,1,2,3\n1,2,3,4,5\n"),
+    "comment-before-header": (1, b"# losses\n" + _LOSS_HEADER + b"0,1,2,3\n1,2,3,4\n"),
+    "not-a-number": (2, _LOSS_HEADER + b"0,x,2,3\n1,2,3,4\n"),
+    "not-finite": (3, _LOSS_HEADER + b"0,1,2,3\n1,2,inf,4\n"),
+    "not-utf8": (1, b"\xff\xfe,a\n"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_LOSS_CSVS))
 def test_eval_rejects_a_malformed_loss_csv(good, tmp_path, case, capsys):
+    line, data = BAD_LOSS_CSVS[case]
     loss_csv = tmp_path / "loss.csv"
-    loss_csv.write_bytes(BAD_LOSS_CSVS[case])
+    loss_csv.write_bytes(data)
     argv = _command("eval", good, tmp_path / "out") + ["--loss-csv", str(loss_csv)]
     assert main(argv) == 3
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {loss_csv}:") and err.count("\n") == 1, err
+    assert err.startswith(f"error: {loss_csv}:{line}: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("missing", ["mesh-000", "directory"])
@@ -130,9 +133,22 @@ def test_a_step_count_too_fine_for_a_frame_gap_exits_2(good, tmp_path, command, 
     out = tmp_path / "out"
     argv = [str(a) for a in args[command]] + ["--steps-per-frame", "2", "--out-dir", str(out)]
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    out_text, err = capsys.readouterr()
     assert err.startswith("error: step times are not strictly monotonic") and \
         err.count("\n") == 1, err
+    assert out_text == ""  # fit refuses the grid before it prints its config
+    assert not out.exists()
+
+
+def test_fit_refuses_a_step_grid_no_array_can_hold_before_it_prints(good, tmp_path,
+                                                                    capsys):
+    out = tmp_path / "out"
+    argv = [str(a) for a in ("fit", good["v4d"], *FIT_ARGS, "--steps-per-frame",
+                             np.iinfo(np.intp).max, "--out-dir", out)]
+    assert main(argv) == 2
+    out_text, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert out_text == ""
     assert not out.exists()
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import multiprocessing
@@ -19,8 +20,8 @@ from cycleflow.field import (VelocityFieldModel, default_layer_sizes,
                              encode_time, init_weights, load_checkpoint,
                              save_checkpoint, velocity)
 from cycleflow.flow import euler_path
-from conftest import (BAD_CHECKPOINTS, HEADER_ONLY, dot, fd_grad, mean_square, rel_err,
-                      rewrite_container)
+from conftest import (BAD_CHECKPOINTS, BLAS_THREAD_VARS, HEADER_ONLY, dot, fd_grad,
+                      mean_square, rel_err, rewrite_container)
 
 
 def tiny_model(seed=0, time_encoding=True, dtype=np.float64, width=8, layers=2):
@@ -287,10 +288,21 @@ def test_other_threads_do_not_record_on_an_active_tape():
 
 @pytest.fixture
 def pool_on(monkeypatch):
-    """Run the second part of a split call on the pool thread.  The suite
-    loads NumPy before cycleflow, so BLAS keeps its threads and the field
-    would otherwise run both parts in turn."""
+    """Run the second part of a split call on the pool thread, as the field
+    does wherever NumPy's OpenBLAS exports set_num_threads."""
     monkeypatch.setattr(field, "_PARALLEL", True)
+
+
+@pytest.fixture
+def two_blas_threads():
+    """OpenBLAS set to two threads through its export, whatever the
+    environment asked for; the count it had comes back afterwards."""
+    before = field.openblas("get_num_threads")
+    if before is None:
+        pytest.skip("NumPy's BLAS is not OpenBLAS")
+    field.openblas("set_num_threads", 2)
+    yield
+    field.openblas("set_num_threads", before)
 
 _SPLIT_MODELS = {"f32": dict(dtype=np.float32), "f64": dict(dtype=np.float64),
                  "raw-time": dict(dtype=np.float32, time_encoding=False)}
@@ -468,18 +480,18 @@ def test_a_failed_backward_gives_nothing_back(pool_on, monkeypatch):
     assert _same_bits(_taped_step(model, tape, pts, up), cold)
 
 
-_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
-                "MKL_NUM_THREADS")
-
-
 def _fresh_interpreter(first_import, env):
-    """field._PARALLEL, the thread count OpenBLAS reports and the BLAS thread
-    variables seen by a fresh interpreter that imports first_import, then
-    cycleflow, with only env's BLAS thread variables set."""
-    code = (f"import json, os, {first_import}, cycleflow.field as f; print(json.dumps("
-            f"[f._PARALLEL, f.openblas('get_num_threads'), "
-            f"[os.environ.get(v) for v in {_THREAD_VARS}]]))")
-    base = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    """What a fresh interpreter sees that imports first_import, then
+    cycleflow, with only env's BLAS thread variables set: those variables
+    after the imports, field._PARALLEL, whether OpenBLAS exports
+    set_num_threads, and the thread count OpenBLAS reports before a split
+    call, inside each of its parts and after it."""
+    code = (f"import json, os, {first_import}, cycleflow.field as f; "
+            f"env = [os.environ.get(v) for v in {BLAS_THREAD_VARS}]; "
+            "count = lambda *_: f.openblas('get_num_threads'); before = count(); "
+            "inside = f._in_parts(count, 1, 2); print(json.dumps([env, f._PARALLEL, "
+            "f._EXPORTS['set_num_threads'] is not None, before, inside, count()]))")
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     src = str(Path(cycleflow.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", code],
                           env={**base, "PYTHONPATH": src, **env},
@@ -488,58 +500,88 @@ def _fresh_interpreter(first_import, env):
     return json.loads(proc.stdout)
 
 
-def _cores():
-    """The cores this process may run on, which cap OpenBLAS's thread count."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
-        else os.cpu_count()
-
-
-def test_importing_cycleflow_first_pins_one_blas_thread_unless_one_is_set():
-    assert _fresh_interpreter("cycleflow", {})[2] == ["1", None, None, None]
-    assert _fresh_interpreter("cycleflow", {"OPENBLAS_NUM_THREADS": "2"})[2] == \
-        ["2", None, None, None]
-
-
-def test_the_field_reads_the_blas_thread_variables_in_openblas_order():
-    # OpenBLAS takes OMP_NUM_THREADS=2 and ignores MKL_NUM_THREADS, so the
-    # parts of a call must not add the pool thread to its two threads
-    parallel, threads, _ = _fresh_interpreter(
-        "numpy", {"MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"})
-    assert parallel == (threads == 1) == (_cores() == 1)
-
-
 def test_importing_numpy_first_leaves_the_environment_alone():
-    # a setting made after NumPy loaded would not reach its BLAS, only the
-    # processes this one starts
-    assert _fresh_interpreter("numpy", {})[2] == [None, None, None, None]
+    assert _fresh_interpreter("numpy", {})[0] == [None, None, None, None]
 
 
-# (module imported first, BLAS thread variables, whether OpenBLAS then runs
-# one thread on a machine with more than one core): OpenBLAS skips a variable
-# that reads as 0 and takes the first of OPENBLAS_, GOTO_ and OMP_NUM_THREADS
+# (module imported first, BLAS thread variables): in each import order and
+# setting, importing cycleflow sets no variable, and OpenBLAS runs one thread
+# only inside a split call
 THREAD_SETTINGS = {
-    "cycleflow-unset": ("cycleflow", {}, True),
-    "cycleflow-openblas-2": ("cycleflow", {"OPENBLAS_NUM_THREADS": "2"}, False),
-    "cycleflow-openblas-empty": ("cycleflow", {"OPENBLAS_NUM_THREADS": ""}, False),
-    "cycleflow-openblas-0": ("cycleflow", {"OPENBLAS_NUM_THREADS": "0"}, False),
-    "numpy-unset": ("numpy", {}, False),
-    "numpy-omp-1": ("numpy", {"OMP_NUM_THREADS": "1"}, True),
+    "cycleflow-unset": ("cycleflow", {}),
+    "cycleflow-openblas-2": ("cycleflow", {"OPENBLAS_NUM_THREADS": "2"}),
+    "cycleflow-openblas-empty": ("cycleflow", {"OPENBLAS_NUM_THREADS": ""}),
+    "cycleflow-openblas-0": ("cycleflow", {"OPENBLAS_NUM_THREADS": "0"}),
+    "numpy-unset": ("numpy", {}),
+    "numpy-omp-1": ("numpy", {"OMP_NUM_THREADS": "1"}),
     "numpy-openblas-0-omp-1": ("numpy", {"OPENBLAS_NUM_THREADS": "0",
-                                         "OMP_NUM_THREADS": "1"}, True),
-    "numpy-goto-1": ("numpy", {"GOTO_NUM_THREADS": "1"}, True),
-    "numpy-mkl-1-omp-2": ("numpy", {"MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"},
-                          False),
+                                         "OMP_NUM_THREADS": "1"}),
+    "numpy-goto-1": ("numpy", {"GOTO_NUM_THREADS": "1"}),
+    "numpy-mkl-1-omp-2": ("numpy", {"MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}),
 }
 
 
 @pytest.mark.parametrize("setting", sorted(THREAD_SETTINGS))
 def test_the_parts_share_the_cores_exactly_when_openblas_runs_one_thread(setting):
-    first_import, env, one = THREAD_SETTINGS[setting]
-    parallel, threads, _ = _fresh_interpreter(first_import, env)
-    assert parallel == (threads == 1)
-    if threads is None:
-        pytest.skip("NumPy's BLAS is not OpenBLAS")
-    assert (threads == 1) == (one or _cores() == 1)
+    first_import, env = THREAD_SETTINGS[setting]
+    seen, parallel, exported, before, inside, after = _fresh_interpreter(first_import, env)
+    assert seen == [env.get(v) for v in BLAS_THREAD_VARS]
+    assert parallel == exported
+    assert inside == ([1, 1] if parallel else [before, before])
+    assert after == before
+
+
+def _count_pins(monkeypatch):
+    """The list of thread counts OpenBLAS reports inside each entry of the
+    field's pin from now on."""
+    counts, pin = [], field._one_blas_thread
+
+    @contextlib.contextmanager
+    def counted():
+        with pin():
+            counts.append(field.openblas("get_num_threads"))
+            yield
+
+    monkeypatch.setattr(field, "_one_blas_thread", counted)
+    return counts
+
+
+def _fit_and_eval(job):
+    """Run job, "velocity", "fit" or "evaluate_fit", on small inputs whose
+    field calls split."""
+    pattern = cycleflow.GrowthPattern("periodic", 2.0, amplitude_mm=0.5)
+    volume, meshes = cycleflow.make_sphere_series(pattern, 8, 1.0, 3, smoothing_mm=1.5)
+    config = cycleflow.FitConfig(epochs=2, points_per_epoch=600, hidden_layers=1,
+                                 hidden_width=16)
+    if job == "velocity":
+        velocity(tiny_model(seed=19, width=16), np.zeros((9000, 3)), 0.3)
+    elif job == "fit":
+        cycleflow.fit(volume, config)
+    else:
+        cycleflow.evaluate_fit(tiny_model(seed=19, width=16), volume, meshes)
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+@pytest.mark.parametrize("job", ["velocity", "fit", "evaluate_fit"])
+def test_the_blas_thread_count_comes_back_after_a_job(job, fails, two_blas_threads,
+                                                      monkeypatch):
+    counts = _count_pins(monkeypatch)
+    if fails:
+        layers = VelocityFieldModel._layers
+
+        def layers_failing_on_the_pool_thread(self, *args):
+            if threading.current_thread().name.startswith("cycleflow-field"):
+                raise FloatingPointError("part failed")
+            return layers(self, *args)
+
+        monkeypatch.setattr(VelocityFieldModel, "_layers",
+                            layers_failing_on_the_pool_thread)
+        with pytest.raises(FloatingPointError, match="part failed"):
+            _fit_and_eval(job)
+    else:
+        _fit_and_eval(job)
+    assert counts and set(counts) == {1}
+    assert field.openblas("get_num_threads") == 2
 
 
 def test_the_worker_half_runs_under_the_callers_errstate(pool_on):
@@ -554,13 +596,14 @@ def test_the_worker_half_runs_under_the_callers_errstate(pool_on):
     assert np.isnan(v[:4500]).all() and np.isnan(v[4500:]).all()
 
 
-def test_a_worker_error_is_raised_on_the_callers_thread(pool_on):
+def test_a_worker_error_is_raised_on_the_callers_thread(pool_on, two_blas_threads):
     model = tiny_model(seed=15, dtype=np.float32, width=16)
     model.weights[0].value[:] = 1e38
     pts = np.random.default_rng(15).uniform(0.5, 1.0, size=(9000, 3))
     with np.errstate(over="raise", invalid="raise"):
         with pytest.raises(FloatingPointError):
             velocity(model, pts, 0.2)
+    assert field.openblas("get_num_threads") == 2  # the pin let go
     # the pool is still usable afterwards
     model = tiny_model(seed=15, width=16)
     assert np.array_equal(velocity(model, pts, 0.2), one_pass(model, pts, 0.2))
@@ -570,18 +613,15 @@ def _pool_threads():
     return sum(t.name.startswith("cycleflow-field") for t in threading.enumerate())
 
 
-def _velocity_into(queue, model, pts):
-    queue.put(velocity(model, pts, 0.7))
+def _put_result(queue, fn, args):
+    queue.put(fn(*args))
 
 
-def test_a_forked_child_builds_its_own_pool(pool_on):
-    model = tiny_model(seed=16, width=32)
-    pts = np.random.default_rng(16).uniform(-1, 1, size=(9000, 3))
-    want = velocity(model, pts, 0.7)
-    assert _pool_threads() == 1  # the parent's worker thread is running
+def _in_forked_child(fn, *args):
+    """fn(*args) as a forked child process computes it."""
     ctx = multiprocessing.get_context("fork")
     queue = ctx.Queue()
-    child = ctx.Process(target=_velocity_into, args=(queue, model, pts))
+    child = ctx.Process(target=_put_result, args=(queue, fn, args))
     child.start()
     try:
         got = queue.get(timeout=60)  # drained before the join
@@ -592,7 +632,82 @@ def test_a_forked_child_builds_its_own_pool(pool_on):
         if child.is_alive():
             child.kill()
             child.join(timeout=10)
+    return got
+
+
+def test_a_forked_child_builds_its_own_pool(pool_on):
+    model = tiny_model(seed=16, width=32)
+    pts = np.random.default_rng(16).uniform(-1, 1, size=(9000, 3))
+    want = velocity(model, pts, 0.7)
+    assert _pool_threads() == 1  # the parent's worker thread is running
+    assert np.array_equal(_in_forked_child(velocity, model, pts, 0.7), want)
+
+
+def _counts_around_a_split_call(model, pts):
+    """The BLAS thread count before a split call, inside its parts and after
+    it, and the call's velocities."""
+    before = field.openblas("get_num_threads")
+    inside = field._in_parts(lambda a, b: field.openblas("get_num_threads"), 1, 2)
+    v = velocity(model, pts, 0.7)
+    return before, inside, field.openblas("get_num_threads"), v
+
+
+def test_a_child_forked_inside_a_pin_splits_and_gets_the_count_back(pool_on,
+                                                                     two_blas_threads):
+    # the child has no holder of the parent's open pin: it starts at the
+    # count that pin saved, and its own split call pins and lets go
+    model = tiny_model(seed=16, width=32)
+    pts = np.random.default_rng(16).uniform(-1, 1, size=(9000, 3))
+    want = velocity(model, pts, 0.7)
+    with field._one_blas_thread():
+        before, inside, after, got = _in_forked_child(_counts_around_a_split_call,
+                                                      model, pts)
+        assert field.openblas("get_num_threads") == 1  # the parent's pin holds
+    assert before == after == 2 and inside == [1, 1]
     assert np.array_equal(got, want)
+    assert field.openblas("get_num_threads") == 2
+
+
+def test_two_threads_split_at_once_with_serial_bits_and_the_count_back(
+        pool_on, two_blas_threads, monkeypatch):
+    # a third thread's BLAS calls run meanwhile, one-threaded while a pin holds
+    model = tiny_model(seed=20, width=32)
+    rng = np.random.default_rng(20)
+    batches = [rng.uniform(-1, 1, size=(rows, 3)) for rows in (2000, 9000)]
+    monkeypatch.setattr(field, "_PARALLEL", False)
+    want = [velocity(model, pts, 0.6) for pts in batches]
+    monkeypatch.setattr(field, "_PARALLEL", True)
+    counts = _count_pins(monkeypatch)
+    results, products, done = ([], []), [], threading.Event()
+    square = rng.normal(size=(300, 300))
+
+    def call(i):
+        for _ in range(20):
+            results[i].append(velocity(model, batches[i], 0.6))
+
+    def multiply():
+        while not done.is_set():
+            products.append(np.matmul(square, square))
+
+    workers = [threading.Thread(target=call, args=(i,)) for i in (0, 1)]
+    third = threading.Thread(target=multiply)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # so the pin's entries and exits interleave
+    try:
+        for t in (third, *workers):
+            t.start()
+        for w in workers:
+            w.join(timeout=60)
+            assert not w.is_alive()
+    finally:
+        done.set()
+        third.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not third.is_alive()
+    assert all(np.array_equal(r, want[i]) for i in (0, 1) for r in results[i])
+    assert len(counts) == 40 and set(counts) == {1}
+    assert products
+    assert field.openblas("get_num_threads") == 2
 
 
 def test_concurrent_callers_share_one_worker_thread(pool_on):

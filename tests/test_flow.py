@@ -212,6 +212,11 @@ def test_frame_step_times_validation():
         frame_step_times([0.0, 0.5, 1.0], [2, 0])
     with pytest.raises(ValueError):
         frame_step_times([0.0, 0.5, 1.0], [2, 2, 2])
+    # finite frame times whose gap overflows are refused before linspace warns
+    with pytest.raises(ValueError, match="finite gaps"):
+        frame_step_times([-1e308, 1e308], 2)
+    with pytest.raises(ValueError, match="finite gaps"):
+        integrate(bias_model(0.0), np.zeros((1, 3)), -1e308, 1e308, 2)
 
 
 # step counts 1..50: one for every gap, or one per gap
