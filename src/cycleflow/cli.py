@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import hashlib
 import json
 import math
@@ -31,14 +30,14 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, CycleflowError, FormatError
+from .errors import ConfigError, CycleflowError
 from .field import load_checkpoint, openblas, save_checkpoint, wrap_time
 from .flow import deform_mesh, frame_step_times, integrate, write_trajectory_csv
 from .mesh import read_obj, write_obj
 from .metrics import evaluate_fit, write_eval_csv, write_eval_summary
 from .svgplot import line_plot
-from .training import (LOSS_COLUMNS, PRECISIONS, SAMPLING_STRATEGIES,
-                       FitConfig, fit, load_fit_config, write_fit_summary,
+from .training import (PRECISIONS, SAMPLING_STRATEGIES, FitConfig, fit,
+                       load_fit_config, read_loss_csv, write_fit_summary,
                        write_loss_csv)
 from .volume import (DomainNormalizer, GrowthPattern, make_sphere_series,
                      read_v4d, read_v4d_grid, write_v4d)
@@ -72,10 +71,11 @@ def _blas() -> str:
             f"(core {core.decode() if core else 'unknown'}; NumPy SIMD {level})")
 
 
-def _finish(args, command, config, seed, inputs, writers, started):
+def _finish(args, config, inputs, writers):
     """Create --out-dir, run each (file name, writer(path)) pair in order,
     then write manifest.json hashing the inputs and outputs; returns the
-    output paths."""
+    output paths.  The manifest takes the command from args, the seed from
+    config (None where it has none) and the wall time from main's stamp."""
     os.makedirs(args.out_dir, exist_ok=True)
     manifest_path = os.path.join(args.out_dir, "manifest.json")
     with contextlib.suppress(FileNotFoundError):  # so a failed run leaves none
@@ -88,12 +88,12 @@ def _finish(args, command, config, seed, inputs, writers, started):
         "tool": "cycleflow",
         "version": __version__,
         "blas": _blas(),
-        "command": command,
+        "command": args.command,
         "config": config,
-        "seed": seed,
+        "seed": config.get("seed"),
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": {p: _sha256(p) for p in outputs},
-        "wall_time_s": time.perf_counter() - started,
+        "wall_time_s": time.perf_counter() - args.started,
     }
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -106,7 +106,6 @@ def _finish(args, command, config, seed, inputs, writers, started):
 
 
 def cmd_gen(args) -> int:
-    started = time.perf_counter()
     pattern = GrowthPattern(args.pattern, args.radius, rate=args.rate,
                             amplitude_mm=args.amplitude)
     vol, meshes = make_sphere_series(
@@ -120,7 +119,7 @@ def cmd_gen(args) -> int:
         "spacing": args.spacing, "radius": args.radius, "rate": args.rate,
         "amplitude": args.amplitude, "smoothing": args.smoothing,
     }
-    outputs = _finish(args, "gen", config, None, [], writers, started)
+    outputs = _finish(args, config, [], writers)
     print(f"wrote {len(outputs)} files to {args.out_dir}")
     return 0
 
@@ -130,7 +129,6 @@ def cmd_gen(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    started = time.perf_counter()
     overrides = {f.name: getattr(args, f.name) for f in fields(FitConfig)}
     config = load_fit_config(args.config, overrides)
     volume = read_v4d(args.volume)
@@ -142,12 +140,12 @@ def cmd_fit(args) -> int:
         print("note: cycle_weight is ignored because cycle_enabled is off")
     report.checkpoint_path = os.path.join(args.out_dir, "model.ckpt")
     inputs = [args.volume] + ([args.config] if args.config else [])
-    _finish(args, "fit", asdict(config), config.seed, inputs,
+    _finish(args, asdict(config), inputs,
             [("model.ckpt", partial(save_checkpoint, model)),
              ("loss.csv", partial(write_loss_csv, report)),
-             ("fit_summary.json", partial(write_fit_summary, report))], started)
+             ("fit_summary.json", partial(write_fit_summary, report))])
     print(f"final total loss {report.total_loss[-1]:.6g} after {report.epochs} "
-          f"epochs ({time.perf_counter() - started:.1f}s)")
+          f"epochs ({time.perf_counter() - args.started:.1f}s)")
     return 0
 
 
@@ -197,7 +195,6 @@ def _bounds_from_args(args) -> DomainNormalizer:
 
 
 def cmd_deform(args) -> int:
-    started = time.perf_counter()
     if args.probes < 0:
         raise ConfigError("--probes must not be negative")
     times = _parse_times(args.times, args.wrap)
@@ -218,7 +215,7 @@ def cmd_deform(args) -> int:
     config = {"times": times, "steps": args.steps, "wrap": args.wrap,
               "probes": args.probes, "bounds": None if args.volume else
               [*normalizer.lo.tolist(), *normalizer.hi.tolist()]}
-    outputs = _finish(args, "deform", config, None, inputs, writers, started)
+    outputs = _finish(args, config, inputs, writers)
     print(f"wrote {len(outputs)} files to {args.out_dir}")
     return 0
 
@@ -238,33 +235,11 @@ def _load_gt_meshes(mesh_dir, n_frames):
     return meshes, [p for p, m in zip(paths, meshes) if m is not None]
 
 
-def _read_loss_history(path):
-    """The total, data and cycle loss series of a loss.csv as write_loss_csv
-    writes it: the LOSS_COLUMNS header, then 2 or more rows of 4 finite
-    numbers; FormatError naming the first line that is not."""
-    with open(path, encoding="utf-8", errors="replace", newline="") as fh:
-        reader, rows = csv.reader(fh), []
-        try:
-            if next(reader, None) != list(LOSS_COLUMNS):
-                raise ValueError(f"not the header {','.join(LOSS_COLUMNS)}")
-            for row in reader:
-                rows.append([float(v) for v in row])
-                if len(row) != len(LOSS_COLUMNS) or not np.isfinite(rows[-1]).all():
-                    raise ValueError(f"need {len(LOSS_COLUMNS)} finite numbers")
-            if len(rows) < 2:
-                raise ValueError("a loss history needs 2 or more rows")
-        except (ValueError, csv.Error) as exc:
-            raise FormatError(f"{path}:{max(reader.line_num, 1)}: {exc}") from exc
-    epoch, data, cycle, total = np.array(rows).T
-    return [("total", epoch, total), ("data", epoch, data), ("cycle", epoch, cycle)]
-
-
 def cmd_eval(args) -> int:
-    started = time.perf_counter()
     model = load_checkpoint(args.checkpoint)
     volume = (read_v4d_grid if args.no_psnr else read_v4d)(args.volume)
     meshes, mesh_paths = _load_gt_meshes(args.meshes, volume.n_frames)
-    losses = _read_loss_history(args.loss_csv) if args.loss_csv else None
+    losses = read_loss_csv(args.loss_csv) if args.loss_csv else None
     report = evaluate_fit(model, volume, meshes,
                           steps_per_frame=args.steps_per_frame,
                           with_psnr=not args.no_psnr)
@@ -279,13 +254,15 @@ def cmd_eval(args) -> int:
                    line_plot, series, title="Mesh volume over the cycle",
                    xlabel="t", ylabel="volume (mm^3)"))]
     if losses is not None:
+        epoch, data, cycle, total = losses
+        history = [("total", epoch, total), ("data", epoch, data), ("cycle", epoch, cycle)]
         writers.append(("loss_history.svg", partial(
-            line_plot, losses, title="Loss history", xlabel="epoch", ylabel="loss")))
+            line_plot, history, title="Loss history", xlabel="epoch", ylabel="loss")))
     inputs = [args.checkpoint, args.volume, *mesh_paths] + \
         ([args.loss_csv] if args.loss_csv else [])
     config = {"meshes": args.meshes, "steps_per_frame": args.steps_per_frame,
               "no_psnr": args.no_psnr}
-    _finish(args, "eval", config, None, inputs, writers, started)
+    _finish(args, config, inputs, writers)
     print(f"mean HSD {report.mean_hsd_mm:.3f} mm, "
           f"periodicity error {report.periodicity_error_mm:.3f} mm")
     return 0
@@ -373,6 +350,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    args.started = time.perf_counter()  # the one clock of the command
     try:
         return args.func(args)
     except CycleflowError as exc:

@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .container import (check_header, check_payload, is_count, is_number,
                         list_of, read_container, read_into, write_container)
-from .errors import FormatError
+from .errors import FormatError, ValidationError
 
 CHECKPOINT_MAGIC = b"NFCKPT01"
 # header "dtype" -> payload dtype; a model is saved in its own precision
@@ -84,10 +84,18 @@ def _one_blas_thread():
                 openblas("set_num_threads", _saved)
 
 
+def _finite_time(t, dtype=np.float64) -> float:
+    """t as a float; ValueError unless it is finite in dtype."""
+    with np.errstate(over="ignore"):  # past the range is inf, refused here
+        if not np.isfinite(np.dtype(dtype).type(t := float(t))):
+            raise ValueError(f"time must be finite in {np.dtype(dtype)}, got {t}")
+    return t
+
+
 def wrap_time(t: float, period: float) -> float:
     """t mod period by fmod, in [0, period): never -0.0, nor a tiny negative
-    rest that adding period rounds up to period."""
-    frac = math.fmod(float(t), period)
+    rest that adding period rounds up to period.  ValueError unless t is finite."""
+    frac = math.fmod(_finite_time(t), period)
     if frac < 0.0:
         frac += period
     return 0.0 if frac in (0.0, period) else frac
@@ -98,7 +106,7 @@ def encode_time(t: float, period: float) -> tuple[float, float]:
 
     The time is wrapped by ``wrap_time`` before the angle is formed, so t
     and t mod period produce bit-identical output and t = period lands
-    exactly on (1, 0).
+    exactly on (1, 0); a non-finite t is a ValueError.
     """
     if period <= 0:
         raise ValueError("period must be positive")
@@ -143,8 +151,9 @@ class VelocityFieldModel:
         return [p for pair in zip(self.weights, self.biases) for p in pair]
 
     def __call__(self, points, t: float) -> ad.Node:
-        """Velocity at a batch of positions (B,3) at one time value, in the
-        model's dtype; plain-array points are converted to it and checked finite.
+        """Velocity at a batch of positions (B,3), which ``positions`` takes,
+        at one time value, in the model's dtype.  The time must be finite (else
+        a ValueError): an encoded one in float64, a raw one in the model's dtype.
 
         Under a tape the whole network records as one node whose parents are
         the points and the parameters.  It saves the input and the phase omega*z
@@ -158,13 +167,9 @@ class VelocityFieldModel:
         a call's bits depend on B alone.  See _in_parts for where each part
         runs.
         """
-        pts = points if isinstance(points, ad.Node) else ad.constant(points, self.dtype)
-        if pts.value.ndim != 2 or pts.value.shape[1] != 3:
-            raise ValueError(f"points must have shape (B,3), got {pts.value.shape}")
-        if pts is not points and not np.isfinite(pts.value).all():
-            raise ValueError("non-finite input positions")
-        n = pts.value.shape[0]
         dt = self.dtype
+        pts, t = positions(points, dt), _finite_time(t, np.float64 if self.time_encoding else dt)
+        n = pts.value.shape[0]
         if self.time_encoding:
             tcols = np.empty((n, 2), dtype=dt)
             tcols[:] = encode_time(t, self.period)
@@ -239,6 +244,23 @@ class VelocityFieldModel:
             g = np.matmul(g, self.weights[i].value.T, out=x if i else None)
         saved.append(flat)
         return g[:, :3], grads[::-1]
+
+
+def positions(points, dtype) -> ad.Node:
+    """points (an array, or a Node, cast by a recorded node) as a (B,3) Node in
+    dtype: the one check of what enters the field.  ValidationError unless each
+    coordinate is finite in dtype: NaN or inf given, or cast past its range."""
+    with np.errstate(over="ignore"):  # past the range is inf, refused below
+        if not isinstance(points, ad.Node):
+            points = ad.constant(points, dtype)
+        elif points.value.dtype != dtype:
+            points = ad.record(points.value.astype(dtype), (points,), lambda g: (g,))
+    if points.value.ndim != 2 or points.value.shape[1] != 3:
+        raise ValueError(f"points must have shape (B,3), got {points.value.shape}")
+    if not np.isfinite(points.value).all():
+        raise ValidationError(f"positions are not finite in {np.dtype(dtype)}: NaN or inf "
+                              "given, or past its range (far outside the normalized domain)")
+    return points
 
 
 def _check_layout(layer_sizes, omega, period, time_encoding):

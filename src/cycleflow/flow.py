@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, NumericalError, ValidationError
+from .errors import ConfigError, NumericalError
+from .field import positions
 from .mesh import TriangleMesh
 
 _BLOCK = 8192  # least rows per inverse_map block: every block has 8192-16383
@@ -70,21 +71,17 @@ class Trajectory:
 def euler_path(model, seeds, times) -> list:
     """Core unrolled Euler recursion x_{k+1} = x_k + h_k * H(x_k, t_k).
 
-    seeds is an (B,3) autodiff Node or array (converted to the model's
-    dtype); times is the full array of step boundaries from
+    seeds is an (B,3) autodiff Node or array, taken by field.positions into
+    the model's dtype (its one check refuses seeds that are not finite
+    there); times is the full array of step boundaries from
     frame_step_times, not re-checked here.  Returns the list of position
     Nodes at every boundary, seeds first, recorded only under an active
-    tape.  Each position's largest |coordinate| is taken once, here, in the
-    model's dtype: non-finite seeds (a float32 model overflows past ~3.4e38)
-    are a ValidationError, a non-finite step a NumericalError naming the
-    step, and a pass that runs the field past DOMAIN_SLACK warns once.
+    tape.  Each later position's largest |coordinate| is taken once, here:
+    a non-finite step is a NumericalError naming the step, and a pass that
+    runs the field past DOMAIN_SLACK warns once.
     """
-    x = seeds if isinstance(seeds, ad.Node) else ad.constant(seeds, model.dtype)
-    reach = np.abs(x.value).max(initial=0.0)
-    if not math.isfinite(reach):
-        raise ValidationError(f"seed positions overflow {x.value.dtype}: they lie "
-                              "far outside the normalized domain")
-    path, warn = [x], True
+    x = positions(seeds, model.dtype)
+    path, reach, warn = [x], np.abs(x.value).max(initial=0.0), True
     for k in range(times.size - 1):
         if reach > DOMAIN_SLACK and warn:
             warnings.warn("evaluating velocity field outside the slack domain cube",
@@ -110,10 +107,7 @@ def _stack_rows(seeds, nodes) -> np.ndarray:
 
 def integrate(model, seeds, t_start: float, t_end: float, steps: int) -> Trajectory:
     """Euler-integrate seed points from t_start to t_end in S uniform steps
-    (frame_step_times refuses S < 1 and t_start == t_end)."""
-    seeds = np.asarray(seeds)
-    if not np.isfinite(seeds).all():
-        raise ValueError("non-finite seed positions")
+    (frame_step_times refuses S < 1 and t_start == t_end, euler_path bad seeds)."""
     times = frame_step_times([t_start, t_end], steps)
     path = euler_path(model, seeds, times)
     return Trajectory(_stack_rows(seeds, path), times)
@@ -173,12 +167,12 @@ def inverse_map(model, targets, t: float, steps: int) -> np.ndarray:
     of _BLOCK to 2*_BLOCK - 1 rows (a shorter batch stays whole), each
     keeping only its endpoints; the field runs each as two parts, on two
     threads with OpenBLAS pinned to one.  Every block's bits depend on its
-    row count alone, so the result's bits depend on B alone.
+    row count alone, so the result's bits depend on B alone.  At t = 0 the
+    copy evaluates no field, but field.positions still refuses bad targets.
     """
     targets = np.asarray(targets)
-    if not np.isfinite(targets).all():
-        raise ValueError("non-finite seed positions")
     if t == 0.0:
+        positions(targets, model.dtype)
         return targets.astype(np.float64)
     times = frame_step_times([t, 0.0], steps)
     out = np.empty(targets.shape)
@@ -214,15 +208,9 @@ def deform_mesh(model, mesh: TriangleMesh, times, steps: int,
                       RuntimeWarning, stacklevel=2)
     counts = np.maximum(1, np.rint(steps * np.diff(knots)))  # frame_step_times casts them
     track = flow_at_frames(model, norm_verts, knots, counts)
-    out = []
-    for t in times:
-        if t == 0.0:
-            out.append(mesh.copy())
-        else:
-            k = np.searchsorted(knots, t)
-            out.append(TriangleMesh(normalizer.to_world(track[:, k]),
-                                    mesh.faces.copy()))
-    return out
+    return [mesh.copy() if t == 0.0 else TriangleMesh(
+        normalizer.to_world(track[:, np.searchsorted(knots, t)]), mesh.faces.copy())
+        for t in times]
 
 
 def write_trajectory_csv(points, times, path):

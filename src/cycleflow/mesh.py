@@ -60,9 +60,7 @@ def mesh_volume(mesh: TriangleMesh) -> float:
 def signed_volume(mesh: TriangleMesh) -> float:
     """``mesh_volume`` without the closedness check, for meshes whose faces
     are already known to be closed."""
-    a = mesh.vertices[mesh.faces[:, 0]]
-    b = mesh.vertices[mesh.faces[:, 1]]
-    c = mesh.vertices[mesh.faces[:, 2]]
+    a, b, c = (mesh.vertices[mesh.faces[:, k]] for k in range(3))
     return float(np.einsum("ij,ij->i", a, np.cross(b, c)).sum() / 6.0)
 
 

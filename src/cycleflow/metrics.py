@@ -62,18 +62,14 @@ def _point_triangle_sq(p, tri):
     edge segments.
     """
     v0, v1, v2 = tri[..., 0, :], tri[..., 1, :], tri[..., 2, :]
-    e0 = v1 - v0
-    e1 = v2 - v0
-    d00 = _dot(e0, e0)
-    d01 = _dot(e0, e1)
-    d11 = _dot(e1, e1)
+    e0, e1 = v1 - v0, v2 - v0
+    d00, d01, d11 = _dot(e0, e0), _dot(e0, e1), _dot(e1, e1)
     denom = d00 * d11 - d01 * d01
     safe = denom > 1e-300
     denom = np.where(safe, denom, 1.0)
 
     w = p - v0
-    wp0 = _dot(w, e0)
-    wp1 = _dot(w, e1)
+    wp0, wp1 = _dot(w, e0), _dot(w, e1)
     u = (d11 * wp0 - d01 * wp1) / denom
     v = (d00 * wp1 - d01 * wp0) / denom
     inside = (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0) & safe
@@ -261,8 +257,7 @@ def psnr(a, b) -> float:
 
     Identical inputs return +inf.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"psnr shape mismatch: {a.shape} vs {b.shape}")
     peak = float(b.max())

@@ -53,8 +53,7 @@ def line_plot(series, path, title="", xlabel="", ylabel=""):
         raise ValueError("need at least one series")
     clean = []
     for label, xs, ys in series:
-        xs = np.asarray(xs, dtype=np.float64)
-        ys = np.asarray(ys, dtype=np.float64)
+        xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
         if xs.shape != ys.shape or xs.ndim != 1 or xs.size < 2:
             raise ValueError(f"series {label!r} needs matching 1-D x/y, >= 2 points")
         keep = np.isfinite(xs) & np.isfinite(ys)
@@ -77,16 +76,14 @@ def line_plot(series, path, title="", xlabel="", ylabel=""):
         half = max(0.5, abs(y_lo) / 1024)
         y_lo, y_hi = y_lo - half, y_hi + half
     pad = 0.04 * (y_hi - y_lo)
-    y_lo -= pad
-    y_hi += pad
+    y_lo, y_hi = y_lo - pad, y_hi + pad
 
     px0, px1 = _MARGIN["left"], _WIDTH - _MARGIN["right"]
     py0, py1 = _HEIGHT - _MARGIN["bottom"], _MARGIN["top"]
 
     def to_px(xs, ys):
-        fx = px0 + (xs - x_lo) / (x_hi - x_lo) * (px1 - px0)
-        fy = py0 + (ys - y_lo) / (y_hi - y_lo) * (py1 - py0)
-        return fx, fy
+        return (px0 + (xs - x_lo) / (x_hi - x_lo) * (px1 - px0),
+                py0 + (ys - y_lo) / (y_hi - y_lo) * (py1 - py0))
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',

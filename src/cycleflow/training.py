@@ -21,7 +21,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, NumericalError, ValidationError
+from .errors import ConfigError, FormatError, NumericalError, ValidationError
 from .field import VelocityFieldModel, default_layer_sizes, init_weights
 from .flow import flow_at_frames_nodes
 from .volume import Volume4D, gather_trilinear
@@ -333,6 +333,26 @@ def write_loss_csv(report: FitReport, path):
         writer.writerow(LOSS_COLUMNS)
         for e, row in enumerate(zip(report.data_loss, report.cycle_loss, report.total_loss)):
             writer.writerow([e, *map(repr, row)])
+
+
+def read_loss_csv(path):
+    """The epoch, data, cycle and total loss columns of a loss.csv as
+    write_loss_csv writes it: the LOSS_COLUMNS header, then 2 or more rows of
+    4 finite numbers; FormatError naming the first line that is not."""
+    with open(path, encoding="utf-8", errors="replace", newline="") as fh:
+        reader, rows = csv.reader(fh), []
+        try:
+            if next(reader, None) != list(LOSS_COLUMNS):
+                raise ValueError(f"not the header {','.join(LOSS_COLUMNS)}")
+            for row in reader:
+                rows.append([float(v) for v in row])
+                if len(row) != len(LOSS_COLUMNS) or not np.isfinite(rows[-1]).all():
+                    raise ValueError(f"need {len(LOSS_COLUMNS)} finite numbers")
+            if len(rows) < 2:
+                raise ValueError("a loss history needs 2 or more rows")
+        except (ValueError, csv.Error) as exc:
+            raise FormatError(f"{path}:{max(reader.line_num, 1)}: {exc}") from exc
+    return np.array(rows).T
 
 
 def write_fit_summary(report: FitReport, path):

@@ -156,6 +156,12 @@ class RadialPulseField:
         return ad.record(x.value * c, (x,), lambda g: (g * c,))
 
 
+def position_error(dtype) -> str:
+    """The one message refusing positions that are not finite in dtype."""
+    return (f"positions are not finite in {np.dtype(dtype)}: NaN or inf given, or past "
+            "its range (far outside the normalized domain)")
+
+
 def bias_model(bias, dtype=np.float32):
     """A 5-4-3 model with zero weights, in dtype: its velocity is the output
     bias, the same 3-vector at every position and time."""

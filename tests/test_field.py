@@ -11,17 +11,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cycleflow
 import cycleflow.autodiff as ad
 from cycleflow import field
-from cycleflow.errors import FormatError
+from cycleflow.errors import FormatError, ValidationError
 from cycleflow.field import (VelocityFieldModel, default_layer_sizes,
                              encode_time, init_weights, load_checkpoint,
                              save_checkpoint, velocity)
 from cycleflow.flow import euler_path
 from conftest import (BAD_CHECKPOINTS, BLAS_THREAD_VARS, HEADER_ONLY, dot, fd_grad,
-                      mean_square, rel_err, rewrite_container)
+                      mean_square, position_error, rel_err, rewrite_container)
 
 
 def tiny_model(seed=0, time_encoding=True, dtype=np.float64, width=8, layers=2):
@@ -81,6 +82,22 @@ def test_encode_time_rejects_bad_period():
         encode_time(0.5, 0.0)
     with pytest.raises(ValueError):
         encode_time(0.5, -1.0)
+
+
+def time_error(t, dtype=np.float64) -> str:
+    """The one message refusing a time that is not finite in dtype."""
+    return f"time must be finite in {np.dtype(dtype)}, got {t}"
+
+
+@pytest.mark.parametrize("wrap", [encode_time, field.wrap_time], ids=["encode", "wrap"])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_encode_time_refuses_a_non_finite_time(t, wrap):
+    # refused before fmod: NaN would encode as (nan, nan), inf raise a math domain error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            wrap(t, 1.0)
+    assert str(info.value) == time_error(t)
 
 
 # --- initialization -------------------------------------------------------
@@ -251,8 +268,67 @@ def test_rejects_wrong_input_width():
 
 def test_rejects_nonfinite_points():
     model = tiny_model()
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValidationError) as info:
         model(np.array([[np.nan, 0.0, 0.0]]), 0.0)
+    assert str(info.value) == position_error(np.float64)
+
+
+# NaN and inf in both time modes, and a raw time past the model's dtype, which
+# would enter the network as inf (an encoded one is wrapped in float64 first)
+NON_FINITE_TIMES = [(t, te, dt) for t in (math.nan, math.inf, -math.inf)
+                    for te in (True, False) for dt in (np.float32, np.float64)]
+NON_FINITE_TIMES.append((1e39, False, np.float32))
+
+
+@pytest.mark.parametrize("t,time_encoding,dtype", NON_FINITE_TIMES, ids=[
+    f"{t}-{'encoded' if te else 'raw-time'}-{np.dtype(dt)}" for t, te, dt in NON_FINITE_TIMES])
+def test_velocity_refuses_a_non_finite_time(t, time_encoding, dtype):
+    # refused before either mode builds its time columns: NaN would give NaN
+    # velocities, inf a math domain error (encoded) or invalid-value warnings (raw)
+    model = tiny_model(time_encoding=time_encoding, dtype=dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            velocity(model, np.zeros((3, 3)), t)
+    assert str(info.value) == time_error(t, np.float64 if time_encoding else dtype)
+
+
+# one model per time mode and dtype; the draws stay below the magnitudes
+# where a finite input overflows the first layer's phase (about 3e38 in a
+# float32 model), which no input check refuses
+_INPUT_MODELS = {(te, dt): tiny_model(seed=3, time_encoding=te, dtype=dt)
+                 for te in (True, False) for dt in (np.float32, np.float64)}
+_COORDINATES = st.one_of(st.floats(-1e30, 1e30), st.sampled_from(
+    [math.nan, math.inf, -math.inf, 1e39, -1e39, 1e300]))  # 1e39 and 1e300: past float32
+_TIMES = st.one_of(st.floats(-1e6, 1e6), st.sampled_from(
+    [math.nan, math.inf, -math.inf, 1e39, -1e39, 1e300]))
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(key=st.sampled_from(list(_INPUT_MODELS)), as_node=st.booleans(), t=_TIMES,
+       rows=st.lists(st.tuples(_COORDINATES, _COORDINATES, _COORDINATES),
+                     min_size=1, max_size=4))
+def test_the_field_gives_finite_velocities_or_the_one_input_error(key, as_node, t, rows):
+    model = _INPUT_MODELS[key]
+    pts = np.array(rows, dtype=np.float64)
+    t_dtype = np.float64 if model.time_encoding else model.dtype
+    with np.errstate(over="ignore"):
+        pts_fit = np.isfinite(pts.astype(model.dtype)).all()
+        t_fit = np.isfinite(np.dtype(t_dtype).type(t))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if not pts_fit:  # positions are checked first
+            with pytest.raises(ValidationError) as info:
+                model(ad.constant(pts) if as_node else pts, t)
+            assert str(info.value) == position_error(model.dtype)
+        elif not t_fit:
+            with pytest.raises(ValueError) as info:
+                model(ad.constant(pts) if as_node else pts, t)
+            assert str(info.value) == time_error(t, t_dtype)
+        else:
+            v = model(ad.constant(pts) if as_node else pts, t).value
+            assert v.shape == pts.shape and v.dtype == model.dtype
+            assert np.isfinite(v).all()
 
 
 def test_warns_outside_slack_domain():

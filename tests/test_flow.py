@@ -5,6 +5,7 @@ import csv
 import math
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import assume, given, strategies as st
 
 import cycleflow.autodiff as ad
 from cycleflow import field
-from cycleflow.errors import NumericalError
+from cycleflow.errors import NumericalError, ValidationError
 from cycleflow.flow import (
     Trajectory,
     deform_mesh,
@@ -25,9 +26,11 @@ from cycleflow.flow import (
     write_trajectory_csv,
 )
 from cycleflow.mesh import TriangleMesh, icosphere
-from cycleflow.volume import DomainNormalizer
+from cycleflow.training import total_loss
+from cycleflow.volume import DomainNormalizer, GrowthPattern, make_sphere_series
 
-from conftest import bias_model, fd_grad, make_cube_mesh, mean_square, rel_err
+from conftest import (bias_model, fd_grad, make_cube_mesh, mean_square, position_error,
+                      rel_err)
 
 
 class ConstantField:
@@ -159,7 +162,7 @@ def test_integrate_argument_validation():
         integrate(ConstantField([0, 0, 0]), seeds, 0.0, 1.0, steps=0)
     with pytest.raises(ValueError):
         integrate(ConstantField([0, 0, 0]), seeds, 0.5, 0.5, steps=4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="positions are not finite in float64"):
         integrate(ConstantField([0, 0, 0]), [[0.0, math.nan, 0.0]], 0.0, 1.0, 4)
 
 
@@ -178,6 +181,47 @@ def test_a_position_that_overflows_the_model_dtype_raises(steps):
         integrate(model, seeds, 0.0, 1.0, steps)
     with pytest.raises(NumericalError, match="non-finite position at step"):
         inverse_map(model, seeds, 1.0, steps)
+
+
+# every way into the field; each takes (model, seeds, volume)
+FIELD_ENTRIES = {
+    "velocity": lambda m, s, v: field.velocity(m, s, 0.3),
+    "model-array": lambda m, s, v: m(s, 0.3),
+    "model-node": lambda m, s, v: m(ad.constant(s), 0.3),
+    "euler-path": lambda m, s, v: euler_path(m, s, np.linspace(0.0, 0.5, 3)),
+    "integrate": lambda m, s, v: integrate(m, s, 0.0, 1.0, 2),
+    "flow-at-frames": lambda m, s, v: flow_at_frames(m, s, [0.0, 0.5, 1.0]),
+    "flow-at-frames-nodes": lambda m, s, v: flow_at_frames_nodes(m, s, [0.0, 0.5, 1.0]),
+    "inverse-map": lambda m, s, v: inverse_map(m, s, 0.5, steps=2),
+    "inverse-map-at-zero": lambda m, s, v: inverse_map(m, s, 0.0, steps=2),
+    "total-loss": lambda m, s, v: total_loss(m, v, s),
+}
+# seed values that are not finite in each dtype (1e39 is past float32's range)
+BAD_SEED_VALUES = [(np.float32, x) for x in (math.nan, math.inf, -math.inf, 1e39)] + \
+    [(np.float64, x) for x in (math.nan, math.inf, -math.inf)]
+
+
+@pytest.fixture(scope="module")
+def small_series():
+    pattern = GrowthPattern("periodic", 3.0, amplitude_mm=0.5)
+    return make_sphere_series(pattern, 10, 1.0, 3, smoothing_mm=1.0)[0]
+
+
+@pytest.mark.parametrize("dtype,value", BAD_SEED_VALUES,
+                         ids=[f"{np.dtype(d)}-{x}" for d, x in BAD_SEED_VALUES])
+@pytest.mark.parametrize("entry", sorted(FIELD_ENTRIES))
+def test_every_entry_refuses_positions_not_finite_in_the_model_dtype(entry, dtype, value,
+                                                                   small_series):
+    # every entry goes through field.positions: the one error naming the dtype,
+    # whatever the bad value, and no cast warning before it
+    model = field.init_weights(0, field.default_layer_sizes(1, 8), 6.0, dtype=dtype)
+    seeds = np.zeros((4, 3))
+    seeds[2, 1] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError) as info:
+            FIELD_ENTRIES[entry](model, seeds, small_series)
+    assert str(info.value) == position_error(dtype)
 
 
 # ------------------------------------------------------- frame alignment
@@ -403,7 +447,7 @@ def test_inverse_map_at_time_zero_is_copy():
     assert np.array_equal(got, targets)
     got[0, 0] = 99.0
     assert targets[0, 0] != 99.0
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValidationError, match="positions are not finite in float64"):
         inverse_map(ConstantField([1, 1, 1]), [[math.nan, 0.0, 0.0]], 0.0, steps=4)
 
 

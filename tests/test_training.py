@@ -12,9 +12,11 @@ from cycleflow.errors import ConfigError, NumericalError, ValidationError
 from cycleflow.training import (
     AdamState,
     FitConfig,
+    FitReport,
     adam_step,
     fit,
     load_fit_config,
+    read_loss_csv,
     sample_points,
     total_loss,
     write_fit_summary,
@@ -540,6 +542,21 @@ def test_loss_csv_round_trips_and_is_deterministic(tmp_path):
     first = lines[1].split(",")
     assert int(first[0]) == 0
     assert float(first[3]) == rep.total_loss[0]
+
+
+def test_read_loss_csv_gives_back_the_reports_floats_bit_for_bit(tmp_path):
+    # repr round-trips every float64; the extremes are the risky ones
+    report = FitReport(data_loss=[0.1, 1 / 3, 5e-324, 1.7976931348623157e308],
+                       cycle_loss=[0.0, 2.5e-8, math.pi, 2.0 ** -1022],
+                       total_loss=[0.1 + 0.2, math.e, 1e-300, 123456789.123456789],
+                       config=FitConfig())
+    path = tmp_path / "loss.csv"
+    write_loss_csv(report, path)
+    epoch, data, cycle, total = read_loss_csv(path)
+    assert epoch.tolist() == [0.0, 1.0, 2.0, 3.0]
+    for got, want in [(data, report.data_loss), (cycle, report.cycle_loss),
+                      (total, report.total_loss)]:
+        assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
 
 
 def test_fit_summary_json(tmp_path):
