@@ -166,7 +166,7 @@ def _parse_times(spec: str, wrap: bool):
         if not math.isfinite(t):
             raise ConfigError(f"--times: {tok!r} is not a finite time")
         if wrap:
-            t = wrap_time(t, 1.0)
+            t = wrap_time(t)
         elif not 0.0 <= t <= 1.0:
             raise ConfigError(
                 f"--times: {t} outside [0,1]; pass --wrap for periodic wrapping")
@@ -244,10 +244,8 @@ def cmd_eval(args) -> int:
                           steps_per_frame=args.steps_per_frame,
                           with_psnr=not args.no_psnr)
     series = [("predicted", report.frame_times, report.volume_mm3)]
-    if np.isfinite(report.gt_volume_mm3).sum() >= 2:
-        keep = np.isfinite(report.gt_volume_mm3)
-        series.append(("reference", report.frame_times[keep],
-                       report.gt_volume_mm3[keep]))
+    if np.isfinite(report.gt_volume_mm3).sum() >= 2:  # line_plot drops the rest
+        series.append(("reference", report.frame_times, report.gt_volume_mm3))
     writers = [("eval.csv", partial(write_eval_csv, report)),
                ("eval_summary.json", partial(write_eval_summary, report)),
                ("volume_curve.svg", partial(

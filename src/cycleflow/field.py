@@ -1,9 +1,9 @@
 """Sine-activated MLP velocity field over space and circle-encoded time.
 
 The model maps a batch of positions in the normalized cube plus one time
-value to one 3-D velocity per position.  With time encoding enabled the
-time enters as a point on the unit circle, which makes the field exactly
-periodic; with encoding disabled the raw time is appended instead (the
+value to one 3-D velocity per position.  With time encoding enabled, time
+t enters as (cos 2*pi*t, sin 2*pi*t), so the field is exactly periodic over
+the cycle [0, 1]; with encoding disabled the raw time is appended (the
 non-periodic ablation mode).  Every call, taped or not, runs as two row
 parts cut by one rule, on two threads while OpenBLAS is pinned to one.
 """
@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .container import (check_header, check_payload, is_count, is_number,
                         list_of, read_container, read_into, write_container)
-from .errors import FormatError, ValidationError
+from .errors import FormatError, NumericalError, ValidationError
 
 CHECKPOINT_MAGIC = b"NFCKPT01"
 # header "dtype" -> payload dtype; a model is saved in its own precision
@@ -92,25 +92,23 @@ def _finite_time(t, dtype=np.float64) -> float:
     return t
 
 
-def wrap_time(t: float, period: float) -> float:
-    """t mod period by fmod, in [0, period): never -0.0, nor a tiny negative
-    rest that adding period rounds up to period.  ValueError unless t is finite."""
-    frac = math.fmod(_finite_time(t), period)
+def wrap_time(t: float) -> float:
+    """t mod 1 by fmod, in [0, 1): never -0.0, nor a tiny negative rest that
+    adding 1 rounds up to 1.  ValueError unless t is finite."""
+    frac = math.fmod(_finite_time(t), 1.0)
     if frac < 0.0:
-        frac += period
-    return 0.0 if frac in (0.0, period) else frac
+        frac += 1.0
+    return 0.0 if frac in (0.0, 1.0) else frac
 
 
-def encode_time(t: float, period: float) -> tuple[float, float]:
-    """Map a time value onto the unit circle: (cos, sin) of 2*pi*t/period.
+def encode_time(t: float) -> tuple[float, float]:
+    """Map a time value onto the unit circle: (cos, sin) of 2*pi*t.
 
     The time is wrapped by ``wrap_time`` before the angle is formed, so t
-    and t mod period produce bit-identical output and t = period lands
-    exactly on (1, 0); a non-finite t is a ValueError.
+    and t mod 1 produce bit-identical output and t = 1 lands exactly on
+    (1, 0); a non-finite t is a ValueError.
     """
-    if period <= 0:
-        raise ValueError("period must be positive")
-    angle = 2.0 * math.pi * wrap_time(t, period) / period
+    angle = 2.0 * math.pi * wrap_time(t)
     return math.cos(angle), math.sin(angle)
 
 
@@ -123,9 +121,9 @@ class VelocityFieldModel:
     outside a recording tape is a pure function and safe for concurrent use.
     """
 
-    def __init__(self, weights, biases, omega, period=1.0, time_encoding=True):
+    def __init__(self, weights, biases, omega, time_encoding=True):
         _check_layout([w.shape[0] for w in weights[:1]] + [w.shape[1] for w in weights],
-                      omega, period, time_encoding)
+                      omega, time_encoding)
         for w, b in zip(weights, biases, strict=True):
             if w.shape[1] != b.shape[0]:
                 raise ValueError("bias width must match layer output width")
@@ -134,7 +132,6 @@ class VelocityFieldModel:
         self.weights = [ad.Node(np.asarray(w)) for w in weights]
         self.biases = [ad.Node(np.asarray(b)) for b in biases]
         self.omega = float(omega)
-        self.period = float(period)
         self.time_encoding = bool(time_encoding)
 
     @property
@@ -154,6 +151,7 @@ class VelocityFieldModel:
         """Velocity at a batch of positions (B,3), which ``positions`` takes,
         at one time value, in the model's dtype.  The time must be finite (else
         a ValueError): an encoded one in float64, a raw one in the model's dtype.
+        A velocity that is not finite there (a layer overflowed) is a NumericalError.
 
         Under a tape the whole network records as one node whose parents are
         the points and the parameters.  It saves the input and the phase omega*z
@@ -172,18 +170,24 @@ class VelocityFieldModel:
         n = pts.value.shape[0]
         if self.time_encoding:
             tcols = np.empty((n, 2), dtype=dt)
-            tcols[:] = encode_time(t, self.period)
+            tcols[:] = encode_time(t)
         else:
             tcols = np.full((n, 1), t, dtype=dt)
         h = np.concatenate([pts.value, tcols], axis=1)
         out = np.empty((n, 3), dtype=dt)
         k = _CHUNK * round(n / (2 * _CHUNK))
         tape = ad.active_tape()
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, once
+            if tape is None:
+                _in_parts(lambda a, b: [self._layers(h[a:b][s:s + _SLICE],
+                                                     out[a:b][s:s + _SLICE])
+                                        for s in range(0, b - a, _SLICE)], k, n)
+            else:
+                saved = _in_parts(lambda a, b: self._layers(h[a:b], out[a:b], tape.take), k, n)
+        if not np.isfinite(out).all():
+            raise NumericalError(f"non-finite velocity in {np.dtype(dt)} at t={t}")
         if tape is None:
-            _in_parts(lambda a, b: [self._layers(h[a:b][s:s + _SLICE], out[a:b][s:s + _SLICE])
-                                    for s in range(0, b - a, _SLICE)], k, n)
             return ad.constant(out)
-        saved = _in_parts(lambda a, b: self._layers(h[a:b], out[a:b], tape.take), k, n)
         tape.give(part.pop() for part in saved)  # the sines' flat arrays
 
         def backward(g):
@@ -263,7 +267,7 @@ def positions(points, dtype) -> ad.Node:
     return points
 
 
-def _check_layout(layer_sizes, omega, period, time_encoding):
+def _check_layout(layer_sizes, omega, time_encoding):
     """ValueError unless a model of these layer sizes and settings can be built."""
     if len(layer_sizes) < 3:
         raise ValueError("need at least one hidden layer and one output layer")
@@ -272,10 +276,8 @@ def _check_layout(layer_sizes, omega, period, time_encoding):
         raise ValueError(f"first layer expects input width {expected_in}, got {layer_sizes[0]}")
     if layer_sizes[-1] != 3:
         raise ValueError("output layer must produce 3 velocity components")
-    if omega <= 0:
-        raise ValueError("omega must be positive")
-    if period <= 0:
-        raise ValueError("period must be positive")
+    if not 0 < omega < math.inf:  # False for NaN too
+        raise ValueError(f"omega must be positive and finite, got {omega}")
 
 
 def _xtg(x, g):
@@ -318,8 +320,8 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=lambda: _start(forked=True))
 
 
-def init_weights(seed: int, layer_sizes, omega: float, period: float = 1.0,
-                 time_encoding: bool = True, dtype=np.float32) -> VelocityFieldModel:
+def init_weights(seed: int, layer_sizes, omega: float, time_encoding: bool = True,
+                 dtype=np.float32) -> VelocityFieldModel:
     """Build a model with the sine-network initialization scheme.
 
     First layer uniform(-1/fan_in, 1/fan_in); every later layer
@@ -327,6 +329,7 @@ def init_weights(seed: int, layer_sizes, omega: float, period: float = 1.0,
     zero.  Deterministic for a given seed.
     """
     sizes = list(layer_sizes)
+    _check_layout(sizes, omega, time_encoding)  # before a NaN or inf omega sizes a draw
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
@@ -334,7 +337,7 @@ def init_weights(seed: int, layer_sizes, omega: float, period: float = 1.0,
         w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
         weights.append(w.astype(dtype))
         biases.append(np.zeros(fan_out, dtype=dtype))
-    return VelocityFieldModel(weights, biases, omega, period, time_encoding)
+    return VelocityFieldModel(weights, biases, omega, time_encoding)
 
 
 def default_layer_sizes(hidden_layers: int = 3, hidden_width: int = 256,
@@ -359,7 +362,7 @@ def save_checkpoint(model: VelocityFieldModel, path):
     header = {
         "layer_sizes": model.layer_sizes,
         "omega": model.omega,
-        "period": model.period,
+        "period": 1.0,  # every cycle is [0, 1]
         "time_encoding": model.time_encoding,
         "endian": "little",
         "dtype": code,
@@ -374,12 +377,13 @@ def load_checkpoint(path) -> VelocityFieldModel:
     weights and biases, whose values are checked last."""
     with read_container(path, CHECKPOINT_MAGIC) as (header, fh):
         check_header(path, header, {
-            "layer_sizes": list_of(is_count), "omega": is_number, "period": is_number,
+            "layer_sizes": list_of(is_count), "omega": is_number,
+            "period": lambda v: type(v) in (int, float) and v == 1,
             "time_encoding": lambda v: type(v) is bool,
             "dtype": lambda v: type(v) is str and v in CHECKPOINT_DTYPES,
             "endian": lambda v: v == "little"})
         sizes, dtype = header["layer_sizes"], np.dtype(CHECKPOINT_DTYPES[header["dtype"]])
-        settings = header["omega"], header["period"], header["time_encoding"]
+        settings = header["omega"], header["time_encoding"]
         layers = list(zip(sizes, sizes[1:]))  # (fan_in, fan_out): weights, then bias
         try:  # check_payload's FormatError is no ValueError, so it passes as is
             _check_layout(sizes, *settings)

@@ -302,10 +302,10 @@ class EvalReport:
 def periodicity_error(model, normalizer: DomainNormalizer, steps: int,
                       seed: int = 1234) -> float:
     """Mean world-mm distance between 500 random probe points and their
-    full-period trajectory endpoints (zero for a perfectly periodic flow)."""
+    endpoints after one cycle, t = 0 to 1 (zero for a perfectly periodic flow)."""
     rng = np.random.default_rng(seed)
     probes = rng.uniform(-1.0, 1.0, size=(500, 3))
-    traj = integrate(model, probes, 0.0, model.period, steps)
+    traj = integrate(model, probes, 0.0, 1.0, steps)
     start = normalizer.to_world(traj.seeds)
     end = normalizer.to_world(traj.endpoints)
     return float(np.linalg.norm(end - start, axis=1).mean())
@@ -378,9 +378,9 @@ def evaluate_fit(model, volume: VolumeGrid, gt_meshes, steps_per_frame: int = 1,
                       _warped_first_frame(model, volume, grid, i, steps_per_frame))
             psnrs[i] = psnr(warped, volume.frames[i])
 
-    period_err = periodicity_error(model, normalizer, steps=(n - 1) * steps_per_frame)
+    cycle_err = periodicity_error(model, normalizer, steps=(n - 1) * steps_per_frame)
     return EvalReport(volume.frame_times.copy(), hsd, psnrs, vols, gt_vols,
-                      period_err)
+                      cycle_err)
 
 
 def write_eval_csv(report: EvalReport, path):

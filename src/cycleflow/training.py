@@ -2,13 +2,13 @@
 
 The loss couples every frame to the last one along forward trajectories:
 points advected from t=0 are scored on intensity constancy
-sum_i mean_P (I_{t_i}(x_i) - I_T(x_{N-1}))^2, plus an optional
-cycle-return penalty mean_P ||P - phi_T(P)||^2 that forces full-period
-trajectories back to their seeds.  Both terms share one Euler pass, so
-enabling the penalty costs nothing extra.  The weighted sum of both terms
-is one tape node, whose backward hands each frame read and the path's two
-ends their gradients.  Optimization is plain Adam over the unrolled
-recursion.
+sum_i mean_P (I_{t_i}(x_i) - I_1(x_{N-1}))^2, plus an optional
+cycle-return penalty mean_P ||P - phi_1(P)||^2 that forces trajectories
+over the whole cycle [0, 1] back to their seeds.  Both terms share one
+Euler pass, so enabling the penalty costs nothing extra.  The weighted sum
+of both terms is one tape node, whose backward hands each frame read and
+the path's two ends their gradients.  Optimization is plain Adam over the
+unrolled recursion.
 """
 from __future__ import annotations
 
@@ -235,8 +235,8 @@ def fit(volume: Volume4D, config: FitConfig):
     """Optimize a fresh model on one volume; returns (model, FitReport)."""
     sizes = default_layer_sizes(config.hidden_layers, config.hidden_width,
                                 config.time_encoding)
-    model = init_weights(config.seed, sizes, config.omega, period=volume.period,
-                         time_encoding=config.time_encoding, dtype=config.dtype)
+    model = init_weights(config.seed, sizes, config.omega, config.time_encoding,
+                         config.dtype)
     params = model.parameters
     state = AdamState.for_params([p.value for p in params])
     data_hist, cycle_hist, total_hist = [], [], []

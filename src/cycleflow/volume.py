@@ -66,10 +66,6 @@ class VolumeGrid:
     def n_frames(self) -> int:
         return len(self.frame_times)
 
-    @property
-    def period(self) -> float:
-        return float(self.frame_times[-1])
-
     def world_bounds(self):
         """(lo, hi) world-mm corners of the voxel-center bounding box."""
         d, h, w = self.grid_shape

@@ -136,7 +136,6 @@ class RadialPulseField:
     """
 
     dtype = np.float64
-    period = 1.0
 
     def __init__(self, amp=0.2):
         if not 0.0 < amp < 1.0:
@@ -188,7 +187,11 @@ BAD_CHECKPOINTS = {
     "header-not-object": dict(header=lambda h: 3),
     "missing-omega": dict(header=lambda h: {k: v for k, v in h.items() if k != "omega"}),
     "ill-typed-layer-sizes": dict(header=lambda h: {**h, "layer_sizes": [5, "x", 3]}),
+    # every cycle is [0, 1]: a header period of any other value is refused
     "zero-period": dict(header=lambda h: {**h, "period": 0.0}),
+    "half-period": dict(header=lambda h: {**h, "period": 0.5}),
+    "double-period": dict(header=lambda h: {**h, "period": 2}),
+    "period-true": dict(header=lambda h: {**h, "period": True}),
     "non-finite-weights": dict(payload=lambda p: np.full_like(p, np.nan)),
     "unknown-dtype": dict(header=lambda h: {**h, "dtype": "f16le"}),
     "dtype-not-a-string": dict(header=lambda h: {**h, "dtype": ["f32le"]}),
@@ -203,7 +206,8 @@ BAD_VOLUMES = {
 }
 # the cases above whose error a reader finds before the payload's size
 HEADER_ONLY = {"header-not-object", "missing-omega", "ill-typed-layer-sizes",
-               "zero-period", "unknown-dtype", "dtype-not-a-string",
+               "zero-period", "half-period", "double-period", "period-true",
+               "unknown-dtype", "dtype-not-a-string",
                "shape-not-ints", "shape-of-two-axes"}
 _TRIANGLE = b"v 0 0 0\nv 1 0 0\nv 0 1 0\n"
 BAD_MESHES = {

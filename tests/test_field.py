@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import cycleflow
 import cycleflow.autodiff as ad
 from cycleflow import field
-from cycleflow.errors import FormatError, ValidationError
+from cycleflow.errors import FormatError, NumericalError, ValidationError
 from cycleflow.field import (VelocityFieldModel, default_layer_sizes,
                              encode_time, init_weights, load_checkpoint,
                              save_checkpoint, velocity)
@@ -34,7 +34,7 @@ def tiny_model(seed=0, time_encoding=True, dtype=np.float64, width=8, layers=2):
 def one_pass(model, pts, t):
     """The untaped forward as plain expressions, in one pass over pts."""
     dt = model.dtype
-    tcols = (np.array(encode_time(t, model.period), dt) if model.time_encoding
+    tcols = (np.array(encode_time(t), dt) if model.time_encoding
              else np.array([t], dt))
     h = np.concatenate([np.asarray(pts, dt), np.tile(tcols, (len(pts), 1))], axis=1)
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
@@ -46,42 +46,33 @@ def one_pass(model, pts, t):
 
 
 def test_encode_time_anchors():
-    assert encode_time(0.0, 1.0) == (1.0, 0.0)
-    assert encode_time(1.0, 1.0) == (1.0, 0.0)
-    c, s = encode_time(0.25, 1.0)
+    assert encode_time(0.0) == (1.0, 0.0)
+    assert encode_time(1.0) == (1.0, 0.0)
+    c, s = encode_time(0.25)
     assert abs(c) < 1e-15 and s == pytest.approx(1.0, abs=1e-15)
 
 
 def test_encode_time_wraps_bit_identically():
-    # dyadic times survive adding the period without any rounding, so the
+    # dyadic times survive adding 1 without any rounding, so the
     # encoder must see identical inputs and produce identical bits
     for k in range(0, 1024, 37):
         t = k / 1024.0
-        assert encode_time(t, 1.0) == encode_time(t + 1.0, 1.0)
-        assert encode_time(t, 1.0) == encode_time(t - 1.0, 1.0)
+        assert encode_time(t) == encode_time(t + 1.0)
+        assert encode_time(t) == encode_time(t - 1.0)
 
 
-@pytest.mark.parametrize("period", [1.0, 0.5])
 @pytest.mark.parametrize("t", [-5e-324, -1e-20, -0.25, -1.0, -3.0])
-def test_encode_time_wraps_negative_times_into_the_period_exactly(t, period):
-    # a negative t whose wrap rounds up to the period, or lands on -0.0,
-    # still gives the bytes of t + period: angle +0.0 for both
-    assert np.array(encode_time(t, period)).tobytes() == \
-        np.array(encode_time(t + period, period)).tobytes()
+def test_encode_time_wraps_negative_times_into_the_period_exactly(t):
+    # a negative t whose wrap rounds up to 1, or lands on -0.0, still gives
+    # the bytes of t + 1: angle +0.0 for both
+    assert np.array(encode_time(t)).tobytes() == np.array(encode_time(t + 1.0)).tobytes()
 
 
 def test_encode_time_on_unit_circle():
     rng = np.random.default_rng(5)
     for t in rng.uniform(-3, 3, size=200):
-        c, s = encode_time(float(t), 1.0)
+        c, s = encode_time(float(t))
         assert abs(c * c + s * s - 1.0) < 1e-12
-
-
-def test_encode_time_rejects_bad_period():
-    with pytest.raises(ValueError):
-        encode_time(0.5, 0.0)
-    with pytest.raises(ValueError):
-        encode_time(0.5, -1.0)
 
 
 def time_error(t, dtype=np.float64) -> str:
@@ -96,7 +87,7 @@ def test_encode_time_refuses_a_non_finite_time(t, wrap):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError) as info:
-            wrap(t, 1.0)
+            wrap(t)
     assert str(info.value) == time_error(t)
 
 
@@ -184,7 +175,7 @@ def test_spatial_continuity():
 def test_velocity_matches_a_layer_by_layer_reference():
     model = tiny_model(seed=8, layers=3)
     pts = np.random.default_rng(8).uniform(-1, 1, size=(6, 3))
-    c, s = encode_time(0.35, 1.0)
+    c, s = encode_time(0.35)
     h = np.concatenate([pts, np.tile([c, s], (6, 1))], axis=1)
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
         h = np.sin(6.0 * (h @ w.value + b.value))
@@ -213,7 +204,7 @@ def test_taped_call_matches_the_out_of_place_formula(dtype, rows, width):
         b.value[:] = rng.uniform(-0.5, 0.5, b.value.shape)
     pts = rng.uniform(-1, 1, size=(rows, 3)).astype(dtype)
     up = rng.normal(size=(rows, 3)).astype(dtype)
-    c, s = encode_time(0.6, 1.0)
+    c, s = encode_time(0.6)
     h = np.concatenate([pts, np.tile(np.array([c, s], dtype), (rows, 1))], axis=1)
     saved = []
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
@@ -293,23 +284,27 @@ def test_velocity_refuses_a_non_finite_time(t, time_encoding, dtype):
     assert str(info.value) == time_error(t, np.float64 if time_encoding else dtype)
 
 
-# one model per time mode and dtype; the draws stay below the magnitudes
-# where a finite input overflows the first layer's phase (about 3e38 in a
-# float32 model), which no input check refuses
+# one model per time mode and dtype; coordinates are drawn over the model
+# dtype's whole finite range, where a finite input can overflow the first
+# layer's phase (from about 3e38 in a float32 model)
 _INPUT_MODELS = {(te, dt): tiny_model(seed=3, time_encoding=te, dtype=dt)
                  for te in (True, False) for dt in (np.float32, np.float64)}
-_COORDINATES = st.one_of(st.floats(-1e30, 1e30), st.sampled_from(
-    [math.nan, math.inf, -math.inf, 1e39, -1e39, 1e300]))  # 1e39 and 1e300: past float32
+# 1e39 and 1e300 are past float32; 3e38 is not, but overflows its first layer
+_SPECIAL = [math.nan, math.inf, -math.inf, 1e39, -1e39, 1e300, 3e38, -3e38]
+_COORDINATES = {dt: st.one_of(st.floats(-float(np.finfo(dt).max), float(np.finfo(dt).max)),
+                              st.sampled_from(_SPECIAL)) for dt in (np.float32, np.float64)}
 _TIMES = st.one_of(st.floats(-1e6, 1e6), st.sampled_from(
     [math.nan, math.inf, -math.inf, 1e39, -1e39, 1e300]))
 
 
-@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+# 300 examples: about one in five reaches the network, some of those past its range
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(key=st.sampled_from(list(_INPUT_MODELS)), as_node=st.booleans(), t=_TIMES,
-       rows=st.lists(st.tuples(_COORDINATES, _COORDINATES, _COORDINATES),
-                     min_size=1, max_size=4))
-def test_the_field_gives_finite_velocities_or_the_one_input_error(key, as_node, t, rows):
-    model = _INPUT_MODELS[key]
+       data=st.data())
+def test_the_field_gives_finite_velocities_or_the_one_input_error(key, as_node, t, data):
+    model, coordinate = _INPUT_MODELS[key], _COORDINATES[key[1]]
+    rows = data.draw(st.lists(st.tuples(coordinate, coordinate, coordinate),
+                              min_size=1, max_size=4))
     pts = np.array(rows, dtype=np.float64)
     t_dtype = np.float64 if model.time_encoding else model.dtype
     with np.errstate(over="ignore"):
@@ -325,10 +320,26 @@ def test_the_field_gives_finite_velocities_or_the_one_input_error(key, as_node, 
             with pytest.raises(ValueError) as info:
                 model(ad.constant(pts) if as_node else pts, t)
             assert str(info.value) == time_error(t, t_dtype)
-        else:
-            v = model(ad.constant(pts) if as_node else pts, t).value
-            assert v.shape == pts.shape and v.dtype == model.dtype
-            assert np.isfinite(v).all()
+        else:  # finite velocities, or one error when a layer overflows
+            try:
+                v = model(ad.constant(pts) if as_node else pts, t).value
+            except NumericalError as exc:
+                assert str(exc) == f"non-finite velocity in {np.dtype(model.dtype)} at t={t}"
+            else:
+                assert v.shape == pts.shape and v.dtype == model.dtype
+                assert np.isfinite(v).all()
+
+
+@pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+def test_a_velocity_that_overflows_the_model_dtype_is_one_numerical_error(taped):
+    # 3e38 is finite in float32, so positions passes it, but the first
+    # layer's phase overflows and its sine is NaN: refused without a warning
+    model = tiny_model(dtype=np.float32)
+    with warnings.catch_warnings(), ad.Tape() if taped else contextlib.nullcontext():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError) as info:
+            velocity(model, np.full((1, 3), 3e38), 0.3)
+    assert str(info.value) == "non-finite velocity in float32 at t=0.3"
 
 
 def test_warns_outside_slack_domain():
@@ -662,23 +673,31 @@ def test_the_blas_thread_count_comes_back_after_a_job(job, fails, two_blas_threa
 
 def test_the_worker_half_runs_under_the_callers_errstate(pool_on):
     # float32 weights of 1e38 overflow the first layer, and sin(inf) is
-    # invalid: both halves must come back NaN without a warning, which the
-    # suite would turn into an error
+    # invalid: both halves run under the call's errstate, so neither warns
+    # (a warning in the worker would come back as the error), and the NaN
+    # velocities are refused once
     model = tiny_model(seed=14, dtype=np.float32, width=16)
     model.weights[0].value[:] = 1e38
     pts = np.random.default_rng(14).uniform(0.5, 1.0, size=(9000, 3))
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = velocity(model, pts, 0.2)
-    assert np.isnan(v[:4500]).all() and np.isnan(v[4500:]).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="non-finite velocity in float32 at t=0.2"):
+            velocity(model, pts, 0.2)
 
 
 def test_a_worker_error_is_raised_on_the_callers_thread(pool_on, two_blas_threads):
     model = tiny_model(seed=15, dtype=np.float32, width=16)
-    model.weights[0].value[:] = 1e38
+    layers = model._layers
+
+    def failing_in_the_worker(h, out, take=None):
+        if threading.current_thread().name.startswith("cycleflow-field"):
+            raise FloatingPointError("worker")
+        return layers(h, out, take)
+
+    model._layers = failing_in_the_worker
     pts = np.random.default_rng(15).uniform(0.5, 1.0, size=(9000, 3))
-    with np.errstate(over="raise", invalid="raise"):
-        with pytest.raises(FloatingPointError):
-            velocity(model, pts, 0.2)
+    with pytest.raises(FloatingPointError, match="worker"):
+        velocity(model, pts, 0.2)
     assert field.openblas("get_num_threads") == 2  # the pin let go
     # the pool is still usable afterwards
     model = tiny_model(seed=15, width=16)
@@ -819,9 +838,15 @@ def test_model_validates_construction():
     with pytest.raises(ValueError, match="finite"):
         VelocityFieldModel([np.full((5, 8), np.nan), np.zeros((8, 3))],
                            [np.zeros(8), np.zeros(3)], omega=6.0)
-    with pytest.raises(ValueError, match="omega"):
-        VelocityFieldModel([np.zeros((5, 8)), np.zeros((8, 3))],
-                           [np.zeros(8), np.zeros(3)], omega=0.0)
+    for omega in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="omega"):
+            VelocityFieldModel([np.zeros((5, 8)), np.zeros((8, 3))],
+                               [np.zeros(8), np.zeros(3)], omega=omega)
+        # before any draw: an infinite omega would give NaN velocities, a NaN
+        # one NumPy's OverflowError
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="omega"):
+            warnings.simplefilter("error")
+            init_weights(0, [5, 8, 3], omega=omega)
 
 
 def test_mean_speed_gradient_matches_fd():
@@ -857,7 +882,6 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     for wa, wb in zip(model.weights, loaded.weights):
         assert np.array_equal(wa.value, wb.value)
     assert loaded.omega == model.omega
-    assert loaded.period == model.period
     assert loaded.time_encoding == model.time_encoding
 
 

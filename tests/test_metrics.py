@@ -32,7 +32,6 @@ from conftest import make_cube_mesh
 
 class ConstantField:
     dtype = np.float64
-    period = 1.0
 
     def __init__(self, v):
         self.v = np.asarray(v, dtype=np.float64)

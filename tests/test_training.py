@@ -31,7 +31,6 @@ from conftest import bias_model, fd_grad, rel_err
 
 class ConstantField:
     dtype = np.float64
-    period = 1.0
 
     def __init__(self, v):
         self.v = np.asarray(v, dtype=np.float64)
@@ -453,7 +452,7 @@ def test_a_steady_epoch_on_one_tape_allocates_under_10_mb():
 
     def model():
         return field.init_weights(1, field.default_layer_sizes(3, 128), omega=6.0,
-                                  period=vol.period, dtype=np.float32)
+                                  dtype=np.float32)
 
     def epoch(model, tape, seed):
         pts = sample_points(vol, 2000, "band", seed=(1, seed))

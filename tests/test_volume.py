@@ -349,7 +349,7 @@ def test_v4d_malformed_header_or_voxels(tmp_path, case):
 
 def _grid_fields(vol):
     return (vol.grid_shape, vol.spacing, vol.origin, vol.frame_times.tolist(),
-            vol.n_frames, vol.period, [b.tolist() for b in vol.world_bounds()])
+            vol.n_frames, [b.tolist() for b in vol.world_bounds()])
 
 
 def _refusal(reader, path):
