@@ -11,8 +11,8 @@ CLI's own options (--times, the --bounds string, --probes, --volume and
 files go through int() and float(), which read ``1_0`` as 10 and accept
 non-ASCII decimal digits.  Exit codes: 0 success, else the exit_code of the
 CycleflowError raised (2 usage/config, 3 data/format, 4 numerical failure),
-3 for an unreadable file, and 2 for options that ask for more memory than is
-available.
+3 for an unreadable file, 2 for options that ask for more memory than is
+available, and 130 for an interrupt (Ctrl-C), with no traceback.
 """
 from __future__ import annotations
 
@@ -131,8 +131,8 @@ def cmd_gen(args) -> int:
 def cmd_fit(args) -> int:
     overrides = {f.name: getattr(args, f.name) for f in fields(FitConfig)}
     config = load_fit_config(args.config, overrides)
-    volume = read_v4d(args.volume)
-    frame_step_times(volume.frame_times, config.steps_per_frame)  # a bad grid exits here
+    volume = read_v4d(args.volume, lambda grid: frame_step_times(  # before the payload
+        grid.frame_times, config.steps_per_frame))
     for key, val in sorted(asdict(config).items()):
         print(f"{key} = {val}")
     model, report = fit(volume, config)
@@ -361,6 +361,9 @@ def main(argv=None) -> int:
         print("error: the options ask for more memory than is available",
               file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -12,8 +12,9 @@ checkpoint integrates in float32, an f64 one in float64.  The arrays
 returned to callers are float64, and their row 0 is the caller's seeds
 bit for bit.
 
-inverse_map, the PSNR warp's backward map, runs blocks of 8192-16383 rows,
-each split into two parts by the field's one rule, and keeps only endpoints.
+inverse_map, the PSNR warp's backward map, runs row_blocks of 8192-16383
+rows, each split into two parts by the field's one rule, and keeps only
+endpoints; the warp streams those blocks, building each one's voxel centres.
 """
 from __future__ import annotations
 
@@ -163,8 +164,8 @@ def inverse_map(model, targets, t: float, steps: int) -> np.ndarray:
     """Approximate preimages under the flow: integrate backward from t to 0
     in S uniform steps; returns the (B, 3) float64 endpoints.
 
-    The rows run through euler_path in max(1, B // _BLOCK) near-equal blocks
-    of _BLOCK to 2*_BLOCK - 1 rows (a shorter batch stays whole), each
+    The rows run through euler_path in row_blocks(B), near-equal blocks of
+    _BLOCK to 2*_BLOCK - 1 rows (a shorter batch stays whole), each
     keeping only its endpoints; the field runs each as two parts, on two
     threads with OpenBLAS pinned to one.  Every block's bits depend on its
     row count alone, so the result's bits depend on B alone.  At t = 0 the
@@ -176,11 +177,17 @@ def inverse_map(model, targets, t: float, steps: int) -> np.ndarray:
         return targets.astype(np.float64)
     times = frame_step_times([t, 0.0], steps)
     out = np.empty(targets.shape)
-    stop = 0
-    for block in np.array_split(targets, max(1, len(targets) // _BLOCK)):
-        start, stop = stop, stop + len(block)
-        out[start:stop] = euler_path(model, block, times)[-1].value
+    for rows in row_blocks(len(targets)):
+        out[rows] = euler_path(model, targets[rows], times)[-1].value
     return out
+
+
+def row_blocks(n: int) -> list:
+    """inverse_map's max(1, n // _BLOCK) blocks of n rows, as slices, by
+    np.array_split's rule: the first n % k of the k are one row longer."""
+    k = max(1, n // _BLOCK)
+    stops = [i * (n // k) + min(i, n % k) for i in range(k + 1)]
+    return [slice(a, b) for a, b in zip(stops, stops[1:])]
 
 
 def deform_mesh(model, mesh: TriangleMesh, times, steps: int,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .flow import flow_at_frames, integrate, inverse_map
+from .flow import flow_at_frames, integrate, inverse_map, row_blocks
 from .mesh import TriangleMesh, mesh_volume, signed_volume
 from .volume import DomainNormalizer, Volume4D, VolumeGrid, sample_trilinear
 
@@ -311,22 +311,20 @@ def periodicity_error(model, normalizer: DomainNormalizer, steps: int,
     return float(np.linalg.norm(end - start, axis=1).mean())
 
 
-def _voxel_centers(shape) -> np.ndarray:
-    """(x, y, z) rows of a (d, h, w) grid's voxel centers in [-1, 1]^3, z slowest."""
-    grid = np.empty((*shape, 3))
-    grid[..., 0] = np.linspace(-1.0, 1.0, shape[2])
-    grid[..., 1] = np.linspace(-1.0, 1.0, shape[1])[:, None]
-    grid[..., 2] = np.linspace(-1.0, 1.0, shape[0])[:, None, None]
-    return grid.reshape(-1, 3)
-
-
-def _warped_first_frame(model, volume: Volume4D, grid, frame_index: int,
+def _warped_first_frame(model, volume: Volume4D, frame_index: int,
                         steps_per_frame: int) -> np.ndarray:
-    """Frame 0 warped onto frame i's grid by backward-mapping the voxel centers."""
+    """Frame 0 warped onto frame i's grid by backward-mapping the voxel
+    centers in [-1, 1]^3, z slowest, one row_blocks block at a time: each
+    block is one inverse_map block, so its bits are the whole grid's."""
     t = float(volume.frame_times[frame_index])
-    src = inverse_map(model, grid, t, steps=max(1, frame_index * steps_per_frame))
-    vals = sample_trilinear(volume.frames[0], src)
-    return vals.reshape(volume.grid_shape).astype(np.float32)
+    axes = [np.linspace(-1.0, 1.0, k) for k in volume.grid_shape]
+    out = np.empty(volume.grid_shape, dtype=np.float32)
+    for rows in row_blocks(out.size):
+        z, y, x = np.unravel_index(np.arange(rows.start, rows.stop), out.shape)
+        centers = np.column_stack([axes[2][x], axes[1][y], axes[0][z]])
+        src = inverse_map(model, centers, t, steps=max(1, frame_index * steps_per_frame))
+        out.reshape(-1)[rows] = sample_trilinear(volume.frames[0], src)
+    return out
 
 
 def _bounded(mesh: TriangleMesh, what: str) -> TriangleMesh:
@@ -365,7 +363,6 @@ def evaluate_fit(model, volume: VolumeGrid, gt_meshes, steps_per_frame: int = 1,
     hsd = np.full(n, math.nan)
     vols = np.empty(n)
     psnrs = np.full(n, math.nan)
-    grid = _voxel_centers(volume.grid_shape) if with_psnr else None
     for i in range(n):
         deformed = _bounded(TriangleMesh(normalizer.to_world(track[:, i, :]),
                                          base.faces.copy()),
@@ -375,7 +372,7 @@ def evaluate_fit(model, volume: VolumeGrid, gt_meshes, steps_per_frame: int = 1,
             hsd[i] = hausdorff(deformed, gt_meshes[i])
         if with_psnr:
             warped = (volume.frames[0] if i == 0 else
-                      _warped_first_frame(model, volume, grid, i, steps_per_frame))
+                      _warped_first_frame(model, volume, i, steps_per_frame))
             psnrs[i] = psnr(warped, volume.frames[i])
 
     cycle_err = periodicity_error(model, normalizer, steps=(n - 1) * steps_per_frame)

@@ -338,8 +338,9 @@ def write_v4d(volume: Volume4D, path):
 
 
 @contextmanager
-def _open_v4d(path):
-    """Check a V4D header, its grid, then its payload size; yields (grid, file, voxel count)."""
+def _open_v4d(path, check_grid=None):
+    """Check a V4D header, its grid (and check_grid(grid) when given), then
+    its payload size; yields (grid, file, voxel count)."""
     with read_container(path, V4D_MAGIC) as (header, fh):
         numbers = list_of(is_number)
         check_header(path, header, {
@@ -347,14 +348,16 @@ def _open_v4d(path):
             "frame_times": numbers, "dtype": lambda v: v == "f32le"})
         grid = VolumeGrid(header["shape"], header["spacing_mm"], header["origin_mm"],
                           header["frame_times"])
+        if check_grid is not None:
+            check_grid(grid)
         count = grid.n_frames * math.prod(grid.grid_shape)
         check_payload(path, fh, 4 * count)
         yield grid, fh, count
 
 
-def read_v4d(path) -> Volume4D:
-    """Read a V4D volume, its payload straight into the frames (read_v4d_grid: none)."""
-    with _open_v4d(path) as (grid, fh, _):
+def read_v4d(path, check_grid=None) -> Volume4D:
+    """Read a V4D volume, check_grid(grid) before its payload, into the frames."""
+    with _open_v4d(path, check_grid) as (grid, fh, _):
         frames = read_into(path, fh, np.empty((grid.n_frames, *grid.grid_shape), "<f4"))
         return Volume4D(frames, grid.spacing, grid.origin, grid.frame_times)
 

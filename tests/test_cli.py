@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cycleflow.cli as cli
 from cycleflow.cli import build_parser, main
 from cycleflow.field import save_checkpoint
 from cycleflow.mesh import icosphere, read_obj, write_obj
@@ -181,6 +182,16 @@ def test_fit_error_exit_codes(tmp_path):
     broken = tmp_path / "broken.v4d"
     broken.write_bytes((gen / "volume.v4d").read_bytes()[:40])
     assert main(["fit", str(broken), "--out-dir", out]) == 3
+
+
+def test_ctrl_c_exits_130_with_one_line_and_no_traceback(tmp_path, capsys,
+                                                       monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(cli, "cmd_gen", interrupted)
+    assert main(GEN_ARGS + ["--out-dir", str(tmp_path / "out")]) == 130
+    assert capsys.readouterr() == ("", "error: interrupted\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_fit_non_finite_volume_is_data_error(tmp_path):

@@ -378,6 +378,20 @@ def test_an_oversize_request_exits_2_with_one_error_line(good, tmp_path, case):
     assert not out.exists()
 
 
+def test_fit_refuses_an_impossible_step_grid_before_the_payload(good, tmp_path):
+    # the payload is one voxel short, an error of its own (exit 3), but the
+    # grid of step times is refused first, from the header alone
+    v4d = tmp_path / "short.v4d"
+    v4d.write_bytes(good["v4d"].read_bytes()[:-4])
+    out = tmp_path / "out"
+    proc = run_cli(["fit", v4d, "--steps-per-frame", "4611686018427387904",
+                    "--out-dir", out])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: the options ask for more memory than is available\n"
+    assert not out.exists()
+    assert main(_command("fit", {**good, "v4d": v4d}, out)) == 3  # the payload, else
+
+
 # a bad header field over the sparse payload that the rest of the header
 # implies, past the child's 4 GiB address space: 4.4 GB of weights for a
 # 5-33000-33000-3 checkpoint, 8 GiB of voxels for 2 frames of 1024^3

@@ -23,6 +23,7 @@ from cycleflow.flow import (
     frame_step_times,
     integrate,
     inverse_map,
+    row_blocks,
     write_trajectory_csv,
 )
 from cycleflow.mesh import TriangleMesh, icosphere
@@ -500,6 +501,14 @@ def test_inverse_map_calls_the_field_on_blocks_of_8192_to_16383_rows(rows):
         assert all(8192 <= r <= 16383 for r in stub.rows)
     else:
         assert stub.rows == [rows] * 3
+
+
+@pytest.mark.parametrize("rows", [0, 1, 8191, 8192, 16383, 16384, 24577, 110592])
+def test_row_blocks_split_rows_as_array_split_does(rows):
+    # inverse_map's bits depend on its block sizes, which np.array_split's rule fixes
+    parts = np.array_split(np.arange(rows), max(1, rows // 8192))
+    assert [np.arange(rows)[s].tolist() for s in row_blocks(rows)] == \
+        [p.tolist() for p in parts]
 
 
 def _inverse_map_peak_of_a_48_grid():

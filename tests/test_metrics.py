@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cycleflow.autodiff as ad
+import cycleflow.field as field
 import cycleflow.metrics as metrics
 from cycleflow.errors import ValidationError
+from cycleflow.flow import inverse_map
 from cycleflow.metrics import (
     EvalReport,
     evaluate_fit,
@@ -25,7 +28,7 @@ from cycleflow.metrics import (
     write_eval_summary,
 )
 from cycleflow.mesh import TriangleMesh, icosphere
-from cycleflow.volume import DomainNormalizer, Volume4D, VolumeGrid
+from cycleflow.volume import DomainNormalizer, Volume4D, VolumeGrid, sample_trilinear
 
 from conftest import make_cube_mesh
 
@@ -545,6 +548,62 @@ def test_evaluate_fit_without_psnr_needs_only_the_grid():
     assert full.periodicity_error_mm == bare.periodicity_error_mm
     with pytest.raises(AttributeError):  # the PSNR asks for voxels it lacks
         evaluate_fit(model, grid, [base, None, base], with_psnr=True)
+
+
+# ------------------------------------------------------------- the PSNR warp
+
+def _noise_volume(shape, seed=0):
+    frames = np.random.default_rng(seed).uniform(0.0, 1.0, (3, *shape)).astype(np.float32)
+    return Volume4D(frames, (1.0,) * 3, (0.0,) * 3, [0.0, 0.4, 1.0])
+
+
+def _whole_grid_warp(model, volume, frame_index, steps_per_frame):
+    """The warp as one inverse_map call on every voxel centre at once."""
+    d, h, w = volume.grid_shape
+    gz, gy, gx = np.meshgrid(*(np.linspace(-1.0, 1.0, k) for k in (d, h, w)),
+                             indexing="ij")
+    centres = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
+    src = inverse_map(model, centres, float(volume.frame_times[frame_index]),
+                      steps=max(1, frame_index * steps_per_frame))
+    return sample_trilinear(volume.frames[0], src).reshape(d, h, w).astype(np.float32)
+
+
+# voxel counts on and around inverse_map's block edges (8192 rows, then 2, 3
+# blocks), with the first blocks of 16383 and 24580 one row longer
+@pytest.mark.parametrize("shape", [(7, 9, 11), (2, 45, 91), (8, 32, 32), (3, 43, 127),
+                                   (16, 32, 32), (4, 5, 1229)],
+                         ids=lambda s: f"{np.prod(s)}-voxels")
+@pytest.mark.parametrize("frame_index,steps_per_frame", [(1, 1), (1, 2), (2, 1)],
+                         ids=["1-step", "2-steps", "frame-2"])
+def test_streamed_warp_equals_one_whole_grid_inverse_map(shape, frame_index,
+                                                         steps_per_frame):
+    model = field.init_weights(5, field.default_layer_sizes(2, 32), omega=6.0)
+    volume = _noise_volume(shape)
+    got = metrics._warped_first_frame(model, volume, frame_index, steps_per_frame)
+    assert got.dtype == np.float32 and got.shape == shape
+    assert np.array_equal(got, _whole_grid_warp(model, volume, frame_index,
+                                                steps_per_frame))
+
+
+def test_streamed_warp_of_a_48_grid_equals_the_whole_grid_warp():
+    model = field.init_weights(7, field.default_layer_sizes(3, 128), omega=6.0)
+    volume = _noise_volume((48, 48, 48))
+    assert np.array_equal(metrics._warped_first_frame(model, volume, 1, 1),
+                          _whole_grid_warp(model, volume, 1, 1))
+
+
+def test_warp_of_a_64_grid_peaks_under_8_mb():
+    # the warp holds one block's voxel centres, preimages and samples; the
+    # whole grid's, in float64, would take 6.3 + 6.3 + 2.1 MB at 64^3
+    model = field.init_weights(7, field.default_layer_sizes(3, 128), omega=6.0)
+    volume = _noise_volume((64, 64, 64))
+    tracemalloc.start()
+    try:
+        metrics._warped_first_frame(model, volume, 1, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
 
 
 def test_evaluate_fit_validates_mesh_list():
