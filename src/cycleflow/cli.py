@@ -42,7 +42,6 @@ from .training import (PRECISIONS, SAMPLING_STRATEGIES, FitConfig, fit,
 from .volume import (DomainNormalizer, GrowthPattern, make_sphere_series,
                      read_v4d, read_v4d_grid, write_v4d)
 
-OUT_DIR_ENV = "CYCLEFLOW_OUT"
 # fit flags named other than their FitConfig field, and their help
 _FIT_FLAGS = {"points_per_epoch": ("points", "sample points per epoch"),
               "cycle_enabled": ("cycle", "enable/disable the cycle-return penalty")}
@@ -278,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"cycleflow {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    out_default = os.environ.get(OUT_DIR_ENV, ".")
 
     p = sub.add_parser("gen", help="generate a synthetic sphere series")
     p.add_argument("--pattern", choices=("linear", "exponential", "periodic"),
@@ -338,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="loss history CSV to plot alongside")
     p.set_defaults(func=cmd_eval)
     for p in sub.choices.values():
-        p.add_argument("--out-dir", default=out_default)
+        p.add_argument("--out-dir", default=".")
     return parser
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError
 from .flow import flow_at_frames, integrate, inverse_map, row_blocks
 from .mesh import TriangleMesh, mesh_volume, signed_volume
 from .volume import DomainNormalizer, Volume4D, VolumeGrid, sample_trilinear
@@ -257,13 +257,15 @@ def psnr(a, b) -> float:
 
     Identical inputs return +inf.
     """
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape:
         raise ValueError(f"psnr shape mismatch: {a.shape} vs {b.shape}")
     peak = float(b.max())
     if peak <= 0.0:
         raise ValidationError("psnr reference frame has no positive peak")
-    mse = float(np.mean((a - b) ** 2))
+    sq = np.subtract(a, b, dtype=np.float64)  # the one float64 array
+    sq *= sq
+    mse = float(np.mean(sq))
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(peak * peak / mse)
@@ -299,12 +301,11 @@ class EvalReport:
         return float(vals.max()) if vals.size else math.nan
 
 
-def periodicity_error(model, normalizer: DomainNormalizer, steps: int,
-                      seed: int = 1234) -> float:
-    """Mean world-mm distance between 500 random probe points and their
-    endpoints after one cycle, t = 0 to 1 (zero for a perfectly periodic flow)."""
-    rng = np.random.default_rng(seed)
-    probes = rng.uniform(-1.0, 1.0, size=(500, 3))
+def periodicity_error(model, normalizer: DomainNormalizer, steps: int) -> float:
+    """Mean world-mm distance between 500 probe points and their endpoints
+    after one cycle, t = 0 to 1 (zero for a perfectly periodic flow).  The
+    probes are fixed: uniform in [-1, 1]^3, drawn from seed 1234."""
+    probes = np.random.default_rng(1234).uniform(-1.0, 1.0, size=(500, 3))
     traj = integrate(model, probes, 0.0, 1.0, steps)
     start = normalizer.to_world(traj.seeds)
     end = normalizer.to_world(traj.endpoints)
@@ -344,6 +345,8 @@ def evaluate_fit(model, volume: VolumeGrid, gt_meshes, steps_per_frame: int = 1,
     lie within 1e75 mm of the origin on each axis.  Only the PSNR reads
     voxels: without it, a VolumeGrid from read_v4d_grid is enough.
     """
+    if with_psnr and not isinstance(volume, Volume4D):
+        raise ConfigError("with_psnr needs the voxels that read_v4d reads")
     n = volume.n_frames
     if len(gt_meshes) != n:
         raise ValidationError(f"need one mesh slot per frame ({n}), got {len(gt_meshes)}")

@@ -26,7 +26,7 @@ from .field import VelocityFieldModel, default_layer_sizes, init_weights
 from .flow import flow_at_frames_nodes
 from .volume import Volume4D, gather_trilinear
 
-SAMPLING_STRATEGIES = ("uniform", "foreground", "band")
+SAMPLING_STRATEGIES = ("uniform", "band")
 PRECISIONS = ("f32", "f64")
 LOSS_COLUMNS = ("epoch", "data_loss", "cycle_loss", "total_loss")
 # counts become array dimensions and enter float arithmetic; the seed does not
@@ -119,14 +119,10 @@ def sample_points(volume: Volume4D, n: int, strategy: str = "uniform",
     """Draw n query points in [-1,1]^3 as an (n, 3) float64 array;
     deterministic for a given seed.
 
-    ``uniform`` is i.i.d. over the cube.  ``foreground`` draws half the
-    batch from voxels whose frame-0 intensity exceeds 0.1 (jittered within
-    the voxel cell), which concentrates the budget where the image has
-    gradients on mostly-empty grids.  ``band`` draws half the batch from
-    voxels whose frame-0 intensity is strictly between 0.05 and 0.95 —
-    the soft-boundary region where interpolation gradients live — which
-    symmetrically covers both sides of a moving interface (unlike
-    ``foreground``, which over-weights the flat interior).
+    ``uniform`` is i.i.d. over the cube.  ``band`` draws half the batch
+    from voxels whose frame-0 intensity is strictly between 0.05 and 0.95,
+    jittered within the voxel cell: the soft boundary where interpolation
+    gradients live, on both sides of a moving interface.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -136,24 +132,19 @@ def sample_points(volume: Volume4D, n: int, strategy: str = "uniform",
     if strategy == "uniform":
         return rng.uniform(-1.0, 1.0, size=(n, 3))
 
-    if strategy == "band":
-        mask = (volume.frames[0] > 0.05) & (volume.frames[0] < 0.95)
-        empty = "band sampling needs frame-0 intensities strictly between 0.05 and 0.95"
-    else:
-        mask = volume.frames[0] > 0.1
-        empty = "foreground sampling needs frame-0 intensity > 0.1 somewhere"
-    idx = np.argwhere(mask)  # rows of (iz, iy, ix)
+    idx = np.argwhere((volume.frames[0] > 0.05) & (volume.frames[0] < 0.95))
     if idx.shape[0] == 0:
-        raise ValidationError(empty)
-    n_fg = n // 2
-    uni = rng.uniform(-1.0, 1.0, size=(n - n_fg, 3))
-    rows = idx[rng.integers(0, idx.shape[0], size=n_fg)]
-    jitter = rng.uniform(-0.5, 0.5, size=(n_fg, 3))
+        raise ValidationError("band sampling needs frame-0 intensities "
+                              "strictly between 0.05 and 0.95")
+    n_band = n // 2
+    uni = rng.uniform(-1.0, 1.0, size=(n - n_band, 3))
+    rows = idx[rng.integers(0, idx.shape[0], size=n_band)]
+    jitter = rng.uniform(-0.5, 0.5, size=(n_band, 3))
     d, h, w = volume.grid_shape
     counts = np.array([w, h, d], dtype=np.float64)
-    vox = rows[:, ::-1].astype(np.float64) + jitter  # to (ix, iy, iz) order
-    fg = np.clip(2.0 * vox / (counts - 1.0) - 1.0, -1.0, 1.0)
-    return np.concatenate([fg, uni], axis=0)
+    vox = rows[:, ::-1].astype(np.float64) + jitter  # (iz, iy, ix) to (ix, iy, iz)
+    band = np.clip(2.0 * vox / (counts - 1.0) - 1.0, -1.0, 1.0)
+    return np.concatenate([band, uni], axis=0)
 
 
 def total_loss(model: VelocityFieldModel, volume: Volume4D, points,

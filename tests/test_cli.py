@@ -168,7 +168,7 @@ def test_every_fit_config_field_has_exactly_one_fit_flag():
         {f.name: 1 for f in fields(FitConfig)}
 
 
-def test_fit_error_exit_codes(tmp_path):
+def test_fit_error_exit_codes(tmp_path, capsys):
     gen = run_gen(tmp_path)
     vol = str(gen / "volume.v4d")
     out = str(tmp_path / "x")
@@ -176,6 +176,15 @@ def test_fit_error_exit_codes(tmp_path):
     bad_cfg = tmp_path / "bad.cfg"
     bad_cfg.write_text("momentum = 0.9\n")
     assert main(["fit", vol, "--config", str(bad_cfg), "--out-dir", out]) == 2
+    # a sampling strategy that is not one of the choices -> usage error
+    capsys.readouterr()
+    bad_cfg.write_text("sampling = foreground\n")
+    assert main(["fit", vol, "--config", str(bad_cfg), "--out-dir", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "('uniform', 'band')" in err
+    # argparse rejects unknown choices with its own exit code 2
+    assert main(["fit", vol, "--sampling", "foreground", "--out-dir", out]) == 2
     # missing input file -> data error
     assert main(["fit", str(tmp_path / "nope.v4d"), "--out-dir", out]) == 3
     # corrupt container -> data error
@@ -637,8 +646,20 @@ def test_version_and_usage(capsys):
     assert main(["frobnicate"]) == 2
 
 
-def test_out_dir_env_default(tmp_path, monkeypatch):
-    target = tmp_path / "envout"
-    monkeypatch.setenv("CYCLEFLOW_OUT", str(target))
+def test_fit_sampling_choices_are_uniform_and_band(capsys):
+    assert main(["fit", "--help"]) == 0
+    assert "{uniform,band}" in capsys.readouterr().out
+    assert main(["fit", "x.v4d", "--sampling", "foreground"]) == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'foreground'" in err, err
+
+
+def test_out_dir_defaults_to_the_cwd_whatever_the_environment(tmp_path, monkeypatch):
+    # no environment variable moves the output: without --out-dir it is the cwd
+    elsewhere, cwd = tmp_path / "envout", tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.setenv("CYCLEFLOW_OUT", str(elsewhere))
+    monkeypatch.chdir(cwd)
     assert main(GEN_ARGS) == 0
-    assert (target / "volume.v4d").exists()
+    assert (cwd / "volume.v4d").exists() and (cwd / "manifest.json").exists()
+    assert not elsewhere.exists()

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import cycleflow.autodiff as ad
 import cycleflow.field as field
 import cycleflow.metrics as metrics
-from cycleflow.errors import ValidationError
+from cycleflow.errors import ConfigError, ValidationError
 from cycleflow.flow import inverse_map
 from cycleflow.metrics import (
     EvalReport,
@@ -41,6 +41,16 @@ class ConstantField:
 
     def __call__(self, x, t):
         return ad.constant(np.broadcast_to(self.v, x.value.shape).copy())
+
+
+class UnusableModel:
+    """A model whose every use fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the model was used ({name})")
+
+    def __call__(self, x, t):
+        raise AssertionError("the model was called")
 
 
 def flat_volume(n=12, spacing=2.0, n_frames=3, level=0.5):
@@ -455,6 +465,26 @@ def test_psnr_matches_formula():
     assert psnr(a, b) == pytest.approx(want, abs=1e-12)
 
 
+def test_psnr_of_float32_frames_holds_one_float64_array():
+    # 48^3 float32 frames: the float64 squared difference (884 KB) is the
+    # one whole-grid array, and the score is the closed form's, bit for bit
+    rng = np.random.default_rng(2)
+    b = rng.uniform(0.0, 1.0, (48, 48, 48)).astype(np.float32)
+    a = (b + rng.normal(0.0, 0.05, b.shape)).astype(np.float32)
+    a64, b64 = a.astype(np.float64), b.astype(np.float64)
+    peak = float(b64.max())
+    want = 10.0 * math.log10(peak * peak / float(np.mean((a64 - b64) ** 2)))
+    del a64, b64
+    tracemalloc.start()
+    try:
+        got = psnr(a, b)
+        _, traced = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert traced < 1.5e6
+
+
 def test_psnr_identical_is_infinite():
     b = np.full((4, 4), 0.75)
     assert psnr(b.copy(), b) == math.inf
@@ -493,9 +523,11 @@ def test_periodicity_error_of_drifting_field_in_world_mm():
 def test_periodicity_error_deterministic():
     norm = DomainNormalizer((-8.0,) * 3, (8.0,) * 3)
     model = ConstantField([0.1, -0.05, 0.0])
-    a = periodicity_error(model, norm, steps=3, seed=42)
-    b = periodicity_error(model, norm, steps=3, seed=42)
+    a = periodicity_error(model, norm, steps=3)
+    b = periodicity_error(model, norm, steps=3)
     assert a == b
+    with pytest.raises(TypeError):  # the probe set is fixed
+        periodicity_error(model, norm, steps=3, seed=42)
 
 
 # ------------------------------------------------------------- evaluate_fit
@@ -546,8 +578,18 @@ def test_evaluate_fit_without_psnr_needs_only_the_grid():
         assert np.array_equal(getattr(full, name), getattr(bare, name),
                               equal_nan=True), name
     assert full.periodicity_error_mm == bare.periodicity_error_mm
-    with pytest.raises(AttributeError):  # the PSNR asks for voxels it lacks
-        evaluate_fit(model, grid, [base, None, base], with_psnr=True)
+    # the PSNR asks for voxels the grid lacks: refused before the model runs
+    with pytest.raises(ConfigError, match="with_psnr.*read_v4d"):
+        evaluate_fit(UnusableModel(), grid, [base, None, base], with_psnr=True)
+
+
+def test_evaluate_fit_refuses_a_grid_by_default_before_any_other_check():
+    # with_psnr defaults to True; the refusal comes before the meshes are read
+    vol = flat_volume(n=12, spacing=2.0, n_frames=3)
+    grid = VolumeGrid(vol.grid_shape, vol.spacing, vol.origin, vol.frame_times)
+    for meshes in ([None, None, None], []):
+        with pytest.raises(ConfigError, match="with_psnr.*read_v4d"):
+            evaluate_fit(UnusableModel(), grid, meshes)
 
 
 # ------------------------------------------------------------- the PSNR warp

@@ -85,6 +85,7 @@ def test_fit_config_validation():
         dict(omega=0.0),
         dict(steps_per_frame=0),
         dict(sampling="everywhere"),
+        dict(sampling="foreground"),
         dict(hidden_layers=0),
         dict(hidden_width=0),
         dict(precision="f16"),
@@ -123,26 +124,6 @@ def test_sample_points_uniform_in_cube():
     assert pts.min() >= -1.0 and pts.max() <= 1.0
 
 
-def test_sample_points_foreground_targets_bright_voxels():
-    # Bright blob in the +x half only; the foreground half of the batch
-    # must land there.
-    n = 9
-    frames = np.zeros((2, n, n, n), dtype=np.float32)
-    frames[:, :, :, 6:] = 1.0
-    vol = Volume4D(frames, (1.0,) * 3, (0.0,) * 3, [0.0, 1.0])
-    pts = sample_points(vol, 200, "foreground", seed=2)
-    fg = pts[:100]
-    # voxel ix >= 6 of 9 maps to x >= 2*6/8 - 1 = 0.5, minus half-voxel jitter
-    assert fg[:, 0].min() > 0.5 - 2.0 / (n - 1)
-    assert np.abs(pts).max() <= 1.0
-
-
-def test_sample_points_foreground_needs_nonempty_mask():
-    vol = flat_volume([0.0, 0.0])
-    with pytest.raises(ValidationError, match="foreground"):
-        sample_points(vol, 10, "foreground", seed=0)
-
-
 def test_sample_points_band_targets_soft_boundary():
     # Frame 0 is 1 in the +x half, 0 in the -x half, with one intermediate
     # slab at ix == 5; the band half of the batch must land on that slab.
@@ -170,6 +151,8 @@ def test_sample_points_rejects_bad_arguments():
         sample_points(tiny_volume(), 0, "uniform")
     with pytest.raises(ValueError):
         sample_points(tiny_volume(), 10, "everywhere")
+    with pytest.raises(ValueError):
+        sample_points(tiny_volume(), 10, "foreground")
 
 
 # ------------------------------------------------------------- loss terms
@@ -483,7 +466,7 @@ def test_load_fit_config_file_and_overrides(tmp_path):
         "# training setup\n"
         "epochs = 12\n"
         "learning_rate = 1e-4   # inline comment\n"
-        "sampling = foreground\n"
+        "sampling = band\n"
         "time_encoding = off\n"
         "\n"
         "cycle_weight = 0.25\n"
@@ -491,7 +474,7 @@ def test_load_fit_config_file_and_overrides(tmp_path):
     cfg = load_fit_config(path, overrides={"epochs": 5, "seed": None})
     assert cfg.epochs == 5          # override wins
     assert cfg.learning_rate == 1e-4
-    assert cfg.sampling == "foreground"
+    assert cfg.sampling == "band"
     assert cfg.time_encoding is False
     assert cfg.cycle_weight == 0.25
     assert cfg.seed == 0            # None override skipped -> default
